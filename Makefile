@@ -52,9 +52,11 @@ test:
 # net/http edge that reports into it, the retry/breaker machinery, the
 # bounded ingest pipeline, the sharded generator, the parallel
 # experiment scheduler, and the fleet front tier (health prober, ring
-# swaps, failover/hedging) with its chaos injector.
+# swaps, failover/hedging) with its chaos injector, and the periodicity
+# workers with their per-worker dsp detectors (tables and scratch that
+# must stay unshared).
 race:
-	$(GO) test -race ./internal/obs ./internal/edge ./internal/defend ./internal/resilience ./internal/ingest ./internal/synth ./internal/experiments ./internal/replay ./internal/fleet/... ./internal/livechar
+	$(GO) test -race ./internal/obs ./internal/edge ./internal/defend ./internal/resilience ./internal/ingest ./internal/synth ./internal/experiments ./internal/replay ./internal/fleet/... ./internal/livechar ./internal/dsp ./internal/periodicity
 
 # bench regenerates the persisted benchmark baseline (BENCH_1.json by
 # default; override with BENCHOUT=...). It runs every benchmark in the
@@ -129,3 +131,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalJSONLine -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzTolerantReader -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzParseSLO -fuzztime=$(FUZZTIME) ./internal/replay
+	$(GO) test -run=^$$ -fuzz=FuzzDetect -fuzztime=$(FUZZTIME) ./internal/dsp

@@ -83,7 +83,7 @@ type Report struct {
 	// sequential binary baseline (means over the -count runs) — the
 	// numbers the log-container work is judged by. Records/sec uses the
 	// raw codec (decode cost without decompression); bytes-per-record
-	// uses flate (the on-disk default).
+	// uses flate (what jsongen writes by default).
 	ChunkDecode *DecodeSummary `json:"chunk_decode,omitempty"`
 
 	// LiveChar compares the edge serve path with the live

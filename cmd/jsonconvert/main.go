@@ -3,12 +3,13 @@
 // container; the text and binary formats optionally gzipped), with
 // optional filtering. Container inputs are detected by magic bytes, so
 // a mislabeled file still decodes; the output encoding follows the -o
-// extension (.cdnc selects the chunk container with its default codec).
+// extension (.cdnc selects the chunk container with its default codec,
+// raw: dictionary-encoded, uncompressed chunks).
 //
 // Usage:
 //
 //	jsonconvert -i logs.tsv.gz -o logs.cdnb.gz
-//	jsonconvert -i logs.tsv.gz -o logs.cdnc   # recompress into chunks
+//	jsonconvert -i logs.tsv.gz -o logs.cdnc   # repack into raw chunks
 //	jsonconvert -i logs.cdnc -o - -json-only
 package main
 

@@ -60,11 +60,28 @@ func BenchmarkDetectTypicalFlow(b *testing.B) {
 	}
 	cfg := DefaultDetectorConfig()
 	rng := stats.NewRNG(2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok, err := Detect(x, cfg, rng); err != nil || !ok {
 			b.Fatalf("detect: %v %v", ok, err)
 		}
+	}
+}
+
+// BenchmarkPermutationPair is the kernel of the permutation test: two
+// shuffles of a typical flow, their autocorrelation maxima and their
+// spectral maxima, on warmed tables.
+func BenchmarkPermutationPair(b *testing.B) {
+	x := benchSignal(3600)
+	var d Detector
+	energy := d.center(x)
+	rng := stats.NewRNG(3)
+	d.shufflePair(rng, 2, len(x)/2, energy, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.shufflePair(rng, 2, len(x)/2, energy, false)
 	}
 }
 

@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/stats"
 )
@@ -30,7 +31,7 @@ func DefaultDetectorConfig() DetectorConfig {
 	return DetectorConfig{Permutations: 100, MinLag: 2, MaxLagFrac: 0.5}
 }
 
-func (c *DetectorConfig) sanitize(n int) {
+func (c *DetectorConfig) sanitize() {
 	if c.Permutations <= 0 {
 		c.Permutations = 100
 	}
@@ -52,6 +53,28 @@ type Detection struct {
 	Power float64
 }
 
+// Detector runs Detect and DetectAll on FFT tables and scratch buffers
+// it keeps from one call to the next, so analysing many signals builds
+// each table once and, past the largest signal seen, allocates nothing
+// per permutation. The zero value is ready to use. A Detector is not
+// safe for concurrent use: give each goroutine its own.
+type Detector struct {
+	plan fftPlan
+	// perm is the mean-removed signal; the permutation test shuffles it
+	// in place, each shuffle on top of the last.
+	perm []float64
+	// pair carries two real signals as its real and imaginary parts, so
+	// one complex transform serves both; spec is its length-n DFT.
+	pair, spec []complex128
+	// acf and power are the unshuffled signal's autocorrelation (lags up
+	// to the lag bound) and periodogram.
+	acf, power []float64
+}
+
+// detectors backs the package-level entry points, which have no
+// Detector of their own to reuse.
+var detectors = sync.Pool{New: func() any { return new(Detector) }}
+
 // Detect runs the paper's four-step periodicity algorithm on a uniformly
 // sampled signal (e.g. request counts in 1 s bins):
 //
@@ -70,7 +93,14 @@ type Detection struct {
 // case for human-triggered traffic. rng drives the permutations; pass a
 // seeded RNG for reproducible analyses.
 func Detect(signal []float64, cfg DetectorConfig, rng *stats.RNG) (Detection, bool, error) {
-	acf, acfThresh, peaks, maxLag, err := validatedPeaks(signal, &cfg, rng)
+	d := detectors.Get().(*Detector)
+	defer detectors.Put(d)
+	return d.Detect(signal, cfg, rng)
+}
+
+// Detect is the package-level Detect on d's tables and scratch.
+func (d *Detector) Detect(signal []float64, cfg DetectorConfig, rng *stats.RNG) (Detection, bool, error) {
+	acf, acfThresh, peaks, maxLag, err := d.validatedPeaks(signal, &cfg, rng)
 	if err != nil || len(peaks) == 0 {
 		return Detection{}, false, err
 	}
@@ -103,7 +133,14 @@ func Detect(signal []float64, cfg DetectorConfig, rng *stats.RNG) (Detection, bo
 // period is considered the same process and dropped. At most maxPeriods
 // are returned (<= 0 means no limit).
 func DetectAll(signal []float64, cfg DetectorConfig, rng *stats.RNG, maxPeriods int) ([]Detection, error) {
-	_, _, peaks, _, err := validatedPeaks(signal, &cfg, rng)
+	d := detectors.Get().(*Detector)
+	defer detectors.Put(d)
+	return d.DetectAll(signal, cfg, rng, maxPeriods)
+}
+
+// DetectAll is the package-level DetectAll on d's tables and scratch.
+func (d *Detector) DetectAll(signal []float64, cfg DetectorConfig, rng *stats.RNG, maxPeriods int) ([]Detection, error) {
+	_, _, peaks, _, err := d.validatedPeaks(signal, &cfg, rng)
 	if err != nil || len(peaks) == 0 {
 		return nil, err
 	}
@@ -137,25 +174,65 @@ func isHarmonicOfAny(lag int, kept []Detection) bool {
 	return false
 }
 
+// center loads x with its mean removed into perm and, as the real parts
+// with zero imaginary parts, into pair, and returns the centered signal's
+// energy Σ(x-mean)², the lag-0 autocovariance.
+func (d *Detector) center(x []float64) (energy float64) {
+	d.perm = grow(d.perm, len(x))
+	d.pair = grow(d.pair, len(x))
+	mean := 0.0
+	for _, v := range x {
+		mean += v
+	}
+	mean /= float64(len(x))
+	for i, v := range x {
+		c := v - mean
+		d.perm[i] = c
+		d.pair[i] = complex(c, 0)
+		energy += c * c
+	}
+	return energy
+}
+
 // validatedPeaks runs steps 1-4 of the detection algorithm and returns
-// the ACF, its significance threshold, the distinct validated ACF peaks
-// sorted by descending ACF value, and the lag bound.
-func validatedPeaks(signal []float64, cfg *DetectorConfig, rng *stats.RNG) (acf []float64, acfThresh float64, peaks []Detection, maxLag int, err error) {
+// the ACF (lags 0..maxLag, in d's scratch), its significance threshold,
+// the distinct validated ACF peaks sorted by descending ACF value, and
+// the lag bound.
+func (d *Detector) validatedPeaks(signal []float64, cfg *DetectorConfig, rng *stats.RNG) (acf []float64, acfThresh float64, peaks []Detection, maxLag int, err error) {
 	if err = validateSignal(signal); err != nil {
 		return nil, 0, nil, 0, err
 	}
 	n := len(signal)
-	cfg.sanitize(n)
+	cfg.sanitize()
 	maxLag = int(float64(n) * cfg.MaxLagFrac)
 	if maxLag <= cfg.MinLag {
 		return nil, 0, nil, maxLag, nil // too short to contain two cycles
 	}
+	lags := min(maxLag, n-1)
 
-	acf = Autocorrelation(signal)
-	power := Periodogram(signal)
+	// The mean and the energy do not change under permutation: take them
+	// once, here, for the signal and all its shuffles. Removing the mean
+	// only changes the periodogram at k=0, which is never a candidate.
+	energy := d.center(signal)
+	d.acf = grow(d.acf, lags+1)
+	acf = d.acf
+	clear(acf) // a constant signal has zero autocorrelation by convention
+	if energy > 0 {
+		cov := d.plan.autocovPair(d.pair, lags)
+		for lag := range acf {
+			acf[lag] = real(cov[lag]) / energy
+		}
+	}
+	d.spec = grow(d.spec, n)
+	d.plan.dft(d.spec, d.pair)
+	d.power = grow(d.power, n/2+1)
+	power := d.power
+	for k := range power {
+		power[k] = sqAbs(d.spec[k]) / float64(n)
+	}
 
 	var powThresh float64
-	acfThresh, powThresh = permutationThresholds(signal, *cfg, rng)
+	acfThresh, powThresh = d.permutationThresholds(*cfg, lags, energy, rng)
 
 	// Candidate periods from spectral peaks above threshold. k=0 is DC;
 	// k=1 is the full window; start at k=2.
@@ -208,35 +285,12 @@ func validatedPeaks(signal []float64, cfg *DetectorConfig, rng *stats.RNG) (acf 
 	return acf, acfThresh, peaks, maxLag, nil
 }
 
-// permutationThresholds shuffles the signal cfg.Permutations times and
-// returns the (x-1)-th largest maximum ACF value and spectral power
-// observed across permutations.
-func permutationThresholds(signal []float64, cfg DetectorConfig, rng *stats.RNG) (acfThresh, powThresh float64) {
-	n := len(signal)
-	maxLag := int(float64(n) * cfg.MaxLagFrac)
-	perm := make([]float64, n)
-	copy(perm, signal)
-	acfMaxima := make([]float64, 0, cfg.Permutations)
-	powMaxima := make([]float64, 0, cfg.Permutations)
-	for i := 0; i < cfg.Permutations; i++ {
-		rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		pacf := Autocorrelation(perm)
-		maxACF := 0.0
-		for lag := cfg.MinLag; lag <= maxLag && lag < len(pacf); lag++ {
-			if pacf[lag] > maxACF {
-				maxACF = pacf[lag]
-			}
-		}
-		ppow := Periodogram(perm)
-		maxPow := 0.0
-		for k := 2; k < len(ppow); k++ {
-			if ppow[k] > maxPow {
-				maxPow = ppow[k]
-			}
-		}
-		acfMaxima = append(acfMaxima, maxACF)
-		powMaxima = append(powMaxima, maxPow)
-	}
+// permutationThresholds shuffles the centered signal cfg.Permutations
+// times and returns the (x-1)-th largest maximum ACF value and spectral
+// power observed across permutations. Shuffles are drawn exactly as if
+// each were analysed alone — one rng.Shuffle per permutation, each on top
+// of the last — but analysed two at a time.
+func (d *Detector) permutationThresholds(cfg DetectorConfig, lags int, energy float64, rng *stats.RNG) (acfThresh, powThresh float64) {
 	// The paper takes the "(x-1)th largest" of the recorded maxima as
 	// the threshold — a lenient bound (just above the smallest
 	// permutation maximum) that admits candidate frequencies whose peak
@@ -245,27 +299,87 @@ func permutationThresholds(signal []float64, cfg DetectorConfig, rng *stats.RNG)
 	// strict bound (second largest, a ~99% confidence level for x=100)
 	// on the ACF threshold, which is the decisive validation: a real
 	// period must beat essentially every shuffled signal's best
-	// autocorrelation.
-	powK := len(powMaxima) - 1
-	if powK < 1 {
-		powK = 1
+	// autocorrelation. So only the two largest ACF maxima and the two
+	// smallest power maxima need keeping.
+	acf1, acf2 := math.Inf(-1), math.Inf(-1)
+	pow1, pow2 := math.Inf(1), math.Inf(1)
+	record := func(acfMax, powMax float64) {
+		if acfMax > acf1 {
+			acf1, acf2 = acfMax, acf1
+		} else if acfMax > acf2 {
+			acf2 = acfMax
+		}
+		if powMax < pow1 {
+			pow1, pow2 = powMax, pow1
+		} else if powMax < pow2 {
+			pow2 = powMax
+		}
 	}
-	return kthLargest(acfMaxima, 2), kthLargest(powMaxima, powK)
+	for i := 0; i < cfg.Permutations; i += 2 {
+		single := i+1 == cfg.Permutations
+		acfA, powA, acfB, powB := d.shufflePair(rng, cfg.MinLag, lags, energy, single)
+		record(acfA, powA)
+		if !single {
+			record(acfB, powB)
+		}
+	}
+	if cfg.Permutations == 1 {
+		return acf1, pow1
+	}
+	return acf2, pow2
 }
 
-// kthLargest returns the k-th largest element (1-indexed); for slices
-// shorter than k it returns the smallest element.
-func kthLargest(xs []float64, k int) float64 {
-	if len(xs) == 0 {
-		return 0
+// shufflePair draws the next two permutations of d.perm (one when
+// single) and returns, for each, the maximum autocorrelation over lags
+// minLag..lags and the maximum periodogram power over k >= 2. The two
+// shuffles ride one complex signal a+ib through every transform: both
+// autocovariances come back as the real and imaginary parts of one
+// result, and both spectra separate from one DFT by conjugate symmetry.
+// When single, b is zero and the B results mean nothing.
+func (d *Detector) shufflePair(rng *stats.RNG, minLag, lags int, energy float64, single bool) (acfA, powA, acfB, powB float64) {
+	perm, pair := d.perm, d.pair
+	n := len(perm)
+	swap := func(i, j int) { perm[i], perm[j] = perm[j], perm[i] }
+	rng.Shuffle(n, swap)
+	for i, v := range perm {
+		pair[i] = complex(v, 0)
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	if k > len(sorted) {
-		k = len(sorted)
+	if !single {
+		rng.Shuffle(n, swap)
+		for i, v := range perm {
+			pair[i] = complex(real(pair[i]), v)
+		}
 	}
-	return sorted[k-1]
+
+	// A zero-energy signal is all zeros once centered: both maxima stay 0.
+	if energy > 0 {
+		cov := d.plan.autocovPair(pair, lags)
+		for _, c := range cov[minLag : lags+1] {
+			if real(c) > acfA {
+				acfA = real(c)
+			}
+			if imag(c) > acfB {
+				acfB = imag(c)
+			}
+		}
+		acfA /= energy
+		acfB /= energy
+	}
+
+	d.spec = grow(d.spec, n)
+	spec := d.spec
+	d.plan.dft(spec, pair)
+	for k := 2; k <= n/2; k++ {
+		pa, pb := splitPower(spec[k], spec[n-k])
+		if pa > powA {
+			powA = pa
+		}
+		if pb > powB {
+			powB = pb
+		}
+	}
+	scale := 0.25 / float64(n)
+	return acfA, powA * scale, acfB, powB * scale
 }
 
 // hillClimb walks from the candidate lag to the nearest local maximum of

@@ -131,26 +131,6 @@ func TestDetectFewerPermutationsStillFindsStrongPeriod(t *testing.T) {
 	}
 }
 
-func TestKthLargest(t *testing.T) {
-	xs := []float64{5, 1, 9, 3}
-	if got := kthLargest(xs, 1); got != 9 {
-		t.Errorf("1st largest = %v", got)
-	}
-	if got := kthLargest(xs, 2); got != 5 {
-		t.Errorf("2nd largest = %v", got)
-	}
-	if got := kthLargest(xs, 10); got != 1 {
-		t.Errorf("overflow k = %v", got)
-	}
-	if got := kthLargest(nil, 1); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 || xs[3] != 3 {
-		t.Error("kthLargest mutated input")
-	}
-}
-
 func TestHillClimb(t *testing.T) {
 	// ACF with a local max at lag 10.
 	acf := make([]float64, 50)

@@ -8,26 +8,26 @@ package dsp
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"math/cmplx"
 )
 
 // FFT returns the discrete Fourier transform of x. The input length may
-// be arbitrary: power-of-two lengths use the iterative radix-2
-// Cooley-Tukey algorithm; other lengths use Bluestein's chirp-z
-// transform. The input slice is not modified.
+// be arbitrary: power-of-two lengths use the table-driven radix-2
+// transform; other lengths use Bluestein's chirp-z transform. The input
+// slice is not modified.
 func FFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
+	if len(x) == 0 {
 		return nil
 	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if n&(n-1) == 0 {
-		fftRadix2(out, false)
-		return out
-	}
-	return bluestein(out, false)
+	out := make([]complex128, len(x))
+	pooledDFT(out, x)
+	return out
+}
+
+// pooledDFT runs dft on a borrowed Detector's plan.
+func pooledDFT(dst, src []complex128) {
+	d := detectors.Get().(*Detector)
+	d.plan.dft(dst, src)
+	detectors.Put(d)
 }
 
 // IFFT returns the inverse discrete Fourier transform of x (normalized
@@ -37,12 +37,10 @@ func IFFT(x []complex128) []complex128 {
 	if n == 0 {
 		return nil
 	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if n&(n-1) == 0 {
-		fftRadix2(out, true)
-	} else {
-		out = bluestein(out, true)
+	out := FFT(x)
+	// The inverse is the forward transform read backwards.
+	for i, j := 1, n-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
 	}
 	inv := complex(1/float64(n), 0)
 	for i := range out {
@@ -54,97 +52,14 @@ func IFFT(x []complex128) []complex128 {
 // FFTReal transforms a real-valued signal, returning the full complex
 // spectrum.
 func FFTReal(x []float64) []complex128 {
-	cx := make([]complex128, len(x))
-	for i, v := range x {
-		cx[i] = complex(v, 0)
-	}
-	if len(cx) == 0 {
+	if len(x) == 0 {
 		return nil
 	}
-	if len(cx)&(len(cx)-1) == 0 {
-		fftRadix2(cx, false)
-		return cx
+	out := make([]complex128, len(x))
+	for i, v := range x {
+		out[i] = complex(v, 0)
 	}
-	return bluestein(cx, false)
-}
-
-// fftRadix2 computes an in-place iterative radix-2 FFT. len(a) must be a
-// power of two. If inverse, the conjugate transform is computed (without
-// normalization).
-func fftRadix2(a []complex128, inverse bool) {
-	n := len(a)
-	if n <= 1 {
-		return
-	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros64(uint64(n)))
-	for i := 1; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		ang := sign * 2 * math.Pi / float64(size)
-		wstep := cmplx.Rect(1, ang)
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			half := size / 2
-			for k := 0; k < half; k++ {
-				even := a[start+k]
-				odd := a[start+k+half] * w
-				a[start+k] = even + odd
-				a[start+k+half] = even - odd
-				w *= wstep
-			}
-		}
-	}
-}
-
-// bluestein computes the DFT of arbitrary length via the chirp-z
-// transform, using a power-of-two convolution.
-func bluestein(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp factors w[k] = exp(sign * i*pi*k^2/n).
-	w := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// k^2 mod 2n avoids precision loss for large k.
-		k2 := (int64(k) * int64(k)) % int64(2*n)
-		w[k] = cmplx.Rect(1, sign*math.Pi*float64(k2)/float64(n))
-	}
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * w[k]
-		bk := cmplx.Conj(w[k])
-		b[k] = bk
-		if k > 0 {
-			b[m-k] = bk
-		}
-	}
-	fftRadix2(a, false)
-	fftRadix2(b, false)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	fftRadix2(a, true)
-	invM := complex(1/float64(m), 0)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		out[k] = a[k] * invM * w[k]
-	}
+	pooledDFT(out, out)
 	return out
 }
 
@@ -159,11 +74,15 @@ func Periodogram(x []float64) []float64 {
 	spec := FFTReal(x)
 	half := n/2 + 1
 	p := make([]float64, half)
-	for k := 0; k < half; k++ {
-		re, im := real(spec[k]), imag(spec[k])
-		p[k] = (re*re + im*im) / float64(n)
+	for k := range p {
+		p[k] = sqAbs(spec[k]) / float64(n)
 	}
 	return p
+}
+
+// sqAbs returns |z|².
+func sqAbs(z complex128) float64 {
+	return real(z)*real(z) + imag(z)*imag(z)
 }
 
 // PeriodogramDirect computes the same power spectral density as
@@ -194,39 +113,24 @@ func PeriodogramDirect(x []float64) []float64 {
 // Autocorrelation returns the biased sample autocorrelation of x at lags
 // 0..len(x)-1, normalized so lag 0 equals 1 (unless x is constant, in
 // which case all lags are 0). Computed in O(n log n) via the
-// Wiener-Khinchin theorem: ACF = IFFT(|FFT(x_padded)|^2).
+// Wiener-Khinchin theorem: the autocovariance is the transform of the
+// zero-padded signal's power spectrum.
 func Autocorrelation(x []float64) []float64 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
-	mean := 0.0
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
-	// Zero-pad to at least 2n to make the circular convolution linear.
-	m := 1
-	for m < 2*n {
-		m <<= 1
-	}
-	buf := make([]complex128, m)
-	for i, v := range x {
-		buf[i] = complex(v-mean, 0)
-	}
-	fftRadix2(buf, false)
-	for i := range buf {
-		re, im := real(buf[i]), imag(buf[i])
-		buf[i] = complex(re*re+im*im, 0)
-	}
-	fftRadix2(buf, true)
 	out := make([]float64, n)
-	c0 := real(buf[0])
+	d := detectors.Get().(*Detector)
+	defer detectors.Put(d)
+	d.center(x)
+	cov := d.plan.autocovPair(d.pair, n-1)
+	c0 := real(cov[0])
 	if c0 == 0 {
 		return out // constant signal: zero autocorrelation by convention
 	}
-	for lag := 0; lag < n; lag++ {
-		out[lag] = real(buf[lag]) / c0
+	for lag := range out {
+		out[lag] = real(cov[lag]) / c0
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package edge
 
 import (
-	"fmt"
+	"encoding/binary"
+	"encoding/hex"
 	"hash/fnv"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -39,16 +41,20 @@ func (o *WildcardOrigin) Fetch(path string) ([]byte, string, bool, error) {
 	h := fnv.New64a()
 	h.Write([]byte(path))
 	sum := h.Sum64()
-	// 200 B .. ~4 KiB, matching the paper's JSON-object size band.
+	// 200 B .. ~4 KiB, matching the paper's JSON-object size band. The
+	// filler runs up to 15 bytes past size and two bytes close the body.
 	size := 200 + int(sum%4096)
-	var b strings.Builder
-	b.Grow(size + 64)
-	fmt.Fprintf(&b, `{"path":%q,"object":"%016x","data":"`, path, sum)
-	for b.Len() < size {
-		fmt.Fprintf(&b, "%016x", sum)
+	b := make([]byte, 0, size+15+2)
+	b = append(b, `{"path":`...)
+	b = strconv.AppendQuote(b, path)
+	b = append(b, `,"object":"`...)
+	b = appendHex16(b, sum)
+	b = append(b, `","data":"`...)
+	for len(b) < size {
+		b = appendHex16(b, sum)
 		sum = sum*0x100000001b3 + 0x9e3779b9
 	}
-	b.WriteString(`"}`)
+	b = append(b, `"}`...)
 	// Telemetry and personalized paths stay uncacheable, mirroring the
 	// paper's uncacheable JSON share; everything else is cacheable. The
 	// prefix test uses the query-stripped path so "?x=/profile/" games
@@ -58,5 +64,12 @@ func (o *WildcardOrigin) Fetch(path string) ([]byte, string, bool, error) {
 		base = base[:i]
 	}
 	cacheable := !strings.HasPrefix(base, "/ingest/") && !strings.HasPrefix(base, "/profile/")
-	return []byte(b.String()), "application/json", cacheable, nil
+	return b, "application/json", cacheable, nil
+}
+
+// appendHex16 appends v as 16 lower-case hex digits.
+func appendHex16(b []byte, v uint64) []byte {
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], v)
+	return hex.AppendEncode(b, raw[:])
 }

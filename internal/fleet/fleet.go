@@ -188,9 +188,12 @@ type Fleet struct {
 	inst     *Instrumentation
 	draining atomic.Bool
 
-	checkerStop   chan struct{}
-	checkerDone   chan struct{}
-	checkerCancel sync.Once
+	checkerStop chan struct{}
+	// checkerDone is closed by the checker goroutine on exit;
+	// checkerStarted says whether there is one to wait for.
+	checkerDone    chan struct{}
+	checkerStarted atomic.Bool
+	checkerCancel  sync.Once
 }
 
 // New builds a fleet over the given members. All members start up and

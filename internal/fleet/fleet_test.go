@@ -286,6 +286,25 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestDrainWithoutHealthChecker: Drain on a fleet whose StartHealth
+// never ran has no checker to wait for and must return.
+func TestDrainWithoutHealthChecker(t *testing.T) {
+	f := New(Config{}, &Member{Name: "edge-00", URL: "http://127.0.0.1:0"})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Drain()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain blocked with no health checker started")
+	}
+	if !f.Draining() {
+		t.Fatal("Draining() false after Drain")
+	}
+}
+
 // TestMembersSnapshot: snapshots carry state names and registration
 // order.
 func TestMembersSnapshot(t *testing.T) {

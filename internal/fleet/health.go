@@ -31,6 +31,7 @@ func (f *Fleet) StartHealth() (stop func()) {
 		// past: keep-alives off so a killed node fails its next probe.
 		Transport: &http.Transport{DisableKeepAlives: true},
 	}
+	f.checkerStarted.Store(true)
 	go func() {
 		defer close(f.checkerDone)
 		tick := time.NewTicker(f.cfg.Probe)
@@ -47,11 +48,14 @@ func (f *Fleet) StartHealth() (stop func()) {
 	return f.stopHealth
 }
 
-// stopHealth stops the checker goroutine and waits for it to exit.
+// stopHealth stops the checker goroutine, if StartHealth launched one,
+// and waits for it to exit.
 func (f *Fleet) stopHealth() {
 	f.checkerCancel.Do(func() {
 		close(f.checkerStop)
-		<-f.checkerDone
+		if f.checkerStarted.Load() {
+			<-f.checkerDone
+		}
 	})
 }
 

@@ -76,10 +76,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Codec uint8
 
 const (
-	// CodecRaw stores chunks uncompressed.
+	// CodecRaw stores chunks uncompressed. It is the zero value, so it
+	// is what a zero ChunkConfig — and with it CreateFile and
+	// jsonconvert — writes.
 	CodecRaw Codec = iota
-	// CodecFlate compresses each chunk with DEFLATE (the default:
-	// cheapest stdlib codec without per-chunk header overhead).
+	// CodecFlate compresses each chunk with DEFLATE (the cheapest stdlib
+	// codec without per-chunk header overhead; jsongen's -codec default).
 	CodecFlate
 	// CodecGzip compresses each chunk with gzip (DEFLATE plus a
 	// per-chunk gzip envelope; interoperable with external tooling).
@@ -110,7 +112,8 @@ func ParseCodec(s string) (Codec, error) {
 
 // ChunkConfig sizes a ChunkWriter.
 type ChunkConfig struct {
-	// Codec is the per-chunk compression (default CodecFlate).
+	// Codec is the per-chunk compression (default CodecRaw, the zero
+	// value: dictionary-encoded but uncompressed chunks).
 	Codec Codec
 	// ChunkRecords is the record count that flushes a chunk (default
 	// 4096). 1 degenerates to one record per chunk, which round-trips

@@ -417,7 +417,7 @@ func OpenFile(path string) (RecordReader, io.Closer, error) {
 // CreateFile creates path and returns a writer in the inferred format
 // (see OpenFile), gzip-compressing text formats with a .gz suffix. A
 // .cdnc extension selects the chunk container with its default
-// configuration (flate codec); use NewChunkWriter directly for other
+// configuration (raw codec); use NewChunkWriter directly for other
 // codecs or chunk sizes. Closing the returned writer flushes; the
 // caller must also close the returned io.Closer (the file).
 func CreateFile(path string) (RecordWriter, io.Closer, error) {

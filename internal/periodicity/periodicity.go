@@ -196,6 +196,9 @@ func Analyze(objFlows []*flows.ObjectFlow, totalRequests int64, cfg Config) *Res
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One detector per worker, kept across all the flows it
+			// analyses: FFT tables are built once per size, not per flow.
+			var det dsp.Detector
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= len(objFlows) {
@@ -205,7 +208,7 @@ func Analyze(objFlows []*flows.ObjectFlow, totalRequests int64, cfg Config) *Res
 				h := fnv.New64a()
 				h.Write([]byte(of.URL))
 				rng := stats.NewRNG(cfg.Seed ^ h.Sum64())
-				res.Objects[i] = analyzeObject(of, cfg, rng)
+				res.Objects[i] = analyzeObject(&det, of, cfg, rng)
 			}
 		}()
 	}
@@ -220,19 +223,19 @@ func Analyze(objFlows []*flows.ObjectFlow, totalRequests int64, cfg Config) *Res
 	return res
 }
 
-func analyzeObject(of *flows.ObjectFlow, cfg Config, rng *stats.RNG) ObjectResult {
+func analyzeObject(det *dsp.Detector, of *flows.ObjectFlow, cfg Config, rng *stats.RNG) ObjectResult {
 	out := ObjectResult{
 		URL:           of.URL,
 		TotalClients:  len(of.Clients),
 		TotalRequests: of.NumRequests(),
 	}
-	objPeriod, ok := detectPeriod(of.AllRequests(), cfg, rng)
+	objPeriod, ok := detectPeriod(det, of.AllRequests(), cfg, rng)
 	if !ok {
 		return out
 	}
 	out.ObjectPeriod = objPeriod
 	for _, cf := range of.Clients {
-		cliPeriod, ok := detectPeriod(cf.Requests, cfg, rng)
+		cliPeriod, ok := detectPeriod(det, cf.Requests, cfg, rng)
 		if !ok || !periodsMatch(objPeriod, cliPeriod, cfg.MatchTolerance) {
 			continue
 		}
@@ -252,16 +255,16 @@ func analyzeObject(of *flows.ObjectFlow, cfg Config, rng *stats.RNG) ObjectResul
 
 // detectPeriod bins a request sequence and runs the dsp detector,
 // translating the lag back into wall-clock duration.
-func detectPeriod(reqs []flows.Request, cfg Config, rng *stats.RNG) (time.Duration, bool) {
+func detectPeriod(det *dsp.Detector, reqs []flows.Request, cfg Config, rng *stats.RNG) (time.Duration, bool) {
 	signal := flows.BinCounts(reqs, cfg.SampleBin, cfg.MaxBins)
 	if signal == nil {
 		return 0, false
 	}
-	det, ok, err := dsp.Detect(signal, cfg.Detector, rng)
+	found, ok, err := det.Detect(signal, cfg.Detector, rng)
 	if err != nil || !ok {
 		return 0, false
 	}
-	return time.Duration(det.Period) * cfg.SampleBin, true
+	return time.Duration(found.Period) * cfg.SampleBin, true
 }
 
 func periodsMatch(a, b time.Duration, tol float64) bool {

@@ -2,6 +2,8 @@ package periodicity
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -234,4 +236,51 @@ func TestObjectsSortedByURL(t *testing.T) {
 		t.Error("objects not sorted")
 	}
 	_ = fmt.Sprintf("%v", res.Objects)
+}
+
+// TestAnalyzeIndependentOfWorkersAndScratch: each worker keeps one
+// detector — FFT tables and scratch — across the flows it analyses, and
+// none of that may leak into a result. The objects' flows differ in
+// length, so a single worker's scratch is resized up and down as it
+// goes; the results must not depend on how many workers there are, on
+// whether the call is the first, or on what a worker analysed before.
+func TestAnalyzeIndependentOfWorkersAndScratch(t *testing.T) {
+	shapes := []struct {
+		n      int
+		period time.Duration
+	}{{120, time.Minute}, {20, 15 * time.Second}, {60, 30 * time.Second}, {200, 10 * time.Second}, {40, 45 * time.Second}}
+	var objs []*flows.ObjectFlow
+	var total int64
+	for i, sh := range shapes {
+		var clients []*flows.ClientFlow
+		for c := 0; c < 5; c++ {
+			id := uint64(10*i + c)
+			clients = append(clients, periodicClient(id, sh.n-3*c, sh.period, time.Second, c%2 == 0, false))
+		}
+		clients = append(clients, randomClient(uint64(10*i+9), 25+5*i))
+		of := buildFlow(fmt.Sprintf("https://x.com/o%d", i), clients)
+		objs = append(objs, of)
+		total += int64(of.NumRequests())
+	}
+	cfg := fastConfig()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one := Analyze(objs, total, cfg)
+	if len(one.PeriodicObjects()) == 0 {
+		t.Fatal("no periodic object: the comparison would be vacuous")
+	}
+	if again := Analyze(objs, total, cfg); !reflect.DeepEqual(one, again) {
+		t.Error("second call differs from the first")
+	}
+	runtime.GOMAXPROCS(4)
+	if four := Analyze(objs, total, cfg); !reflect.DeepEqual(one, four) {
+		t.Error("GOMAXPROCS=4 differs from GOMAXPROCS=1")
+	}
+	// one.Objects is sorted by URL, which is the order objs was built in.
+	for i, of := range objs {
+		alone := Analyze([]*flows.ObjectFlow{of}, total, cfg)
+		if !reflect.DeepEqual(alone.Objects[0], one.Objects[i]) {
+			t.Errorf("%s: on a fresh worker %+v, after other flows %+v", of.URL, alone.Objects[0], one.Objects[i])
+		}
+	}
 }
