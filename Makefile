@@ -54,9 +54,11 @@ test:
 # experiment scheduler, and the fleet front tier (health prober, ring
 # swaps, failover/hedging) with its chaos injector, and the periodicity
 # workers with their per-worker dsp detectors (tables and scratch that
-# must stay unshared).
+# must stay unshared), and the user-agent matcher tables every serving
+# and ingest goroutine reads through uastring.Classify and the taxonomy
+# observers.
 race:
-	$(GO) test -race ./internal/obs ./internal/edge ./internal/defend ./internal/resilience ./internal/ingest ./internal/synth ./internal/experiments ./internal/replay ./internal/fleet/... ./internal/livechar ./internal/dsp ./internal/periodicity
+	$(GO) test -race ./internal/obs ./internal/edge ./internal/defend ./internal/resilience ./internal/ingest ./internal/synth ./internal/experiments ./internal/replay ./internal/fleet/... ./internal/livechar ./internal/dsp ./internal/periodicity ./internal/uastring ./internal/taxonomy
 
 # bench regenerates the persisted benchmark baseline (BENCH_1.json by
 # default; override with BENCHOUT=...). It runs every benchmark in the
@@ -132,3 +134,5 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzTolerantReader -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzParseSLO -fuzztime=$(FUZZTIME) ./internal/replay
 	$(GO) test -run=^$$ -fuzz=FuzzDetect -fuzztime=$(FUZZTIME) ./internal/dsp
+	$(GO) test -run=^$$ -fuzz=FuzzClassify -fuzztime=$(FUZZTIME) ./internal/uastring
+	$(GO) test -run=^$$ -fuzz=FuzzCanonicalURL -fuzztime=$(FUZZTIME) ./internal/logfmt

@@ -4,8 +4,9 @@
 //
 // It shells out to `go test -bench` over the performance-critical
 // packages — synth generation, the experiment scheduler, n-gram
-// prediction, the DSP kernels, the log codecs, and the ingest
-// pipeline — parses the standard benchmark output lines, and emits one
+// prediction, the DSP kernels, the log codecs, the ingest pipeline, the
+// user-agent classifier, the taxonomy observers, and the edge cache —
+// parses the standard benchmark output lines, and emits one
 // JSON document with ns/op, B/op, allocs/op, and any custom
 // b.ReportMetric units (records/s, disk-B/rec) per benchmark, plus two
 // derived headlines: the sequential-vs-parallel RunAll speedup and the
@@ -44,6 +45,9 @@ var packages = []string{
 	"./internal/logfmt",
 	"./internal/ingest",
 	"./internal/livechar",
+	"./internal/uastring",
+	"./internal/taxonomy",
+	"./internal/edge",
 }
 
 // Benchmark is one parsed `go test -bench` result line. Repeated

@@ -27,7 +27,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -273,9 +272,8 @@ func (d *Defender) clientKey(r *http.Request) flows.ClientKey {
 			}
 		}
 	}
-	host, _, _ := strings.Cut(r.RemoteAddr, ":")
 	return flows.ClientKey{
-		ClientID: logfmt.HashClientIP(host),
+		ClientID: logfmt.HashClientIP(edge.ClientHost(r.RemoteAddr)),
 		UAHash:   flows.HashUA(r.UserAgent()),
 	}
 }

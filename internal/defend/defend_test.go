@@ -56,6 +56,30 @@ func TestClientRateLimit(t *testing.T) {
 	}
 }
 
+// TestIPv6ClientsHaveOwnBuckets: the client key hashes the whole remote
+// host, so one IPv6 client draining its bucket leaves its neighbour's
+// full — cutting RemoteAddr at the first colon made both "[2001".
+func TestIPv6ClientsHaveOwnBuckets(t *testing.T) {
+	d := New(Config{ClientRPS: 2, ClientBurst: 4})
+	a := getReq("http://a.test/v1/x", "[2001:db8::1]:443", "App/1.0")
+	b := getReq("http://a.test/v1/x", "[2001:db8::2]:443", "App/1.0")
+	for i := 0; i < 10; i++ {
+		d.Admit(epoch, a)
+	}
+	if !d.Admit(epoch, a).Reject {
+		t.Fatal("drained client still admitted")
+	}
+	admitted := 0
+	for i := 0; i < 10; i++ {
+		if !d.Admit(epoch, b).Reject {
+			admitted++
+		}
+	}
+	if admitted != 4 {
+		t.Fatalf("second IPv6 client admitted %d of its burst of 4", admitted)
+	}
+}
+
 // TestClientIDHeader: with a trusted identity header configured,
 // per-client state keys on the forwarded ID, not the shared socket —
 // what lets jsonreplay traffic keep its per-record identities.

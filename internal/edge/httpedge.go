@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -99,6 +100,7 @@ const maxBodyStore = 1 << 16
 type storedBody struct {
 	body     []byte
 	mime     string
+	etag     string // etagFor(body), hashed once per fetch, not per response
 	storedAt time.Time
 	key      string
 	elem     *list.Element
@@ -120,7 +122,7 @@ func (e *HTTPEdge) maxBodies() int {
 
 // storeBody retains a response body for later hits and stale serves,
 // evicting the least recently used entry past MaxBodies.
-func (e *HTTPEdge) storeBody(key string, body []byte, mime string, now time.Time) {
+func (e *HTTPEdge) storeBody(key string, body []byte, mime, etag string, now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.bodies == nil {
@@ -128,11 +130,11 @@ func (e *HTTPEdge) storeBody(key string, body []byte, mime string, now time.Time
 		e.bodyLRU = list.New()
 	}
 	if sb, ok := e.bodies[key]; ok {
-		sb.body, sb.mime, sb.storedAt = body, mime, now
+		sb.body, sb.mime, sb.etag, sb.storedAt = body, mime, etag, now
 		e.bodyLRU.MoveToFront(sb.elem)
 		return
 	}
-	sb := &storedBody{body: body, mime: mime, storedAt: now, key: key}
+	sb := &storedBody{body: body, mime: mime, etag: etag, storedAt: now, key: key}
 	sb.elem = e.bodyLRU.PushFront(sb)
 	e.bodies[key] = sb
 	for len(e.bodies) > e.maxBodies() {
@@ -205,10 +207,13 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		reqSp = e.Trace.Start(r.Method + " " + r.URL.Path)
 		reqSp.SetAttrs(obs.String("method", r.Method), obs.String("path", r.URL.Path))
 	}
-	key := "http://" + r.Host + r.URL.String()
+	// reqURL is what the client asked for and what the log records; key is
+	// what the cache holds it under, which a defense may collapse.
+	reqURL := "http://" + r.Host + r.URL.String()
+	key := reqURL
 	status := http.StatusOK
 	var body []byte
-	var mime string
+	var mime, etag string
 	cacheStatus := logfmt.CacheUncacheable
 	stale := false
 
@@ -229,7 +234,7 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				w.Write(rejBody)
 			}
 			if e.Log != nil {
-				e.logRequest(r, now, "application/json", http.StatusTooManyRequests, int64(len(rejBody)), logfmt.CacheUncacheable)
+				e.logRequest(r, reqURL, now, "application/json", http.StatusTooManyRequests, int64(len(rejBody)), logfmt.CacheUncacheable)
 			}
 			reqSp.SetAttrs(obs.Int("status", http.StatusTooManyRequests), obs.String("cache", "defend-reject"))
 			reqSp.End()
@@ -252,7 +257,7 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				w.Write(act.NegBody)
 			}
 			if e.Log != nil {
-				e.logRequest(r, now, negMIME, negStatus, int64(len(act.NegBody)), logfmt.CacheHit)
+				e.logRequest(r, reqURL, now, negMIME, negStatus, int64(len(act.NegBody)), logfmt.CacheHit)
 			}
 			reqSp.SetAttrs(obs.Int("status", negStatus), obs.String("cache", "defend-negative"))
 			reqSp.End()
@@ -266,7 +271,7 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	serveFromCache := r.Method == http.MethodGet && e.Cache.Lookup(key, now)
 	if serveFromCache {
 		if sb, ok := e.loadBody(key); ok {
-			body, mime, cacheStatus = sb.body, sb.mime, logfmt.CacheHit
+			body, mime, etag, cacheStatus = sb.body, sb.mime, sb.etag, logfmt.CacheHit
 		} else {
 			serveFromCache = false // evicted body; refetch below
 		}
@@ -290,7 +295,7 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 					w.Write(shedBody)
 				}
 				if e.Log != nil {
-					e.logRequest(r, now, "application/json", http.StatusServiceUnavailable, int64(len(shedBody)), logfmt.CacheUncacheable)
+					e.logRequest(r, reqURL, now, "application/json", http.StatusServiceUnavailable, int64(len(shedBody)), logfmt.CacheUncacheable)
 				}
 				reqSp.SetAttrs(obs.Int("status", http.StatusServiceUnavailable), obs.String("cache", "shed"))
 				reqSp.End()
@@ -329,7 +334,7 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// Serve-stale degradation: a retained copy beats an error.
 			if e.ServeStale && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
 				if sb, ok := e.loadBody(key); ok {
-					body, mime, cacheStatus = sb.body, sb.mime, logfmt.CacheHit
+					body, mime, etag, cacheStatus = sb.body, sb.mime, sb.etag, logfmt.CacheHit
 					stale = true
 					if e.Obs != nil {
 						e.Obs.StaleServes.Inc()
@@ -347,17 +352,17 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 					b, m = []byte(`{"error":"not found"}`), "application/json"
 				}
 				cacheable = false
-				body, mime = b, m
+				body, mime, etag = b, m, etagFor(b)
 			}
 		} else {
-			body, mime = b, m
+			body, mime, etag = b, m, etagFor(b)
 			switch {
 			case !cacheable || r.Method != http.MethodGet:
 				cacheStatus = logfmt.CacheUncacheable
 			default:
 				cacheStatus = logfmt.CacheMiss
 				e.Cache.Insert(key, int64(len(body)), now, false)
-				e.storeBody(key, body, mime, now)
+				e.storeBody(key, body, mime, etag, now)
 			}
 		}
 	}
@@ -365,7 +370,6 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Conditional requests: a matching If-None-Match short-circuits the
 	// body with 304, the validation flow real CDN edges serve for
 	// revalidating clients.
-	etag := etagFor(body)
 	if status == http.StatusOK && r.Header.Get("If-None-Match") == etag {
 		w.Header().Set("ETag", etag)
 		w.Header().Set("X-Cache", cacheLabel(cacheStatus, stale))
@@ -374,7 +378,7 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			e.Obs.NotModified.Inc()
 		}
 		if e.Log != nil {
-			e.logRequest(r, now, mime, http.StatusNotModified, 0, cacheStatus)
+			e.logRequest(r, reqURL, now, mime, http.StatusNotModified, 0, cacheStatus)
 		}
 		reqSp.SetAttrs(obs.Int("status", http.StatusNotModified), obs.String("cache", cacheLabel(cacheStatus, stale)))
 		reqSp.End()
@@ -395,7 +399,7 @@ func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if e.Log != nil {
-		e.logRequest(r, now, mime, status, int64(len(body)), cacheStatus)
+		e.logRequest(r, reqURL, now, mime, status, int64(len(body)), cacheStatus)
 	}
 	reqSp.AddBytes(int64(len(body)))
 	reqSp.SetAttrs(obs.Int("status", status), obs.String("cache", cacheLabel(cacheStatus, stale)))
@@ -415,16 +419,36 @@ func cacheLabel(s logfmt.CacheStatus, stale bool) string {
 	if stale {
 		return "STALE"
 	}
-	return strings.ToUpper(s.String())
+	switch s {
+	case logfmt.CacheHit:
+		return "HIT"
+	case logfmt.CacheMiss:
+		return "MISS"
+	default:
+		return "UNCACHEABLE"
+	}
 }
 
-func (e *HTTPEdge) logRequest(r *http.Request, now time.Time, mime string, status int, size int64, cache logfmt.CacheStatus) {
-	host, _, _ := strings.Cut(r.RemoteAddr, ":")
+// ClientHost returns the host part of an http.Request.RemoteAddr — the
+// string the log and the defense hash into a client identity. An IPv6
+// "[addr]:port" yields addr whole; an address without a port is returned
+// as it is.
+func ClientHost(remoteAddr string) string {
+	host, _, err := net.SplitHostPort(remoteAddr)
+	if err != nil {
+		return remoteAddr
+	}
+	return host
+}
+
+// logRequest emits the record of one request; url is the full URL as
+// requested, before any cache-key collapse.
+func (e *HTTPEdge) logRequest(r *http.Request, url string, now time.Time, mime string, status int, size int64, cache logfmt.CacheStatus) {
 	e.Log(&logfmt.Record{
 		Time:      now,
-		ClientID:  logfmt.HashClientIP(host),
+		ClientID:  logfmt.HashClientIP(ClientHost(r.RemoteAddr)),
 		Method:    r.Method,
-		URL:       "http://" + r.Host + r.URL.String(),
+		URL:       url,
 		UserAgent: r.UserAgent(),
 		MIMEType:  mime,
 		Status:    status,
@@ -437,7 +461,10 @@ func (e *HTTPEdge) logRequest(r *http.Request, now time.Time, mime string, statu
 func etagFor(body []byte) string {
 	h := fnv.New64a()
 	h.Write(body)
-	return fmt.Sprintf(`"%016x"`, h.Sum64())
+	var buf [18]byte
+	b := append(buf[:0], '"')
+	b = appendHex16(b, h.Sum64())
+	return string(append(b, '"'))
 }
 
 // JSONOrigin is a synthetic origin that serves the manifest pattern of

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/logfmt"
 	"repro/internal/obs"
 )
 
@@ -190,5 +191,80 @@ func TestHTTPEdgeShedding(t *testing.T) {
 	}
 	if got := e.Obs.ShedHuman.Value(); got != 0 {
 		t.Errorf("human sheds = %d, want 0", got)
+	}
+}
+
+// TestHTTPEdgeETagPinned pins the validator to the values the edge sent
+// when it hashed the body on every response ("%016x" of FNV-64a, one of
+// the three with a leading zero), and checks that keeping the ETag beside
+// the stored body changes nothing a client sees: the same value on MISS
+// and HIT, and a 304 for it after the body was evicted and fetched again.
+func TestHTTPEdgeETagPinned(t *testing.T) {
+	e := &HTTPEdge{
+		Cache:     NewCache(1<<20, time.Minute, 1),
+		Origin:    &WildcardOrigin{},
+		MaxBodies: 1,
+	}
+	serve := func(path, ifNoneMatch string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("GET", "http://api.example.com"+path, nil)
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		rec := httptest.NewRecorder()
+		e.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, c := range []struct{ path, etag, first, second string }{
+		{"/v1/offer/1000", `"1be7d35b7fc9b7d7"`, "MISS", "HIT"},
+		{"/v1/clip/1009?sid=7a4b", `"0d3b11525a31a2db"`, "MISS", "HIT"},
+		{"/ingest/ch0", `"a215fc5f5fe88c92"`, "UNCACHEABLE", "UNCACHEABLE"},
+	} {
+		for _, want := range []string{c.first, c.second} {
+			rec := serve(c.path, "")
+			if got := rec.Header().Get("X-Cache"); got != want {
+				t.Errorf("%s: X-Cache = %s, want %s", c.path, got, want)
+			}
+			if got := rec.Header().Get("ETag"); got != c.etag {
+				t.Errorf("%s (%s): ETag = %s, want %s", c.path, want, got, c.etag)
+			}
+		}
+	}
+	// MaxBodies 1: serving the second object dropped the first one's body
+	// while its cache entry lives on, so this lookup hits, finds no body,
+	// and refetches.
+	first := `"1be7d35b7fc9b7d7"`
+	rec := serve("/v1/offer/1000", first)
+	if rec.Code != 304 || rec.Header().Get("ETag") != first || rec.Body.Len() != 0 {
+		t.Errorf("revalidation after body eviction = %d, ETag %s, %d body bytes; want 304 %s and none",
+			rec.Code, rec.Header().Get("ETag"), rec.Body.Len(), first)
+	}
+	if rec := serve("/v1/offer/1000", first); rec.Code != 304 || rec.Header().Get("X-Cache") != "HIT" {
+		t.Errorf("revalidation of the refetched body = %d %s, want 304 HIT", rec.Code, rec.Header().Get("X-Cache"))
+	}
+}
+
+// TestHTTPEdgeLogsIPv6Clients: the logged ClientID hashes the whole
+// remote host, so two IPv6 clients are two clients, while IPv4 and the
+// experiments' "c<hex>:1" addresses hash as they always did.
+func TestHTTPEdgeLogsIPv6Clients(t *testing.T) {
+	var logged []logfmt.Record
+	e := &HTTPEdge{
+		Cache:  NewCache(1<<20, time.Minute, 1),
+		Origin: &WildcardOrigin{},
+		Log:    func(r *logfmt.Record) { logged = append(logged, *r) },
+	}
+	addrs := []string{"[2001:db8::1]:443", "[2001:db8::2]:443", "10.0.0.7:5555", "c1f:1", "no-port"}
+	for _, addr := range addrs {
+		req := httptest.NewRequest("GET", "http://edge.test/v1/x", nil)
+		req.RemoteAddr = addr
+		e.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	for i, host := range []string{"2001:db8::1", "2001:db8::2", "10.0.0.7", "c1f", "no-port"} {
+		if got, want := logged[i].ClientID, logfmt.HashClientIP(host); got != want {
+			t.Errorf("RemoteAddr %q logged ClientID %x, want hash of %q = %x", addrs[i], got, host, want)
+		}
+	}
+	if logged[0].ClientID == logged[1].ClientID {
+		t.Error("two IPv6 clients share one ClientID")
 	}
 }

@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net/http/httptest"
+	"net/http"
+	"net/url"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -89,6 +91,31 @@ type advStack struct {
 	inst    *defend.Instrumentation
 	fetches atomic.Int64
 	clock   time.Time
+
+	// req and resp are refilled for every record: serving is serial and
+	// neither the edge nor the defense keeps a request past ServeHTTP.
+	req  http.Request
+	resp advResponse
+}
+
+// advResponse is the http.ResponseWriter the stacks answer into. The
+// experiment reads the status and the X-Cache header; bodies are dropped.
+type advResponse struct {
+	header http.Header
+	status int
+}
+
+func (w *advResponse) Header() http.Header { return w.header }
+
+func (w *advResponse) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+
+func (w *advResponse) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return len(b), nil
 }
 
 type advCountingOrigin struct {
@@ -108,6 +135,12 @@ func (o advCountingOrigin) Fetch(path string) ([]byte, string, bool, error) {
 // detector trained on the benign stream.
 func newAdvStack(defended bool, name string, model *ngram.Model, reg *obs.Registry) *advStack {
 	s := &advStack{clock: resilienceEpoch}
+	s.req = http.Request{
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{"User-Agent": {""}},
+		Body:   http.NoBody,
+	}
+	s.resp.header = make(http.Header)
 	s.edge = &edge.HTTPEdge{
 		Cache:  edge.NewCache(4<<20, time.Minute, 4),
 		Origin: advCountingOrigin{inner: &edge.WildcardOrigin{}, n: &s.fetches},
@@ -155,11 +188,20 @@ type advTally struct {
 // X-Cache header and the fetch-counter delta say what the edge did.
 func (s *advStack) serve(rec *logfmt.Record, isAttack bool, t *advTally) {
 	s.clock = rec.Time
-	req := httptest.NewRequest(rec.Method, rec.URL, nil)
-	req.Header.Set("User-Agent", rec.UserAgent)
-	req.RemoteAddr = fmt.Sprintf("c%x:1", rec.ClientID)
+	// The request a server would read off the wire for this record: an
+	// absolute-form request line, whose authority is the Host.
+	u, err := url.ParseRequestURI(rec.URL)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: synthetic record URL %q: %v", rec.URL, err))
+	}
+	req := &s.req
+	req.Method, req.URL, req.Host, req.RequestURI = rec.Method, u, u.Host, rec.URL
+	req.Header["User-Agent"][0] = rec.UserAgent
+	req.RemoteAddr = "c" + strconv.FormatUint(rec.ClientID, 16) + ":1"
+	w := &s.resp
+	clear(w.header)
+	w.status = 0
 	before := s.fetches.Load()
-	w := httptest.NewRecorder()
 	s.edge.ServeHTTP(w, req)
 	delta := s.fetches.Load() - before
 
@@ -169,13 +211,13 @@ func (s *advStack) serve(rec *logfmt.Record, isAttack bool, t *advTally) {
 		return
 	}
 	t.benignReqs++
-	if w.Code == 429 {
+	if w.status == http.StatusTooManyRequests {
 		t.benignReject++
 		return
 	}
 	t.benignLat = append(t.benignLat, advHitCost+time.Duration(delta)*advFetchCost)
 	if rec.Method == "GET" {
-		switch w.Header().Get("X-Cache") {
+		switch w.header.Get("X-Cache") {
 		case "HIT", "STALE":
 			t.benignHits++
 			t.benignCached++

@@ -81,8 +81,19 @@ func BenchmarkChunkWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkCanonicalURL is the case that needs net/url: upper-case
+// scheme and host, a default port, unsorted query keys.
 func BenchmarkCanonicalURL(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		CanonicalURL("HTTPS://Example.COM:443/v1/articles?b=2&a=1")
+	}
+}
+
+// BenchmarkCanonicalURLPlain is the case the scan answers alone.
+func BenchmarkCanonicalURLPlain(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CanonicalURL(plainURL)
 	}
 }

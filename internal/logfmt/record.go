@@ -164,6 +164,9 @@ func HashClientIP(ip string) uint64 {
 // host, strips default ports and fragments, and sorts query parameters.
 // Invalid URLs are returned unchanged.
 func CanonicalURL(raw string) string {
+	if isCanonicalURL(raw) {
+		return raw
+	}
 	u, err := url.Parse(raw)
 	if err != nil || u.Host == "" {
 		return raw
@@ -185,6 +188,55 @@ func CanonicalURL(raw string) string {
 	}
 	return u.String()
 }
+
+// isCanonicalURL reports, in one scan and without parsing, that raw has
+// the plain shape the net/url round trip in CanonicalURL hands back
+// byte for byte: a lower-case http or https scheme, a non-empty
+// lower-case host with neither port nor userinfo, and a non-empty path
+// of unreserved bytes and '/' with no query, fragment or escape. It may
+// say no to a URL that is canonical; it never says yes to one that is not.
+func isCanonicalURL(raw string) bool {
+	rest, ok := strings.CutPrefix(raw, "http")
+	if !ok {
+		return false
+	}
+	rest = strings.TrimPrefix(rest, "s")
+	rest, ok = strings.CutPrefix(rest, "://")
+	if !ok {
+		return false
+	}
+	i := 0
+	for i < len(rest) && urlBytes[rest[i]]&urlHostByte != 0 {
+		i++
+	}
+	if i == 0 || i == len(rest) || rest[i] != '/' {
+		return false
+	}
+	for ; i < len(rest); i++ {
+		if urlBytes[rest[i]]&urlPathByte == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+const (
+	urlHostByte = 1 << iota // a-z 0-9 - .
+	urlPathByte             // RFC 3986 unreserved, and /
+)
+
+var urlBytes = func() (t [256]uint8) {
+	for b := 'a'; b <= 'z'; b++ {
+		t[b] = urlHostByte | urlPathByte
+		t[b-'a'+'A'] = urlPathByte
+	}
+	for b := '0'; b <= '9'; b++ {
+		t[b] = urlHostByte | urlPathByte
+	}
+	t['-'], t['.'] = urlHostByte|urlPathByte, urlHostByte|urlPathByte
+	t['_'], t['~'], t['/'] = urlPathByte, urlPathByte, urlPathByte
+	return t
+}()
 
 const timeLayout = time.RFC3339Nano
 

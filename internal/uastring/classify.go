@@ -106,13 +106,24 @@ var desktopSignatures = []signature{
 	{token: "Electron", device: DeviceDesktop, app: "Electron"},
 }
 
-// browserSignatures identify browser engines; checked only after a
-// device has been identified, because bots spoof browser tokens with no
-// platform comment.
-var browserSignatures = []string{
-	"Chrome/", "CriOS/", "Firefox/", "FxiOS/", "Safari/", "Edg/",
-	"Edge/", "OPR/", "Opera", "MSIE", "Trident/", "SamsungBrowser/",
-	"UCBrowser/",
+// browserSignatures identify browser engines and name the browser
+// family; consulted only after a device has been identified, because bots
+// spoof browser tokens with no platform comment. Most specific first:
+// every Chrome agent also carries "Safari/", every Edge agent both.
+var browserSignatures = []signature{
+	{token: "Edg/", app: "Edge"},
+	{token: "Edge/", app: "Edge"},
+	{token: "OPR/", app: "Opera"},
+	{token: "Opera", app: "Opera"},
+	{token: "SamsungBrowser/", app: "SamsungBrowser"},
+	{token: "UCBrowser/", app: "UCBrowser"},
+	{token: "CriOS/", app: "Chrome"},
+	{token: "FxiOS/", app: "Firefox"},
+	{token: "Firefox/", app: "Firefox"},
+	{token: "Chrome/", app: "Chrome"},
+	{token: "MSIE", app: "IE"},
+	{token: "Trident/", app: "IE"},
+	{token: "Safari/", app: "Safari"},
 }
 
 // toolSignatures are non-browser programmatic clients that run on
@@ -135,93 +146,53 @@ var toolSignatures = []signature{
 	{token: "facebookexternalhit", app: "bot"},
 }
 
+var sigTables = [numTables][]signature{
+	tblEmbedded: embeddedSignatures,
+	tblTool:     toolSignatures,
+	tblMobile:   mobileSignatures,
+	tblDesktop:  desktopSignatures,
+	tblBrowser:  browserSignatures,
+}
+
+// sigMatcher finds every token of the tables above in one scan of the
+// agent. It is compiled from them at package initialisation and only read
+// afterwards, so Classify is a pure function any number of goroutines may
+// call; the tables remain the only place a rule is written down.
+var sigMatcher = compileMatcher(sigTables)
+
 // Classify maps a raw user-agent header to its traffic-source class.
 // An empty header is Unknown, matching the paper's treatment of missing
 // user agents.
 func Classify(raw string) Class {
-	if strings.TrimSpace(raw) == "" {
-		return Class{Device: DeviceUnknown}
-	}
+	found := sigMatcher.scan(raw)
 	// Embedded before mobile: console/TV agents often carry "Mobile" or
 	// Android tokens (e.g. Android TV).
-	for _, sig := range embeddedSignatures {
-		if containsFold(raw, sig.token) {
-			return Class{Device: DeviceEmbedded, Browser: false, App: sig.app}
-		}
+	if i := found.first(tblEmbedded); i >= 0 {
+		return Class{Device: DeviceEmbedded, App: embeddedSignatures[i].app}
 	}
-	for _, sig := range toolSignatures {
-		if containsFold(raw, sig.token) {
-			return Class{Device: DeviceUnknown, Browser: false, App: sig.app}
-		}
+	if i := found.first(tblTool); i >= 0 {
+		return Class{Device: DeviceUnknown, App: toolSignatures[i].app}
 	}
 	var cls Class
-	for _, sig := range mobileSignatures {
-		if containsFold(raw, sig.token) {
-			cls = Class{Device: DeviceMobile, App: sig.app}
-			break
-		}
-	}
-	if cls.Device == DeviceUnknown {
-		for _, sig := range desktopSignatures {
-			if containsFold(raw, sig.token) {
-				cls = Class{Device: DeviceDesktop, App: sig.app}
-				break
-			}
-		}
-	}
-	if cls.Device == DeviceUnknown {
+	if i := found.first(tblMobile); i >= 0 {
+		cls = Class{Device: DeviceMobile, App: mobileSignatures[i].app}
+	} else if i := found.first(tblDesktop); i >= 0 {
+		cls = Class{Device: DeviceDesktop, App: desktopSignatures[i].app}
+	} else {
 		return Class{Device: DeviceUnknown}
 	}
 	// Browser detection: require a browser engine token AND the
 	// well-formed "Mozilla/" prefix browsers send.
-	if strings.HasPrefix(raw, "Mozilla/") {
-		for _, tok := range browserSignatures {
-			if containsFold(raw, tok) {
-				cls.Browser = true
-				if name := browserName(raw); name != "" {
-					cls.App = name
-				}
-				break
-			}
-		}
+	if i := found.first(tblBrowser); i >= 0 && strings.HasPrefix(raw, "Mozilla/") {
+		cls.Browser = true
+		cls.App = browserSignatures[i].app
+		return cls
 	}
-	if !cls.Browser {
-		// Native app with a custom product token: report its name. The
-		// platform family from the signature table remains the fallback
-		// for well-formed Mozilla-style agents.
-		ua := Parse(raw)
-		if len(ua.Products) > 0 {
-			if name := ua.Products[0].Name; name != "" && !strings.EqualFold(name, "Mozilla") {
-				cls.App = name
-			}
-		}
+	// Native app with a custom product token: report its name. The
+	// platform family from the signature table remains the fallback
+	// for well-formed Mozilla-style agents.
+	if name := firstProductName(raw); name != "" && !strings.EqualFold(name, "Mozilla") {
+		cls.App = name
 	}
 	return cls
-}
-
-// browserName identifies the browser family from engine tokens, in
-// most-specific-first order (every Chrome UA also contains "Safari").
-func browserName(raw string) string {
-	switch {
-	case containsFold(raw, "Edg/") || containsFold(raw, "Edge/"):
-		return "Edge"
-	case containsFold(raw, "OPR/") || containsFold(raw, "Opera"):
-		return "Opera"
-	case containsFold(raw, "SamsungBrowser/"):
-		return "SamsungBrowser"
-	case containsFold(raw, "UCBrowser/"):
-		return "UCBrowser"
-	case containsFold(raw, "CriOS/"):
-		return "Chrome"
-	case containsFold(raw, "FxiOS/"), containsFold(raw, "Firefox/"):
-		return "Firefox"
-	case containsFold(raw, "Chrome/"):
-		return "Chrome"
-	case containsFold(raw, "MSIE"), containsFold(raw, "Trident/"):
-		return "IE"
-	case containsFold(raw, "Safari/"):
-		return "Safari"
-	default:
-		return ""
-	}
 }

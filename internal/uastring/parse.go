@@ -67,6 +67,19 @@ func Parse(raw string) UserAgent {
 	return ua
 }
 
+// firstProductName returns Parse(raw).Products[0].Name without building
+// the product list; "" when raw is blank or opens with a comment.
+func firstProductName(raw string) string {
+	s := strings.TrimSpace(raw)
+	if s == "" || s[0] == '(' {
+		return ""
+	}
+	if i := strings.IndexAny(s, " \t(/"); i >= 0 {
+		s = s[:i]
+	}
+	return s
+}
+
 // scanComment consumes a balanced parenthesized comment starting at s[0]
 // == '(' and returns its body and the remainder. An unbalanced comment
 // extends to the end of the string.
@@ -124,17 +137,7 @@ func containsFold(s, substr string) bool {
 
 func equalFoldAt(s string, off int, substr string) bool {
 	for j := 0; j < len(substr); j++ {
-		a, b := s[off+j], substr[j]
-		if a == b {
-			continue
-		}
-		if 'A' <= a && a <= 'Z' {
-			a += 'a' - 'A'
-		}
-		if 'A' <= b && b <= 'Z' {
-			b += 'a' - 'A'
-		}
-		if a != b {
+		if foldByte(s[off+j]) != foldByte(substr[j]) {
 			return false
 		}
 	}
