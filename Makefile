@@ -48,17 +48,10 @@ build:
 test:
 	$(GO) test ./...
 
-# race covers the concurrent hot paths: the metrics substrate, the
-# net/http edge that reports into it, the retry/breaker machinery, the
-# bounded ingest pipeline, the sharded generator, the parallel
-# experiment scheduler, and the fleet front tier (health prober, ring
-# swaps, failover/hedging) with its chaos injector, and the periodicity
-# workers with their per-worker dsp detectors (tables and scratch that
-# must stay unshared), and the user-agent matcher tables every serving
-# and ingest goroutine reads through uastring.Classify and the taxonomy
-# observers.
+# race runs the whole tree under the race detector (about 3 minutes on
+# two cores, most of it internal/experiments).
 race:
-	$(GO) test -race ./internal/obs ./internal/edge ./internal/defend ./internal/resilience ./internal/ingest ./internal/synth ./internal/experiments ./internal/replay ./internal/fleet/... ./internal/livechar ./internal/dsp ./internal/periodicity ./internal/uastring ./internal/taxonomy
+	$(GO) test -race ./...
 
 # bench regenerates the persisted benchmark baseline (BENCH_1.json by
 # default; override with BENCHOUT=...). It runs every benchmark in the

@@ -2,25 +2,35 @@ package ingest
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"sync"
-	"time"
 
 	"repro/internal/logfmt"
 	"repro/internal/obs"
 )
 
-// RunChunks streams a chunk-container log through a bounded,
-// cancellable parallel decode pipeline to fn: a scanner goroutine walks
-// the chunk frames sequentially (header validation only — no
-// decompression), a worker pool decompresses, checksums, and decodes
-// whole chunks concurrently, and the caller's goroutine merges the
-// decoded batches back into stream order, quarantines bad chunks,
-// enforces the error budget, and invokes fn.
+// chunk is the unit of the chunk pipeline, carried from scan through
+// decode to delivery: a raw frame that decodes into recs, or a
+// quarantined span.
+type chunk struct {
+	rc   logfmt.RawChunk
+	recs []logfmt.Record
+	// bad marks the span as quarantined: by the scanner when framing
+	// was lost (rc is then zero and skipped holds the bytes the resync
+	// discarded), by the decoder when the frame was intact but its
+	// contents failed.
+	bad     *logfmt.DecodeError
+	skipped int64
+}
+
+// RunChunks streams a chunk-container log through the ordered stage to
+// fn: the producer walks the chunk frames sequentially (header
+// validation only — no decompression), the workers decompress,
+// checksum, and decode whole chunks concurrently, and the caller's
+// goroutine merges the decoded batches back into stream order,
+// quarantines bad chunks, enforces the error budget, and invokes fn.
 //
 // The per-chunk work is arena-style and low-alloc: payload buffers and
-// record batches recycle through pools, each worker owns one
+// record batches recycle through free-lists, each worker owns one
 // logfmt.ChunkDecoder whose decompressor, scratch buffer, and string
 // interner persist across every chunk that worker decodes, and records
 // are handed to fn as pointers into the batch (the *logfmt.Record is
@@ -37,345 +47,102 @@ func RunChunks(ctx context.Context, r io.Reader, cfg PipelineConfig, fn func(*lo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// One worker means no parallelism to buy: decode inline on the
-	// calling goroutine and skip the pipeline's payload copies, channel
-	// hops, and buffer pools entirely.
-	if cfg.Workers == 1 {
-		return runChunksSeq(ctx, r, cfg, fn)
-	}
-	var stats Stats
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	work := make(chan chunkJob, cfg.QueueDepth)
-	results := make(chan chunkResult, cfg.QueueDepth)
+	led := newLedger(cfg.Options)
 	m := cfg.Options.Metrics
-	// Free-lists recycle payload buffers (scanner→worker) and record
-	// batches (worker→merge): at most queue+workers of each are in
-	// flight, so the channels never block and steady-state ingest
-	// allocates nothing per chunk.
-	slots := cfg.QueueDepth*2 + cfg.Workers + 2
-	payloadFree := make(chan []byte, slots)
-	batchFree := make(chan []logfmt.Record, slots)
-	getPayload := func(n int) []byte {
-		select {
-		case b := <-payloadFree:
-			if cap(b) >= n {
-				return b[:n]
-			}
-		default:
-		}
-		return make([]byte, n)
-	}
-	putPayload := func(b []byte) {
-		select {
-		case payloadFree <- b[:0]:
-		default:
-		}
-	}
-	getBatch := func() []logfmt.Record {
-		select {
-		case b := <-batchFree:
-			return b[:0]
-		default:
-			return nil
-		}
-	}
-	putBatch := func(b []logfmt.Record) {
-		select {
-		case batchFree <- b[:0]:
-		default:
-		}
-	}
+	sc := logfmt.NewChunkScanner(r)
 
 	parent := obs.SpanFromContext(ctx)
 	scanSp := parent.Child("ingest chunk scan")
 	decodeSp := parent.Child("ingest chunk decode")
 	deliverSp := parent.Child("ingest deliver")
 	defer func() {
-		deliverSp.AddRecords(stats.Records)
+		decodeSp.End()
+		deliverSp.AddRecords(led.stats.Records)
 		deliverSp.End()
 	}()
 
-	// Stage 1: scan chunk frames, copying payloads into pooled buffers.
-	// Corrupt spans travel through the same channel as jobs so the
-	// merge stage sees them in stream order.
-	sc := logfmt.NewChunkScanner(r)
-	var scanErr error
-	go func() {
-		defer close(work)
+	// A scanned payload aliases the scanner's buffer until the next
+	// Next. Inline, the chunk is decoded before then; with workers the
+	// scanner runs ahead, so each payload is copied into a recycled
+	// buffer the worker hands back once it has decoded it.
+	copyPayload := cfg.Workers > 1
+	payloadFree := newFreeList[byte](cfg.Workers)
+	batchFree := newFreeList[logfmt.Record](cfg.Workers)
+
+	// Corrupt spans travel through the same stage as sound chunks so
+	// the ledger sees them in stream order.
+	produce := func(emit func(chunk) bool) error {
 		defer func() {
 			scanSp.AddBytes(sc.Offset())
 			scanSp.End()
 		}()
-		var seq int64
-		send := func(j chunkJob) bool {
-			select {
-			case work <- j:
-				if m != nil {
-					m.QueueDepth.Set(float64(len(work)))
-				}
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
 		for {
-			var rc logfmt.RawChunk
-			err := sc.Next(&rc)
+			var c chunk
+			err := sc.Next(&c.rc)
 			if err == io.EOF {
-				return
+				return nil
 			}
-			if de := logfmt.AsDecodeError(err); de != nil {
+			if c.bad = logfmt.AsDecodeError(err); c.bad != nil {
 				// Framing is suspect: scan for the next validated chunk
-				// header, then report the quarantined span (with the bytes
-				// the resync discarded) downstream.
-				skipped, rerr := sc.Resync(0)
-				if !send(chunkJob{seq: seq, quar: de, skipped: skipped}) {
-					return
-				}
-				seq++
-				if rerr == io.EOF {
-					return
+				// header, then report the span with the bytes that cost.
+				var rerr error
+				c.skipped, rerr = sc.Resync(maxResyncScan)
+				if !emit(c) || rerr == io.EOF {
+					return nil
 				}
 				if rerr != nil {
-					scanErr = fmt.Errorf("ingest: after chunk at byte %d: %w", de.Offset, rerr)
-					return
+					return resyncFailed(c.bad, rerr)
 				}
 				continue
 			}
 			if err != nil {
-				scanErr = err
-				return
+				return err
 			}
-			buf := getPayload(len(rc.Payload))
-			copy(buf, rc.Payload)
-			rc.Payload = buf
-			if !send(chunkJob{seq: seq, rc: rc}) {
-				return
+			if copyPayload {
+				c.rc.Payload = append(payloadFree.get(len(c.rc.Payload)), c.rc.Payload...)
 			}
-			seq++
-		}
-	}()
-
-	// Stage 2: decompress + decode whole chunks on the worker pool.
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var dec *logfmt.ChunkDecoder
-			for j := range work {
-				res := chunkResult{seq: j.seq, quar: j.quar, skipped: j.skipped}
-				if j.quar == nil {
-					if dec == nil {
-						dec = logfmt.NewChunkDecoder(sc.Codec(), nil)
-					}
-					t0 := time.Now()
-					batch, err := dec.Decode(&j.rc, getBatch())
-					if err != nil {
-						// Frame intact but contents bad: chunk-granularity
-						// quarantine, no resync needed.
-						res.quar = &logfmt.DecodeError{Format: "chunk", Offset: j.rc.Offset,
-							Record: j.rc.Index, Span: j.rc.FrameLen(), Err: err}
-						res.lost = int64(j.rc.Records)
-						putBatch(batch)
-					} else {
-						res.recs = batch
-					}
-					decodeSp.AddRecords(int64(len(res.recs)))
-					decodeSp.AddBytes(j.rc.FrameLen())
-					if m != nil {
-						m.DecodeSeconds.Observe(time.Since(t0).Seconds())
-					}
-					putPayload(j.rc.Payload)
-				}
-				select {
-				case results <- res:
-				case <-ctx.Done():
-					return
-				}
+			if !emit(c) {
+				return nil
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		decodeSp.End()
-		close(results)
-	}()
-
-	// Stage 3 (this goroutine): reassemble order, quarantine, budget,
-	// deliver.
-	drain := func() {
-		cancel()
-		for range results {
 		}
 	}
-	pending := make(map[int64]chunkResult)
-	var next int64
-	for res := range results {
-		pending[res.seq] = res
-		for {
-			b, ok := pending[next]
-			if !ok {
-				break
+	newWork := func() func(chunk) chunk {
+		var dec *logfmt.ChunkDecoder
+		return func(c chunk) chunk {
+			if c.bad != nil {
+				return c
 			}
-			delete(pending, next)
-			next++
-			if de := b.quar; de != nil {
-				lost := b.lost
-				if lost <= 0 {
-					lost = 1 // framing lost; records in the span unknown
-				}
-				stats.Quarantined += lost
-				stats.FramesDropped++
-				stats.Resyncs++
-				stats.BytesSkipped += b.skipped
-				if m != nil {
-					m.Quarantined.Add(lost)
-				}
-				m.Skips("chunk").Observe(b.skipped, lost)
-				if werr := cfg.Options.DeadLetter.Write(quarantineFor(de)); werr != nil {
-					drain()
-					return stats, fmt.Errorf("ingest: writing dead letter: %w", werr)
-				}
-				if berr := checkBudget(stats, cfg.Options, de); berr != nil {
-					drain()
-					return stats, berr
-				}
-				continue
+			if dec == nil {
+				dec = logfmt.NewChunkDecoder(sc.Codec(), nil)
 			}
-			for i := range b.recs {
-				stats.Records++
-				if err := fn(&b.recs[i]); err != nil {
-					drain()
-					return stats, err
-				}
+			t0 := m.decodeStart()
+			// A fresh batch starts empty: Decode sizes it from the
+			// header's count, which it bounds against a forged one.
+			recs, err := dec.Decode(&c.rc, batchFree.get(0))
+			m.decodeDone(t0)
+			if err != nil {
+				c.bad = logfmt.AsDecodeError(err)
+				batchFree.put(recs)
+			} else {
+				c.recs = recs
 			}
-			if m != nil {
-				m.Records.Add(int64(len(b.recs)))
+			decodeSp.AddRecords(int64(len(c.recs)))
+			decodeSp.AddBytes(c.rc.FrameLen())
+			if copyPayload {
+				payloadFree.put(c.rc.Payload)
 			}
-			putBatch(b.recs)
+			c.rc.Payload = nil
+			return c
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return stats, err
+	deliver := func(c chunk) error {
+		if c.bad != nil {
+			return led.bad(c.bad, int64(c.rc.Records), c.skipped, true)
+		}
+		err := led.deliver(c.recs, fn)
+		batchFree.put(c.recs)
+		return err
 	}
-	if scanErr != nil {
-		return stats, scanErr
-	}
-	return stats, nil
-}
-
-// runChunksSeq is RunChunks without the pipeline: scan, decode, and
-// deliver chunk by chunk on one goroutine, with identical quarantine,
-// budget, and accounting semantics.
-func runChunksSeq(ctx context.Context, r io.Reader, cfg PipelineConfig, fn func(*logfmt.Record) error) (Stats, error) {
-	var stats Stats
-	m := cfg.Options.Metrics
-
-	parent := obs.SpanFromContext(ctx)
-	scanSp := parent.Child("ingest chunk scan")
-	decodeSp := parent.Child("ingest chunk decode")
-	deliverSp := parent.Child("ingest deliver")
-	sc := logfmt.NewChunkScanner(r)
-	defer func() {
-		scanSp.AddBytes(sc.Offset())
-		scanSp.End()
-		decodeSp.End()
-		deliverSp.AddRecords(stats.Records)
-		deliverSp.End()
-	}()
-
-	quarantine := func(de *logfmt.DecodeError, lost, skipped int64) error {
-		if lost <= 0 {
-			lost = 1 // framing lost; records in the span unknown
-		}
-		stats.Quarantined += lost
-		stats.FramesDropped++
-		stats.Resyncs++
-		stats.BytesSkipped += skipped
-		if m != nil {
-			m.Quarantined.Add(lost)
-		}
-		m.Skips("chunk").Observe(skipped, lost)
-		if werr := cfg.Options.DeadLetter.Write(quarantineFor(de)); werr != nil {
-			return fmt.Errorf("ingest: writing dead letter: %w", werr)
-		}
-		return checkBudget(stats, cfg.Options, de)
-	}
-
-	var dec *logfmt.ChunkDecoder
-	var batch []logfmt.Record
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		var rc logfmt.RawChunk
-		err := sc.Next(&rc)
-		if err == io.EOF {
-			return stats, nil
-		}
-		if de := logfmt.AsDecodeError(err); de != nil {
-			skipped, rerr := sc.Resync(0)
-			if qerr := quarantine(de, 0, skipped); qerr != nil {
-				return stats, qerr
-			}
-			if rerr == io.EOF {
-				return stats, nil
-			}
-			if rerr != nil {
-				return stats, fmt.Errorf("ingest: after chunk at byte %d: %w", de.Offset, rerr)
-			}
-			continue
-		}
-		if err != nil {
-			return stats, err
-		}
-		if dec == nil {
-			dec = logfmt.NewChunkDecoder(sc.Codec(), nil)
-		}
-		t0 := time.Now()
-		batch, err = dec.Decode(&rc, batch[:0])
-		if m != nil {
-			m.DecodeSeconds.Observe(time.Since(t0).Seconds())
-		}
-		if err != nil {
-			de := &logfmt.DecodeError{Format: "chunk", Offset: rc.Offset,
-				Record: rc.Index, Span: rc.FrameLen(), Err: err}
-			if qerr := quarantine(de, int64(rc.Records), 0); qerr != nil {
-				return stats, qerr
-			}
-			continue
-		}
-		decodeSp.AddRecords(int64(len(batch)))
-		decodeSp.AddBytes(rc.FrameLen())
-		for i := range batch {
-			stats.Records++
-			if err := fn(&batch[i]); err != nil {
-				return stats, err
-			}
-		}
-		if m != nil {
-			m.Records.Add(int64(len(batch)))
-		}
-	}
-}
-
-// chunkJob is one scanner→worker unit: a raw chunk with an owned
-// payload copy, or a quarantined span discovered while scanning.
-type chunkJob struct {
-	seq     int64
-	rc      logfmt.RawChunk
-	quar    *logfmt.DecodeError
-	skipped int64
-}
-
-// chunkResult is one worker→merge unit, reassembled in seq order.
-type chunkResult struct {
-	seq     int64
-	recs    []logfmt.Record
-	quar    *logfmt.DecodeError
-	lost    int64
-	skipped int64
+	err := ordered(ctx, cfg.Workers, m, produce, newWork, deliver)
+	return led.stats, err
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/logfmt"
-	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -37,7 +36,7 @@ func TestRunChunksOrderedDelivery(t *testing.T) {
 	recs := synthRecords(t, 1000)
 	data := encodeChunked(t, recs, logfmt.ChunkConfig{Codec: logfmt.CodecFlate, ChunkRecords: 37})
 
-	cfg := PipelineConfig{Workers: 4, QueueDepth: 2}
+	cfg := PipelineConfig{Workers: 4}
 	var got []logfmt.Record
 	stats, err := RunChunks(context.Background(), bytes.NewReader(data), cfg, func(r *logfmt.Record) error {
 		got = append(got, *r)
@@ -56,59 +55,6 @@ func TestRunChunksOrderedDelivery(t *testing.T) {
 		if !got[i].Time.Equal(recs[i].Time) || got[i].URL != recs[i].URL || got[i].Bytes != recs[i].Bytes {
 			t.Fatalf("record %d out of order or corrupted: got %+v want %+v", i, got[i], recs[i])
 		}
-	}
-}
-
-// TestRunChunksChunkGranularityQuarantine flips a byte inside one
-// chunk's payload and asserts exactly that chunk's claimed record count
-// quarantines — the error budget stays record-denominated — while the
-// structured skip metrics record the drop under format="chunk".
-func TestRunChunksChunkGranularityQuarantine(t *testing.T) {
-	recs := synthRecords(t, 500)
-	data := encodeChunked(t, recs, logfmt.ChunkConfig{Codec: logfmt.CodecFlate, ChunkRecords: 100})
-
-	// Corrupt the middle of the third chunk's payload: locate it with a
-	// scanner, then flip one bit.
-	sc := logfmt.NewChunkScanner(bytes.NewReader(data))
-	var rc logfmt.RawChunk
-	for i := 0; i < 3; i++ {
-		if err := sc.Next(&rc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	corrupted := append([]byte(nil), data...)
-	corrupted[rc.Offset+24+rc.FrameLen()/2] ^= 0x10
-
-	reg := obs.NewRegistry()
-	cfg := PipelineConfig{
-		Workers: 4,
-		Options: Options{MaxErrorRate: 0.5, Metrics: NewInstrumentation(reg)},
-	}
-	var got int64
-	stats, err := RunChunks(context.Background(), bytes.NewReader(corrupted), cfg, func(r *logfmt.Record) error {
-		got++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Records != 400 || got != 400 {
-		t.Fatalf("records = %d (delivered %d), want 400", stats.Records, got)
-	}
-	if stats.Quarantined != 100 {
-		t.Fatalf("quarantined = %d, want the bad chunk's 100 records", stats.Quarantined)
-	}
-	if stats.FramesDropped != 1 {
-		t.Fatalf("framesDropped = %d, want 1", stats.FramesDropped)
-	}
-	if v := reg.Counter("ingest_dropped_records_total", "format", "chunk").Value(); v != 100 {
-		t.Fatalf("ingest_dropped_records_total{format=chunk} = %d, want 100", v)
-	}
-	if v := reg.Counter("ingest_dropped_frames_total", "format", "chunk").Value(); v != 1 {
-		t.Fatalf("ingest_dropped_frames_total{format=chunk} = %d, want 1", v)
-	}
-	if v := reg.Counter("ingest_quarantined_total").Value(); v != 100 {
-		t.Fatalf("ingest_quarantined_total = %d, want 100", v)
 	}
 }
 
@@ -255,8 +201,10 @@ func TestRunChunksDeadLetter(t *testing.T) {
 	if err := dl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Quarantined != 100 {
-		t.Fatalf("quarantined = %d, want 100", stats.Quarantined)
+	// Chunk-granularity quarantine: exactly the bad chunk's claimed
+	// record count is lost, so the budget stays record-denominated.
+	if want := (Stats{Records: 200, Quarantined: 100, FramesDropped: 1, Resyncs: 1}); stats != want {
+		t.Fatalf("stats = %+v, want %+v", stats, want)
 	}
 	if !bytes.Contains(dead.Bytes(), []byte(`"format":"chunk"`)) {
 		t.Fatalf("dead letter missing chunk entry: %s", dead.Bytes())
@@ -287,43 +235,5 @@ func TestFileSourceChunkAutoDetect(t *testing.T) {
 	}
 	if n != 500 || src.LastStats.Records != 500 {
 		t.Fatalf("delivered %d (stats %+v), want 500", n, src.LastStats)
-	}
-}
-
-// TestTolerantReaderChunk drives the sequential ChunkReader through
-// TolerantReader and asserts the chunkDropper/resyncer integration:
-// record-denominated quarantine plus the shared skip metrics.
-func TestTolerantReaderChunk(t *testing.T) {
-	recs := synthRecords(t, 400)
-	data := encodeChunked(t, recs, logfmt.ChunkConfig{Codec: logfmt.CodecFlate, ChunkRecords: 100})
-	sc := logfmt.NewChunkScanner(bytes.NewReader(data))
-	var rc logfmt.RawChunk
-	for i := 0; i < 2; i++ {
-		if err := sc.Next(&rc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	corrupted := append([]byte(nil), data...)
-	corrupted[rc.Offset+24+rc.FrameLen()/2] ^= 0x08
-
-	reg := obs.NewRegistry()
-	tr := NewTolerantReader(logfmt.NewChunkReader(bytes.NewReader(corrupted)),
-		Options{MaxErrorRate: 0.5, Metrics: NewInstrumentation(reg)})
-	var n int
-	if err := tr.ForEach(func(r *logfmt.Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	st := tr.Stats()
-	if n != 300 || st.Records != 300 {
-		t.Fatalf("delivered %d (stats %+v), want 300", n, st)
-	}
-	if st.Quarantined != 100 || st.FramesDropped != 1 || st.Resyncs != 1 {
-		t.Fatalf("stats = %+v, want 100 quarantined in 1 frame with 1 resync", st)
-	}
-	if v := reg.Counter("ingest_dropped_records_total", "format", "chunk").Value(); v != 100 {
-		t.Fatalf("ingest_dropped_records_total{format=chunk} = %d, want 100", v)
-	}
-	if v := reg.Counter("ingest_resyncs_total", "format", "chunk").Value(); v != 1 {
-		t.Fatalf("ingest_resyncs_total{format=chunk} = %d, want 1", v)
 	}
 }

@@ -13,6 +13,8 @@
 package ingest
 
 import (
+	"time"
+
 	"repro/internal/obs"
 )
 
@@ -88,10 +90,11 @@ type Instrumentation struct {
 	// Quarantined counts records lost to quarantined spans
 	// (ingest_quarantined_total).
 	Quarantined *obs.Counter
-	// QueueDepth is the pipeline's bounded-queue occupancy in batches
-	// (ingest_queue_depth).
+	// QueueDepth is the pipeline's bounded-queue occupancy in units —
+	// line batches or chunks (ingest_queue_depth).
 	QueueDepth *obs.Gauge
-	// DecodeSeconds is the per-record decode latency distribution
+	// DecodeSeconds is the decode latency distribution, one
+	// observation per decoded unit — a batch of text lines or one chunk
 	// (ingest_decode_seconds).
 	DecodeSeconds *obs.Histogram
 
@@ -99,6 +102,21 @@ type Instrumentation struct {
 	// skip metric family.
 	BinarySkips *SkipMetrics
 	ChunkSkips  *SkipMetrics
+}
+
+// decodeStart and decodeDone bracket the decode of one unit. The clock
+// is read only when metrics are attached.
+func (i *Instrumentation) decodeStart() time.Time {
+	if i == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (i *Instrumentation) decodeDone(start time.Time) {
+	if i != nil {
+		i.DecodeSeconds.Observe(time.Since(start).Seconds())
+	}
 }
 
 // Skips returns the skip metrics for a DecodeError format name
@@ -140,8 +158,8 @@ func NewInstrumentation(reg *obs.Registry) *Instrumentation {
 	reg.Help("ingest_skipped_bytes_total", "Bytes discarded while resynchronizing, by format.")
 	reg.Help("ingest_dropped_frames_total", "Bad frames/chunks quarantined, by format.")
 	reg.Help("ingest_dropped_records_total", "Records lost inside quarantined frames/chunks, by format.")
-	reg.Help("ingest_queue_depth", "Bounded ingest queue occupancy, in batches.")
-	reg.Help("ingest_decode_seconds", "Per-record decode latency.")
+	reg.Help("ingest_queue_depth", "Bounded ingest queue occupancy, in line batches or chunks.")
+	reg.Help("ingest_decode_seconds", "Decode latency per unit: one batch of text lines or one chunk.")
 	return &Instrumentation{
 		Records:       reg.Counter("ingest_records_total"),
 		Quarantined:   reg.Counter("ingest_quarantined_total"),

@@ -2,35 +2,20 @@ package ingest
 
 import (
 	"bufio"
-	"compress/gzip"
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/logfmt"
 	"repro/internal/obs"
 )
 
-// PipelineConfig sizes the bounded decode pipeline. Every stage is
-// connected by bounded channels, so a slow consumer backpressures the
-// reader instead of ballooning memory: at most
-// (QueueDepth*2 + Workers) batches are in flight at once.
+// PipelineConfig sizes the decode pipeline behind Run and RunChunks.
 type PipelineConfig struct {
-	// Workers is the decode fan-out for the text formats (default
-	// GOMAXPROCS). The binary format is delta-encoded and therefore
-	// decodes sequentially regardless.
+	// Workers is the decode fan-out (default GOMAXPROCS). With one
+	// worker the whole read runs on the caller's goroutine.
 	Workers int
-	// QueueDepth is the capacity, in batches, of each bounded channel
-	// (default 4).
-	QueueDepth int
-	// BatchSize is the number of lines handed to a worker at once
-	// (default 256).
-	BatchSize int
 	// Options governs quarantine and the error budget.
 	Options Options
 }
@@ -39,57 +24,40 @@ func (c *PipelineConfig) sanitize() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 256
-	}
-	c.Options.sanitize()
 }
 
-// lineBatch is one producer→worker unit: raw lines with their stream
-// positions.
-type lineBatch struct {
-	seq     int64
-	lines   []string
-	offsets []int64
-	indices []int64
+// textResult is one decoded line batch: the good records in stream
+// order, and the bad lines with where they fell among them.
+type textResult struct {
+	recs []logfmt.Record
+	bad  []badLine
 }
 
-// item is one decoded line: a record or a quarantined span.
-type item struct {
-	rec  logfmt.Record
-	quar *logfmt.DecodeError
+// badLine is a quarantined line that followed at good records of its
+// batch.
+type badLine struct {
+	at int
+	de *logfmt.DecodeError
 }
 
-// decoded is one worker→consumer unit, reassembled in seq order.
-type decoded struct {
-	seq   int64
-	items []item
-}
-
-// Run streams text-format records from r through a bounded, cancellable
-// decode pipeline to fn: a reader goroutine splits lines, a worker pool
-// parses them in parallel, and the caller's goroutine reapplies stream
-// order, quarantines bad spans, enforces the error budget, and invokes
-// fn. It returns the accounting even on error. Cancelling ctx stops the
-// run with ctx's error; fn's first error also stops it.
+// Run streams text-format records from r through the ordered stage to
+// fn: the producer splits lines into batches, the workers parse them in
+// parallel, and the caller's goroutine reapplies stream order,
+// quarantines bad lines, enforces the error budget, and invokes fn. The
+// *logfmt.Record handed to fn is reused; observers copy what they
+// retain, per the core.Source contract. It returns the accounting even
+// on error. Cancelling ctx stops the run with ctx's error; fn's first
+// error also stops it.
 func Run(ctx context.Context, r io.Reader, format logfmt.Format, cfg PipelineConfig, fn func(*logfmt.Record) error) (Stats, error) {
 	cfg.sanitize()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var stats Stats
-	br, err := newLineReader(r)
+	led := newLedger(cfg.Options)
+	sc, err := logfmt.NewLineScanner(r)
 	if err != nil {
-		return stats, err
+		return led.stats, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	work := make(chan lineBatch, cfg.QueueDepth)
-	results := make(chan decoded, cfg.QueueDepth)
 	m := cfg.Options.Metrics
 
 	// Pipeline stages report as child spans of the caller's span (see
@@ -101,200 +69,81 @@ func Run(ctx context.Context, r io.Reader, format logfmt.Format, cfg PipelineCon
 	decodeSp := parent.Child("ingest decode")
 	deliverSp := parent.Child("ingest deliver")
 	defer func() {
-		deliverSp.AddRecords(stats.Records)
+		decodeSp.End()
+		deliverSp.AddRecords(led.stats.Records)
 		deliverSp.End()
 	}()
 
-	// Stage 1: split lines, tracking byte offsets and record indices.
-	var prodErr error
-	go func() {
-		defer close(work)
-		var offset, index, seq int64
+	lineFree := newFreeList[logfmt.Line](cfg.Workers)
+	recFree := newFreeList[logfmt.Record](cfg.Workers)
+
+	produce := func(emit func([]logfmt.Line) bool) error {
 		defer func() {
-			readSp.AddBytes(offset)
-			readSp.AddRecords(index)
+			readSp.AddBytes(sc.Offset())
+			readSp.AddRecords(sc.Records())
 			readSp.End()
 		}()
-		batch := lineBatch{seq: seq}
-		flush := func() bool {
-			if len(batch.lines) == 0 {
-				return true
-			}
-			select {
-			case work <- batch:
-				if m != nil {
-					m.QueueDepth.Set(float64(len(work)))
-				}
-			case <-ctx.Done():
-				return false
-			}
-			seq++
-			batch = lineBatch{seq: seq}
-			return true
-		}
 		for {
-			line, err := br.ReadString('\n')
-			if len(line) > 0 {
-				start := offset
-				offset += int64(len(line))
-				trimmed := strings.TrimRight(line, "\n")
-				if trimmed != "" {
-					batch.lines = append(batch.lines, trimmed)
-					batch.offsets = append(batch.offsets, start)
-					batch.indices = append(batch.indices, index)
-					index++
-					if len(batch.lines) >= cfg.BatchSize && !flush() {
-						return
-					}
+			batch := lineFree.get(batchSize)[:batchSize]
+			n := 0
+			var err error
+			for ; n < batchSize; n++ {
+				if err = sc.Next(&batch[n]); err != nil {
+					break
 				}
+			}
+			if n > 0 && !emit(batch[:n]) {
+				return nil
+			}
+			if err == io.EOF {
+				return nil
 			}
 			if err != nil {
-				if err != io.EOF {
-					prodErr = err
-				}
-				flush()
-				return
-			}
-		}
-	}()
-
-	// Stage 2: parse batches on the worker pool.
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range work {
-				decodeSp.AddRecords(int64(len(b.lines)))
-				out := decoded{seq: b.seq, items: make([]item, len(b.lines))}
-				for i, line := range b.lines {
-					it := &out.items[i]
-					t0 := time.Now()
-					var perr error
-					switch format {
-					case logfmt.FormatTSV:
-						perr = logfmt.ParseTSV(line, &it.rec)
-					case logfmt.FormatJSONL:
-						perr = logfmt.UnmarshalJSONLine([]byte(line), &it.rec)
-					default:
-						perr = fmt.Errorf("logfmt: unknown format %d", format)
-					}
-					if m != nil {
-						m.DecodeSeconds.Observe(time.Since(t0).Seconds())
-					}
-					if perr != nil {
-						it.quar = &logfmt.DecodeError{
-							Format: format.Name(), Offset: b.offsets[i], Record: b.indices[i],
-							Span: int64(len(line)) + 1, Err: perr,
-						}
-					}
-				}
-				select {
-				case results <- out:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		decodeSp.End()
-		close(results)
-	}()
-
-	// Stage 3 (this goroutine): reassemble order, quarantine, budget,
-	// deliver.
-	drain := func() {
-		cancel()
-		for range results {
-		}
-	}
-	pending := make(map[int64]decoded)
-	var next int64
-	for res := range results {
-		pending[res.seq] = res
-		for {
-			b, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			for i := range b.items {
-				it := &b.items[i]
-				if de := it.quar; de != nil {
-					stats.Quarantined++
-					if m != nil {
-						m.Quarantined.Inc()
-					}
-					if werr := cfg.Options.DeadLetter.Write(quarantineFor(de)); werr != nil {
-						drain()
-						return stats, fmt.Errorf("ingest: writing dead letter: %w", werr)
-					}
-					if berr := checkBudget(stats, cfg.Options, de); berr != nil {
-						drain()
-						return stats, berr
-					}
-					continue
-				}
-				stats.Records++
-				if m != nil {
-					m.Records.Inc()
-				}
-				if err := fn(&it.rec); err != nil {
-					drain()
-					return stats, err
-				}
+				return err
 			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return stats, err
+	work := func(lines []logfmt.Line) textResult {
+		t0 := m.decodeStart()
+		res := textResult{recs: recFree.get(batchSize)}
+		for i := range lines {
+			res.recs = append(res.recs, logfmt.Record{})
+			if err := lines[i].Decode(format, &res.recs[len(res.recs)-1]); err != nil {
+				res.recs = res.recs[:len(res.recs)-1]
+				res.bad = append(res.bad, badLine{len(res.recs), logfmt.AsDecodeError(err)})
+			}
+		}
+		m.decodeDone(t0)
+		decodeSp.AddRecords(int64(len(lines)))
+		lineFree.put(lines)
+		return res
 	}
-	if prodErr != nil {
-		return stats, prodErr
+	deliver := func(res textResult) error {
+		defer recFree.put(res.recs)
+		from := 0
+		for _, b := range res.bad {
+			if err := led.deliver(res.recs[from:b.at], fn); err != nil {
+				return err
+			}
+			from = b.at
+			if err := led.bad(b.de, 1, 0, false); err != nil {
+				return err
+			}
+		}
+		return led.deliver(res.recs[from:], fn)
 	}
-	return stats, nil
+	err = ordered(ctx, cfg.Workers, m, produce,
+		func() func([]logfmt.Line) textResult { return work }, deliver)
+	return led.stats, err
 }
 
-// checkBudget is the pipeline's counterpart of
-// TolerantReader.checkBudget, over externally held stats.
-func checkBudget(s Stats, opts Options, de *logfmt.DecodeError) error {
-	total := s.Records + s.Quarantined
-	if total < opts.MinRecords {
-		return nil
-	}
-	if rate := s.ErrorRate(); rate > opts.MaxErrorRate {
-		return fmt.Errorf("%w: %d of %d records quarantined (%.2f%% > %.2f%% budget), tripped at byte %d (record %d): %v",
-			ErrBudgetExceeded, s.Quarantined, total,
-			rate*100, opts.MaxErrorRate*100, de.Offset, de.Record, de.Err)
-	}
-	return nil
-}
-
-// newLineReader wraps r in a buffered reader, transparently
-// decompressing gzip (detected by magic bytes).
-func newLineReader(r io.Reader) (*bufio.Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if magic, err := br.Peek(2); err == nil && len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: bad gzip stream: %w", err)
-		}
-		br = bufio.NewReaderSize(gz, 1<<16)
-	}
-	return br, nil
-}
-
-// FileSource streams a log file tolerantly through the pipeline,
-// implementing core.Source. The container formats are detected by
-// magic bytes regardless of extension: the chunk container decodes on
-// the parallel per-chunk pipeline (RunChunks), text formats decode
-// line-parallel on the worker pool (Run), and the single-stream binary
-// format decodes through a sequential TolerantReader (its timestamps
-// are delta-encoded across the whole stream). After Each returns,
-// LastStats holds the run's accounting.
+// FileSource streams a log file tolerantly, implementing core.Source.
+// The container formats are detected by magic bytes regardless of
+// extension: the chunk container decodes through RunChunks, text
+// formats through Run, and the single-stream binary format through a
+// sequential TolerantReader (its timestamps are delta-encoded across
+// the whole stream). After Each returns, LastStats holds the run's
+// accounting.
 type FileSource struct {
 	// Path is the log file (.tsv/.jsonl/.cdnb[.gz] or .cdnc).
 	Path string
@@ -321,21 +170,18 @@ func (f *FileSource) Each(fn func(*logfmt.Record) error) error {
 	magic, _ := br.Peek(5)
 	switch {
 	case logfmt.IsChunkMagic(magic):
-		stats, err := RunChunks(ctx, br, f.Config, fn)
-		f.LastStats = stats
-		return err
+		f.LastStats, err = RunChunks(ctx, br, f.Config, fn)
 	case logfmt.IsBinaryMagic(magic) || logfmt.IsBinaryPath(f.Path):
 		tr := NewTolerantReader(logfmt.NewBinaryReader(br), f.Config.Options)
-		err := tr.ForEach(func(r *logfmt.Record) error {
+		err = tr.ForEach(func(r *logfmt.Record) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			return fn(r)
 		})
 		f.LastStats = tr.Stats()
-		return err
+	default:
+		f.LastStats, err = Run(ctx, br, logfmt.FormatForPath(f.Path), f.Config, fn)
 	}
-	stats, err := Run(ctx, br, logfmt.FormatForPath(f.Path), f.Config, fn)
-	f.LastStats = stats
 	return err
 }

@@ -20,7 +20,7 @@ func TestPipelineStageSpans(t *testing.T) {
 	root := tr.Start("ingest + characterize")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
-	cfg := PipelineConfig{Workers: 2, QueueDepth: 2, BatchSize: 64}
+	cfg := PipelineConfig{Workers: 2}
 	stats, err := Run(ctx, bytes.NewReader(stream), logfmt.FormatTSV, cfg,
 		func(*logfmt.Record) error { return nil })
 	if err != nil {
@@ -55,7 +55,7 @@ func TestPipelineStageSpans(t *testing.T) {
 // the context means no spans and no panics.
 func TestPipelineUntracedContext(t *testing.T) {
 	recs := synthRecords(t, 50)
-	cfg := PipelineConfig{Workers: 2, QueueDepth: 2, BatchSize: 16}
+	cfg := PipelineConfig{Workers: 2}
 	if _, err := Run(context.Background(), bytes.NewReader(encodeTSV(recs)), logfmt.FormatTSV, cfg,
 		func(*logfmt.Record) error { return nil }); err != nil {
 		t.Fatal(err)

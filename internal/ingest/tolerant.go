@@ -1,72 +1,34 @@
 package ingest
 
 import (
-	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/logfmt"
 )
 
-// ErrBudgetExceeded marks a stream whose corrupt-record fraction blew
-// the configured budget: the data is too damaged to trust, so the read
-// fails fast instead of silently analyzing a remnant.
-var ErrBudgetExceeded = errors.New("ingest: corrupt-record budget exceeded")
-
-// Options configures tolerant decoding.
-type Options struct {
-	// MaxErrorRate is the quarantine budget: once more than this
-	// fraction of decode attempts has been quarantined (after
-	// MinRecords attempts), reading fails with ErrBudgetExceeded.
-	// Default 0.05.
-	MaxErrorRate float64
-	// MinRecords is the grace period before the budget is enforced, so
-	// one bad record at the head of a stream cannot trip a percentage
-	// budget. Default 64.
-	MinRecords int64
-	// MaxResyncScan bounds how far a binary resynchronization scan may
-	// look for the next record boundary. Default 1 MiB.
-	MaxResyncScan int64
-	// DeadLetter receives quarantined spans; nil counts only.
-	DeadLetter *DeadLetter
-	// Metrics, when non-nil, receives per-record instrumentation.
-	Metrics *Instrumentation
-}
-
-func (o *Options) sanitize() {
-	if o.MaxErrorRate <= 0 {
-		o.MaxErrorRate = 0.05
-	}
-	if o.MinRecords <= 0 {
-		o.MinRecords = 64
-	}
-	if o.MaxResyncScan <= 0 {
-		o.MaxResyncScan = 1 << 20
-	}
-}
-
-// TolerantReader wraps a RecordReader (TSV, JSON Lines, or binary) and
-// keeps decoding across malformed records: each bad span is quarantined
-// to the dead letter with its byte offset, record index, and reason;
-// binary streams are resynchronized to the next plausible record
-// boundary; and a max-error-rate budget converts "too corrupt" into a
-// hard error. TolerantReader is itself a logfmt.RecordReader, so it
-// drops in anywhere a strict reader is used. Not safe for concurrent
-// use.
+// TolerantReader wraps a RecordReader (TSV, JSON Lines, binary, or
+// chunk container) and keeps decoding across malformed records: each
+// bad span is quarantined to the dead letter with its byte offset,
+// record index, and reason; binary and chunk streams are
+// resynchronized to the next plausible boundary; and a max-error-rate
+// budget converts "too corrupt" into a hard error. It is the sequential
+// framer over the same ledger the pipelines use, and the only tolerant
+// path for the single-stream binary format (whose timestamps are
+// delta-encoded across the whole stream). TolerantReader is itself a
+// logfmt.RecordReader, so it drops in anywhere a strict reader is used.
+// Not safe for concurrent use.
 type TolerantReader struct {
-	rd    logfmt.RecordReader
-	opts  Options
-	stats Stats
+	rd  logfmt.RecordReader
+	led *ledger
 }
 
 // NewTolerantReader wraps rd with the given options.
 func NewTolerantReader(rd logfmt.RecordReader, opts Options) *TolerantReader {
-	opts.sanitize()
-	return &TolerantReader{rd: rd, opts: opts}
+	return &TolerantReader{rd: rd, led: newLedger(opts)}
 }
 
 // Stats returns the accounting so far.
-func (t *TolerantReader) Stats() Stats { return t.stats }
+func (t *TolerantReader) Stats() Stats { return t.led.stats }
 
 // resyncer is implemented by readers that can lose stream position on a
 // decode error and scan forward to the next plausible boundary
@@ -91,70 +53,38 @@ func (t *TolerantReader) Read(r *logfmt.Record) error {
 	for {
 		err := t.rd.Read(r)
 		if err == nil {
-			t.stats.Records++
-			if m := t.opts.Metrics; m != nil {
-				m.Records.Inc()
-			}
+			t.led.good(1)
 			return nil
-		}
-		if err == io.EOF {
-			return io.EOF
 		}
 		de := logfmt.AsDecodeError(err)
 		if de == nil {
-			return err // real I/O failure; nothing to quarantine
+			return err // io.EOF or a real I/O failure; nothing to quarantine
 		}
-		// One bad span loses one record, except for the chunk container
-		// where the whole chunk's claimed record count quarantines.
-		lost := int64(1)
+		var lost int64
 		if cd, ok := t.rd.(chunkDropper); ok {
-			if n := cd.LastBadRecords(); n > 0 {
-				lost = n
-			}
-		}
-		t.stats.Quarantined += lost
-		t.stats.FramesDropped++
-		if m := t.opts.Metrics; m != nil {
-			m.Quarantined.Add(lost)
-		}
-		if werr := t.opts.DeadLetter.Write(quarantineFor(de)); werr != nil {
-			return fmt.Errorf("ingest: writing dead letter: %w", werr)
-		}
-		if berr := t.checkBudget(de); berr != nil {
-			return berr
+			lost = cd.LastBadRecords()
 		}
 		// After a container decode error the stream position may be
 		// undefined; scan forward to the next plausible boundary (a
 		// record frame for the binary stream, a validated chunk header
-		// for the container — a no-op when framing survived).
-		if rs, ok := t.rd.(resyncer); ok {
-			skipped, rerr := rs.Resync(t.opts.MaxResyncScan)
-			t.stats.Resyncs++
-			t.stats.BytesSkipped += skipped
-			t.opts.Metrics.Skips(de.Format).Observe(skipped, lost)
-			if rerr == io.EOF {
-				return io.EOF
-			}
-			if rerr != nil {
-				return fmt.Errorf("ingest: after record %d at byte %d: %w", de.Record, de.Offset, rerr)
-			}
+		// for the container — a no-op when framing survived) before
+		// booking the span, so the bytes it cost are part of its entry.
+		rs, resynced := t.rd.(resyncer)
+		var skipped int64
+		var rerr error
+		if resynced {
+			skipped, rerr = rs.Resync(maxResyncScan)
+		}
+		if berr := t.led.bad(de, lost, skipped, resynced); berr != nil {
+			return berr
+		}
+		if rerr == io.EOF {
+			return io.EOF
+		}
+		if rerr != nil {
+			return resyncFailed(de, rerr)
 		}
 	}
-}
-
-// checkBudget fails the stream once the quarantine fraction exceeds the
-// budget, with the position of the error that tripped it.
-func (t *TolerantReader) checkBudget(de *logfmt.DecodeError) error {
-	total := t.stats.Records + t.stats.Quarantined
-	if total < t.opts.MinRecords {
-		return nil
-	}
-	if rate := t.stats.ErrorRate(); rate > t.opts.MaxErrorRate {
-		return fmt.Errorf("%w: %d of %d records quarantined (%.2f%% > %.2f%% budget), tripped at byte %d (record %d): %v",
-			ErrBudgetExceeded, t.stats.Quarantined, total,
-			rate*100, t.opts.MaxErrorRate*100, de.Offset, de.Record, de.Err)
-	}
-	return nil
 }
 
 // ForEach reads every good record, stopping at EOF or on fn's first
@@ -173,14 +103,4 @@ func (t *TolerantReader) ForEach(fn func(*logfmt.Record) error) error {
 			return err
 		}
 	}
-}
-
-// OpenFile opens path like logfmt.OpenFile but wraps the reader
-// tolerantly. The caller must close the returned io.Closer.
-func OpenFile(path string, opts Options) (*TolerantReader, io.Closer, error) {
-	rd, closer, err := logfmt.OpenFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return NewTolerantReader(rd, opts), closer, nil
 }

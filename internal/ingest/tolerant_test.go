@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"os"
 	"strings"
 	"testing"
 
@@ -86,21 +85,22 @@ func TestTolerantReaderTSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTolerantReader(rd, Options{MaxErrorRate: 0.05, DeadLetter: NewDeadLetter(&dead)})
+	dl := NewDeadLetter(&dead)
+	tr := NewTolerantReader(rd, Options{MaxErrorRate: 0.05, DeadLetter: dl})
 	var got int
 	if err := tr.ForEach(func(*logfmt.Record) error { got++; return nil }); err != nil {
 		t.Fatalf("ForEach: %v", err)
 	}
 	st := tr.Stats()
-	if st.Quarantined != int64(corrupt) || tr.opts.DeadLetter.Count() != int64(corrupt) {
+	if st.Quarantined != int64(corrupt) || dl.Count() != int64(corrupt) {
 		t.Errorf("quarantined %d (dead letter %d), want %d",
-			st.Quarantined, tr.opts.DeadLetter.Count(), corrupt)
+			st.Quarantined, dl.Count(), corrupt)
 	}
 	if got != len(recs)-corrupt || st.Records != int64(got) {
 		t.Errorf("recovered %d records (stats %d), want %d", got, st.Records, len(recs)-corrupt)
 	}
 	// Dead-letter entries are positional JSON lines.
-	tr.opts.DeadLetter.Flush()
+	dl.Flush()
 	sc := bufio.NewScanner(&dead)
 	var entries []Quarantine
 	for sc.Scan() {
@@ -255,29 +255,6 @@ func TestTolerantReaderChaosTruncation(t *testing.T) {
 	}
 	if st.Quarantined != 1 {
 		t.Errorf("quarantined %d, want exactly 1 (the cut record)", st.Quarantined)
-	}
-}
-
-func TestOpenFileTolerant(t *testing.T) {
-	recs := synthRecords(t, 50)
-	stream, frames := encodeBinaryFrames(t, recs)
-	stream[frames[10][1]-1] = 0xEE
-	path := t.TempDir() + "/logs.cdnb"
-	if err := os.WriteFile(path, stream, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tr, closer, err := OpenFile(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	var got int
-	if err := tr.ForEach(func(*logfmt.Record) error { got++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got != len(recs)-1 || tr.Stats().Quarantined != 1 {
-		t.Errorf("got %d records, %d quarantined; want %d and 1",
-			got, tr.Stats().Quarantined, len(recs)-1)
 	}
 }
 

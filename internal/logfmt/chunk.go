@@ -572,7 +572,22 @@ func NewChunkDecoder(codec Codec, intern *Interner) *ChunkDecoder {
 // (arena-style: pass dst[:0] of a reused batch to decode with no
 // per-record allocation). The returned records' string fields are
 // interned and safe to retain; the slice itself is the caller's.
+//
+// A chunk whose contents fail — inflate, payload CRC, or record decode
+// — is reported as a *DecodeError spanning the whole frame, with dst
+// returned at its original length: the frame itself parsed, so the
+// stream is still positioned at the next chunk boundary and the chunk
+// quarantines whole with no resync needed.
 func (d *ChunkDecoder) Decode(rc *RawChunk, dst []Record) ([]Record, error) {
+	out, err := d.decode(rc, dst)
+	if err != nil {
+		return dst, &DecodeError{Format: "chunk", Offset: rc.Offset, Record: rc.Index,
+			Span: rc.FrameLen(), Err: err}
+	}
+	return out, nil
+}
+
+func (d *ChunkDecoder) decode(rc *RawChunk, dst []Record) ([]Record, error) {
 	raw, err := d.decompress(rc)
 	if err != nil {
 		return dst, err
@@ -721,9 +736,9 @@ func (d *ChunkDecoder) decompress(rc *RawChunk) ([]byte, error) {
 
 // ChunkReader streams records sequentially from a chunk container,
 // verifying each chunk's checksums. It implements RecordReader, so it
-// drops in anywhere the binary or text readers do, and Resync, so
-// ingest.TolerantReader can skip corrupt regions at chunk granularity.
-// Not safe for concurrent use.
+// drops in anywhere the binary or text readers do, and Resync, so a
+// tolerant caller (package ingest) can skip corrupt regions at chunk
+// granularity. Not safe for concurrent use.
 type ChunkReader struct {
 	sc      *ChunkScanner
 	dec     *ChunkDecoder
@@ -755,6 +770,7 @@ func (rd *ChunkReader) Read(r *Record) error {
 
 // fill scans and decodes the next chunk into the reused batch.
 func (rd *ChunkReader) fill() error {
+	rd.batch, rd.pos = rd.batch[:0], 0
 	if err := rd.sc.Next(&rd.rc); err != nil {
 		if err != io.EOF {
 			rd.lastBad = 0 // framing lost; records in the span unknown
@@ -764,26 +780,24 @@ func (rd *ChunkReader) fill() error {
 	if rd.dec == nil {
 		rd.dec = NewChunkDecoder(rd.sc.Codec(), nil)
 	}
-	batch, err := rd.dec.Decode(&rd.rc, rd.batch[:0])
-	rd.batch = batch
-	if err != nil {
-		// The frame itself parsed, so the stream is still positioned at
-		// the next chunk boundary: the whole chunk quarantines and a
-		// Resync from here is a no-op.
-		rd.batch = rd.batch[:0]
+	var err error
+	if rd.batch, err = rd.dec.Decode(&rd.rc, rd.batch); err != nil {
 		rd.lastBad = int64(rd.rc.Records)
-		return &DecodeError{Format: "chunk", Offset: rd.rc.Offset, Record: rd.rc.Index,
-			Span: rd.rc.FrameLen(), Err: err}
 	}
-	rd.pos = 0
-	return nil
+	return err
 }
 
 // Resync scans forward to the next valid chunk boundary after a
 // DecodeError; see ChunkScanner.Resync. When the bad chunk's frame was
 // intact (a checksum failure inside it), the scanner is already at the
-// next boundary and Resync returns 0.
-func (rd *ChunkReader) Resync(maxScan int64) (int64, error) { return rd.sc.Resync(maxScan) }
+// next boundary and Resync returns 0 without scanning — whatever
+// follows, sound or not, is the next Read's to report.
+func (rd *ChunkReader) Resync(maxScan int64) (int64, error) {
+	if rd.lastBad > 0 {
+		return 0, nil
+	}
+	return rd.sc.Resync(maxScan)
+}
 
 // LastBadRecords returns the header-claimed record count of the most
 // recent corrupt chunk (0 when the frame header itself was unreadable),

@@ -264,25 +264,63 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Reader streams records from an underlying io.Reader, transparently
-// detecting gzip. Reader is not safe for concurrent use.
-//
-// Decoded URL and user-agent strings are interned per reader (see
-// Interner): repeated values share one canonical copy instead of each
-// record pinning its own — on the TSV path that copy also releases the
-// source line the substrings would otherwise keep alive.
-type Reader struct {
-	br      *bufio.Reader
-	format  Format
-	line    int64
-	offset  int64
-	records int64
-	intern  *Interner
+// Line is one non-blank line of a text log with its position in the
+// (decompressed) stream.
+type Line struct {
+	// Text is the line without its trailing newline.
+	Text string
+	// Offset is the byte offset of the start of the line.
+	Offset int64
+	// Span is the number of bytes the line consumed: the newline is
+	// counted only when one was present (the last line may lack it).
+	Span int64
+	// Num is the one-based physical line number, blank lines included.
+	Num int64
+	// Index is the zero-based record index, counting every non-blank
+	// line, good or bad.
+	Index int64
 }
 
-// NewReader returns a Reader decoding the given format from r,
-// transparently decompressing gzip input (detected by magic bytes).
-func NewReader(r io.Reader, format Format) (*Reader, error) {
+// Decode parses the line as format into r. A malformed line is reported
+// as a *DecodeError carrying the line's position, so every reader of
+// the text formats — strict or tolerant, sequential or parallel — names
+// a given bad line identically.
+func (l *Line) Decode(format Format, r *Record) error {
+	var err error
+	switch format {
+	case FormatTSV:
+		err = ParseTSV(l.Text, r)
+	case FormatJSONL:
+		err = UnmarshalJSONLine([]byte(l.Text), r)
+	default:
+		err = fmt.Errorf("logfmt: unknown format %d", format)
+	}
+	if err == nil {
+		return nil
+	}
+	return &DecodeError{
+		Format: format.Name(),
+		Offset: l.Offset,
+		Record: l.Index,
+		Span:   l.Span,
+		Err:    fmt.Errorf("line %d: %w", l.Num, err),
+	}
+}
+
+// LineScanner splits a text log into its non-blank lines, transparently
+// decompressing gzip input (detected by magic bytes). It is the one
+// line splitter: Reader.Read and the parallel ingest pipeline both
+// frame through it. Not safe for concurrent use.
+type LineScanner struct {
+	br      *bufio.Reader
+	offset  int64
+	num     int64
+	records int64
+	err     error // read error held back behind a final unterminated line
+}
+
+// NewLineScanner returns a scanner over the lines of r.
+func NewLineScanner(r io.Reader) (*LineScanner, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic, err := br.Peek(2)
 	if err == nil && len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
@@ -292,64 +330,84 @@ func NewReader(r io.Reader, format Format) (*Reader, error) {
 		}
 		br = bufio.NewReaderSize(gz, 1<<16)
 	}
-	return &Reader{br: br, format: format, intern: NewInterner(0)}, nil
+	return &LineScanner{br: br}, nil
+}
+
+// Next scans the next non-blank line into l. It returns io.EOF at end
+// of stream; any other error is the underlying reader's.
+func (s *LineScanner) Next(l *Line) error {
+	for s.err == nil {
+		text, err := s.br.ReadString('\n')
+		s.err = err
+		if len(text) == 0 {
+			break
+		}
+		start := s.offset
+		s.offset += int64(len(text))
+		s.num++
+		trimmed := strings.TrimRight(text, "\n")
+		if trimmed == "" {
+			continue
+		}
+		*l = Line{Text: trimmed, Offset: start, Span: int64(len(text)), Num: s.num, Index: s.records}
+		s.records++
+		return nil
+	}
+	return s.err
+}
+
+// Offset returns the number of bytes of the (decompressed) stream
+// consumed so far.
+func (s *LineScanner) Offset() int64 { return s.offset }
+
+// Records returns the number of non-blank lines scanned so far.
+func (s *LineScanner) Records() int64 { return s.records }
+
+// Reader streams records from an underlying io.Reader, transparently
+// detecting gzip. Reader is not safe for concurrent use.
+//
+// Decoded URL and user-agent strings are interned per reader (see
+// Interner): repeated values share one canonical copy instead of each
+// record pinning its own — on the TSV path that copy also releases the
+// source line the substrings would otherwise keep alive.
+type Reader struct {
+	sc     *LineScanner
+	format Format
+	intern *Interner
+}
+
+// NewReader returns a Reader decoding the given format from r,
+// transparently decompressing gzip input (detected by magic bytes).
+func NewReader(r io.Reader, format Format) (*Reader, error) {
+	sc, err := NewLineScanner(r)
+	if err != nil {
+		return nil, err
+	}
+	return &Reader{sc: sc, format: format, intern: NewInterner(0)}, nil
 }
 
 // Read decodes the next record into r. It returns io.EOF at end of
 // stream. Blank lines are skipped. Malformed lines are reported as a
 // *DecodeError carrying the byte offset and record index of the bad
 // span; the line is already consumed, so the next Read resumes at the
-// following line — callers that tolerate corruption (ingest.TolerantReader)
+// following line — callers that tolerate corruption (package ingest)
 // quarantine the span and keep reading.
 func (rd *Reader) Read(r *Record) error {
-	for {
-		start := rd.offset
-		line, err := rd.br.ReadString('\n')
-		rd.offset += int64(len(line))
-		if len(line) == 0 && err != nil {
-			if err == io.EOF {
-				return io.EOF
-			}
-			return err
-		}
-		rd.line++
-		span := int64(len(line))
-		line = strings.TrimRight(line, "\n")
-		if line == "" {
-			if err == io.EOF {
-				return io.EOF
-			}
-			continue
-		}
-		idx := rd.records
-		rd.records++
-		var perr error
-		switch rd.format {
-		case FormatTSV:
-			perr = ParseTSV(line, r)
-		case FormatJSONL:
-			perr = UnmarshalJSONLine([]byte(line), r)
-		default:
-			return fmt.Errorf("logfmt: unknown format %d", rd.format)
-		}
-		if perr != nil {
-			return &DecodeError{
-				Format: rd.format.Name(),
-				Offset: start,
-				Record: idx,
-				Span:   span,
-				Err:    fmt.Errorf("line %d: %w", rd.line, perr),
-			}
-		}
-		r.URL = rd.intern.Intern(r.URL)
-		r.UserAgent = rd.intern.Intern(r.UserAgent)
-		return nil
+	var l Line
+	if err := rd.sc.Next(&l); err != nil {
+		return err
 	}
+	if err := l.Decode(rd.format, r); err != nil {
+		return err
+	}
+	r.URL = rd.intern.Intern(r.URL)
+	r.UserAgent = rd.intern.Intern(r.UserAgent)
+	return nil
 }
 
 // Offset returns the number of bytes of the (decompressed) stream
 // consumed so far.
-func (rd *Reader) Offset() int64 { return rd.offset }
+func (rd *Reader) Offset() int64 { return rd.sc.Offset() }
 
 // ForEach reads every record in the stream and calls fn. It stops at EOF,
 // or earlier if fn returns a non-nil error, which is then returned.

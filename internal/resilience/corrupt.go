@@ -12,8 +12,8 @@ import (
 // RNG seeded by Seed, so a given configuration corrupts a given stream
 // identically run after run — the chaos counterpart of FaultyOrigin for
 // the log-to-analysis path. The ingest tests drive corrupted log
-// streams through ingest.TolerantReader with it and assert quarantine
-// accounting.
+// streams through every tolerant entry point of package ingest with it
+// and assert quarantine accounting.
 //
 // CorruptingReader is not safe for concurrent use.
 type CorruptingReader struct {
