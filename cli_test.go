@@ -4,6 +4,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,5 +77,38 @@ func TestCLIPipeline(t *testing.T) {
 	char2 := run("jsonchar", "-i", tsv)
 	if !strings.Contains(char2, "Traffic source") {
 		t.Errorf("converted file unreadable:\n%.300s", char2)
+	}
+}
+
+// TestLiveEdgeSmoke builds cmd/liveedge and runs its self-driven mode
+// against a faulty origin with the characterization plane on: real
+// sockets, real retries, and — in the run's closing outage — serve-stale
+// answered from the cache's own entries.
+func TestLiveEdgeSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("liveedge smoke test builds a binary; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "liveedge")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/liveedge").CombinedOutput(); err != nil {
+		t.Fatalf("building liveedge: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-fault-rate", "0.3", "-livechar", "-out-dir", t.TempDir())
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("liveedge: %v\n%s\n%s", err, out, stderr.String())
+	}
+	m := regexp.MustCompile(`(\d+) stale serves`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("no stale-serve count in output:\n%s", out)
+	}
+	if n, _ := strconv.Atoi(string(m[1])); n == 0 {
+		t.Errorf("0 stale serves: the outage act was not served from the cache\n%s", out)
+	}
+	for _, want := range []string{"edge cache hit ratio:", "live characterization", "edge_stale_serves_total"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
 }

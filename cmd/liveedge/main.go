@@ -4,7 +4,8 @@
 // the edge's own request log with the characterization pipeline. The
 // edge is fully instrumented: an admin server exposes Prometheus
 // metrics, expvar, and pprof while it runs, and the run ends with a
-// sample of its own /metrics scrape.
+// short total origin outage — a probe's HEADs are served stale from the
+// cache — and a sample of its own /metrics scrape.
 //
 // The origin is deliberately unreliable: a seeded fault injector drops
 // a fraction of fetches (-fault-rate), and the edge survives it with
@@ -46,6 +47,7 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -370,6 +372,18 @@ func runServe(st *edgeStack, cfg serveConfig) {
 // runSelfDriven is the original demo: built-in clients load the
 // manifest pattern, then the edge's own log is characterized.
 func runSelfDriven(st *edgeStack) {
+	// The last act is a scripted total outage on the origin's own clock,
+	// which jumps into the brownout window when outage is set.
+	var outage atomic.Bool
+	outageAt := time.Now().Add(24 * time.Hour)
+	st.faulty.Brownouts = []resilience.Window{{From: outageAt, To: outageAt.Add(time.Hour)}}
+	st.faulty.Now = func() time.Time {
+		if outage.Load() {
+			return outageAt
+		}
+		return time.Now()
+	}
+
 	srv := httptest.NewServer(st.edge)
 	defer srv.Close()
 	adminMux := obs.AdminMux(st.reg, st.health)
@@ -413,6 +427,18 @@ func runSelfDriven(st *edgeStack) {
 		}
 	}()
 	wg.Wait()
+
+	// Outage: every fetch now fails. Cached GETs still hit; a monitor
+	// revalidating the manifest with HEAD — which always goes to the
+	// origin — is answered from the copy the cache holds, served stale.
+	outage.Store(true)
+	for i := 0; i < 3; i++ {
+		req, _ := http.NewRequest("HEAD", srv.URL+"/stories", nil)
+		req.Header.Set("User-Agent", "UptimeProbe/2.0")
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}
 
 	// Analyze the edge's own log.
 	st.mu.Lock()

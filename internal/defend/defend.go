@@ -212,13 +212,8 @@ type baseState struct {
 	lastSeen    time.Time
 }
 
-// negEntry is one negative-cache payload (the substrate edge.Cache
-// decides liveness and eviction; this carries what to serve).
-type negEntry struct {
-	status int
-	body   []byte
-	mime   string
-}
+// negativeBody is what a negative-cached key is answered with.
+var negativeBody = []byte(`{"error":"negative cached"}`)
 
 // keyErr tracks recent error outcomes for one full key.
 type keyErr struct {
@@ -239,8 +234,7 @@ type Defender struct {
 	machine bucket
 	human   bucket
 	bases   map[string]*baseState
-	neg     *edge.Cache
-	negInfo map[string]negEntry
+	neg     *edge.Cache // entries carry the edge.DefenseAction to answer with
 	errs    map[string]*keyErr
 	pdets   map[string]*anomaly.PeriodDetector
 }
@@ -253,7 +247,6 @@ func New(cfg Config) *Defender {
 		clients: make(map[flows.ClientKey]*clientState),
 		bases:   make(map[string]*baseState),
 		neg:     edge.NewCache(cfg.NegCapacity, cfg.NegTTL, 4),
-		negInfo: make(map[string]negEntry),
 		errs:    make(map[string]*keyErr),
 		pdets:   make(map[string]*anomaly.PeriodDetector),
 	}
@@ -281,11 +274,6 @@ func (d *Defender) clientKey(r *http.Request) flows.ClientKey {
 // baseKeyFor is the query-stripped cache key of a request's object.
 func baseKeyFor(r *http.Request) string {
 	return "http://" + r.Host + r.URL.Path
-}
-
-// fullKeyFor matches HTTPEdge's cache key for the request.
-func fullKeyFor(r *http.Request) string {
-	return "http://" + r.Host + r.URL.String()
 }
 
 // evictDown shrinks m to at most target entries in three passes of
@@ -421,18 +409,11 @@ func (d *Defender) Admit(now time.Time, r *http.Request) edge.DefenseAction {
 	}
 
 	// Negative cache: remembered failures answered at the edge.
-	full := fullKeyFor(r)
-	if entry, ok := d.negInfo[full]; ok {
-		if d.neg.Lookup(full, now) {
-			if d.obs != nil {
-				d.obs.NegativeHits.Inc()
-			}
-			return edge.DefenseAction{
-				Negative: true, NegStatus: entry.status,
-				NegBody: entry.body, NegMIME: entry.mime,
-			}
+	if got := d.neg.Read(edge.CacheKey(r), now, edge.Demand); got.State == edge.Fresh {
+		if d.obs != nil {
+			d.obs.NegativeHits.Inc()
 		}
-		delete(d.negInfo, full) // expired or evicted from the substrate
+		return got.Payload.(edge.DefenseAction)
 	}
 
 	// Cache-key collapse for bases under a query storm.
@@ -475,7 +456,7 @@ func (d *Defender) RecordOutcome(now time.Time, r *http.Request, cache logfmt.Ca
 
 	// Error outcomes: negative-cache hammered failing keys.
 	if status == http.StatusNotFound || status >= 500 {
-		full := fullKeyFor(r)
+		full := edge.CacheKey(r)
 		e := d.errs[full]
 		if e == nil || now.Sub(e.from) > d.cfg.BustWindow {
 			if e == nil {
@@ -491,19 +472,12 @@ func (d *Defender) RecordOutcome(now time.Time, r *http.Request, cache logfmt.Ca
 		}
 		e.n++
 		if e.n >= d.cfg.NegErrors {
-			body := []byte(`{"error":"negative cached"}`)
-			d.neg.Insert(full, int64(len(body)), now, false)
-			d.negInfo[full] = negEntry{status: status, body: body, mime: "application/json"}
+			d.neg.Store(full, int64(len(negativeBody)), now, edge.DefenseAction{
+				Negative: true, NegStatus: status, NegBody: negativeBody, NegMIME: "application/json",
+			})
 			delete(d.errs, full)
 			if d.obs != nil {
 				d.obs.NegativeStores.Inc()
-			}
-			if len(d.negInfo) > 4*d.cfg.MaxClients {
-				for k := range d.negInfo {
-					if !d.neg.Peek(k, now) {
-						delete(d.negInfo, k)
-					}
-				}
 			}
 		}
 	}
@@ -528,7 +502,7 @@ func (d *Defender) RecordOutcome(now time.Time, r *http.Request, cache logfmt.Ca
 	if d.cfg.Detector != nil {
 		rec := logfmt.Record{
 			Time: now, ClientID: ck.ClientID, Method: r.Method,
-			URL:       "http://" + r.Host + r.URL.String(),
+			URL:       edge.CacheKey(r),
 			UserAgent: r.UserAgent(), MIMEType: "application/json",
 			Status: status,
 		}
@@ -572,5 +546,6 @@ func (d *Defender) Abusers(now time.Time) int {
 	return n
 }
 
-// NegativeEntries returns the live negative-cache entry count.
+// NegativeEntries returns the resident negative-cache entry count,
+// expired entries not yet evicted or overwritten included.
 func (d *Defender) NegativeEntries() int { return d.neg.Len() }

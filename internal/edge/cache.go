@@ -21,12 +21,13 @@ type CacheMetrics struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	Expired   int64
+	// Expired counts Demand reads that found an expired entry (each is
+	// also a miss).
+	Expired int64
 	// PrefetchedHits counts hits whose entry was inserted by a prefetch
 	// rather than on demand.
 	PrefetchedHits int64
-	// StaleServes counts expired entries served anyway by
-	// LookupWithStale while the origin was unavailable.
+	// StaleServes counts Outage reads answered from an expired entry.
 	StaleServes int64
 }
 
@@ -39,12 +40,54 @@ func (m CacheMetrics) HitRatio() float64 {
 	return float64(m.Hits) / float64(tot)
 }
 
+// State is what a read found under a key.
+type State uint8
+
+const (
+	// Absent: no entry.
+	Absent State = iota
+	// Fresh: an entry inside its TTL.
+	Fresh
+	// Expired: an entry past its TTL. It stays resident — byte-accounted
+	// and LRU-evictable like any other — until it is evicted or the next
+	// insert under its key overwrites it, so a caller whose origin fetch
+	// then fails can still answer from it.
+	Expired
+)
+
+// Use says what a read is for, which decides what it counts and whether
+// it refreshes recency.
+type Use uint8
+
+const (
+	// Probe only looks: no counter moves, recency is untouched.
+	Probe Use = iota
+	// Demand answers a request the origin can still serve: a Fresh entry
+	// is a hit and becomes most recent; Expired and Absent are misses.
+	Demand
+	// Outage answers a request while the origin is unavailable: Fresh as
+	// under Demand, but an Expired entry is the answer — counted in
+	// StaleServes, not Misses, and made most recent.
+	Outage
+)
+
+// Entry is the result of one Read.
+type Entry struct {
+	State State
+	// Payload is what the last Store under the key carried (nil after an
+	// Insert); Prefetched reports a speculative insert. Both are zero
+	// when State is Absent.
+	Payload    any
+	Prefetched bool
+}
+
 // entry is one cached object.
 type entry struct {
 	key        string
 	size       int64
 	expires    time.Time
 	prefetched bool
+	payload    any
 	elem       *list.Element
 }
 
@@ -103,93 +146,88 @@ func (c *Cache) shardFor(key string) *cacheShard {
 	return c.shards[h.Sum64()&c.mask]
 }
 
-// Lookup checks for key at the given simulated time. A hit refreshes
-// recency. Expired entries count as misses and are removed.
-func (c *Cache) Lookup(key string, now time.Time) bool {
+// Read is the cache's one lookup: it reports the entry under key at the
+// given simulated time, with its payload, under a single shard lock.
+// What it counts follows use.
+func (c *Cache) Read(key string, now time.Time, use Use) Entry {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
 	if !ok {
-		s.metrics.Misses++
-		return false
+		if use != Probe {
+			s.metrics.Misses++
+		}
+		return Entry{}
 	}
+	got := Entry{State: Fresh, Payload: e.payload, Prefetched: e.prefetched}
 	if now.After(e.expires) {
-		s.remove(e)
-		s.metrics.Expired++
-		s.metrics.Misses++
-		return false
+		got.State = Expired
 	}
-	s.lru.MoveToFront(e.elem)
-	s.metrics.Hits++
-	if e.prefetched {
-		s.metrics.PrefetchedHits++
-	}
-	return true
-}
-
-// LookupWithStale is Lookup for a degraded origin path: a live entry is
-// a hit as usual, but an expired one — which Lookup would evict and
-// count a miss — is retained and reported stale so the caller can serve
-// it while the origin recovers. Stale serves count in
-// CacheMetrics.StaleServes, not Hits; the entry's TTL is not refreshed,
-// so a later successful fetch replaces it normally.
-func (c *Cache) LookupWithStale(key string, now time.Time) (hit, stale bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		s.metrics.Misses++
-		return false, false
-	}
-	s.lru.MoveToFront(e.elem)
-	if now.After(e.expires) {
+	switch {
+	case use == Probe:
+	case got.State == Fresh:
+		s.lru.MoveToFront(e.elem)
+		s.metrics.Hits++
+		if e.prefetched {
+			s.metrics.PrefetchedHits++
+		}
+	case use == Outage:
+		s.lru.MoveToFront(e.elem)
 		s.metrics.StaleServes++
-		return false, true
+	default:
+		s.metrics.Misses++
+		s.metrics.Expired++
 	}
-	s.metrics.Hits++
-	if e.prefetched {
-		s.metrics.PrefetchedHits++
-	}
-	return true, false
+	return got
 }
 
-// Peek reports whether key is live at now without touching recency or
-// metrics; prefetchers use it to avoid duplicate speculative inserts.
-func (c *Cache) Peek(key string, now time.Time) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	return ok && !now.After(e.expires)
+// Lookup reports whether a Demand read finds key fresh.
+func (c *Cache) Lookup(key string, now time.Time) bool {
+	return c.Read(key, now, Demand).State == Fresh
 }
 
-// Insert stores key with the given body size, evicting LRU entries as
-// needed. prefetched marks entries inserted speculatively. Objects
-// larger than a shard's capacity are not cached.
+// Insert stores key with the given body size and no payload, evicting
+// LRU entries as needed. prefetched marks entries inserted speculatively.
+// An object larger than a shard's capacity is not cached; unless it is a
+// prefetch, it also displaces the entry already under its key.
 func (c *Cache) Insert(key string, size int64, now time.Time, prefetched bool) {
+	c.put(key, size, now, prefetched, nil)
+}
+
+// Store is Insert for an on-demand entry that carries a payload — the
+// value later reads return. size is what the payload is accounted at.
+func (c *Cache) Store(key string, size int64, now time.Time, payload any) {
+	c.put(key, size, now, false, payload)
+}
+
+func (c *Cache) put(key string, size int64, now time.Time, prefetched bool, payload any) {
 	if size < 0 {
 		size = 0
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e, ok := s.entries[key]
 	if size > s.capBytes {
+		// The object no longer fits, so an older copy of it must not go on
+		// answering in its place. A prefetch is only a guess at the object
+		// and displaces nothing.
+		if ok && !prefetched {
+			s.remove(e)
+		}
 		return
 	}
-	if e, ok := s.entries[key]; ok {
+	if ok {
 		s.curBytes += size - e.size
-		e.size = size
-		e.expires = now.Add(c.ttl)
-		e.prefetched = prefetched
 		s.lru.MoveToFront(e.elem)
 	} else {
-		e := &entry{key: key, size: size, expires: now.Add(c.ttl), prefetched: prefetched}
+		e = &entry{key: key}
 		e.elem = s.lru.PushFront(e)
 		s.entries[key] = e
 		s.curBytes += size
 	}
+	e.size, e.expires, e.prefetched, e.payload = size, now.Add(c.ttl), prefetched, payload
 	for s.curBytes > s.capBytes {
 		back := s.lru.Back()
 		if back == nil {
@@ -207,8 +245,7 @@ func (s *cacheShard) remove(e *entry) {
 	s.curBytes -= e.size
 }
 
-// Len returns the number of live entries (including not-yet-collected
-// expired ones).
+// Len returns the number of resident entries, expired ones included.
 func (c *Cache) Len() int {
 	n := 0
 	for _, s := range c.shards {
@@ -229,12 +266,6 @@ func (c *Cache) Bytes() int64 {
 	}
 	return n
 }
-
-// MetricsSnapshot returns a consistent point-in-time copy of the
-// aggregate cache metrics, taking each shard's mutex. Exposition and
-// any other external reader must use this (or Metrics) rather than
-// reaching into cache internals.
-func (c *Cache) MetricsSnapshot() CacheMetrics { return c.Metrics() }
 
 // Metrics returns a snapshot of aggregate cache metrics.
 func (c *Cache) Metrics() CacheMetrics {

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestCacheNegativeChurnRace hammers LookupWithStale/Insert/Lookup from
+// TestCacheNegativeChurnRace hammers outage reads, inserts and demand reads from
 // many goroutines over a small shared key set with TTLs expiring
 // mid-run — the access pattern of a negative cache absorbing a
 // hammered-miss storm while the serving path reads the same shards.
@@ -33,11 +33,7 @@ func TestCacheNegativeChurnRace(t *testing.T) {
 				case 0:
 					c.Insert(k, int64(100+i%500), now, false)
 				case 1:
-					hit, stale := c.LookupWithStale(k, now)
-					if hit && stale {
-						t.Error("LookupWithStale returned hit and stale together")
-						return
-					}
+					c.Read(k, now, Outage)
 				default:
 					c.Lookup(k, now)
 				}
@@ -52,5 +48,70 @@ func TestCacheNegativeChurnRace(t *testing.T) {
 	}
 	if c.Bytes() < 0 {
 		t.Fatalf("negative byte accounting: %d", c.Bytes())
+	}
+}
+
+// keyed is a payload that says which key and which store it came from.
+type keyed struct {
+	key string
+	seq int
+}
+
+// TestCachePayloadConcurrent is the model test's concurrent variant: one
+// writer per key stores payloads numbered in order while readers read
+// every key under every Use and inserts churn the shards. A read must
+// never hand back another key's payload nor an older one than the same
+// reader already saw, and the counters must add up to the reads made.
+func TestCachePayloadConcurrent(t *testing.T) {
+	const capBytes = 1 << 12
+	c := NewCache(capBytes, 10*time.Millisecond, 4)
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	base := time.Now()
+	const iters = 2000
+
+	var wg sync.WaitGroup
+	for _, k := range keys {
+		wg.Add(1)
+		go func(k string) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				now := base.Add(time.Duration(i%40) * time.Millisecond)
+				c.Store(k, int64(100+i%700), now, keyed{k, i})
+				if i%7 == 0 {
+					c.Insert("filler:"+k, 900, now, true)
+				}
+			}
+		}(k)
+	}
+	const readers = 4
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			seen := map[string]int{}
+			for i := 0; i < iters; i++ {
+				now := base.Add(time.Duration(i%40) * time.Millisecond)
+				k := keys[(i+r)%len(keys)]
+				got := c.Read(k, now, Use(1+i%2)) // Demand, Outage
+				if got.State == Absent {
+					continue
+				}
+				p, ok := got.Payload.(keyed)
+				if !ok || p.key != k || p.seq < seen[k] {
+					t.Errorf("read %q: payload %+v after seq %d", k, got.Payload, seen[k])
+					return
+				}
+				seen[k] = p.seq
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	m := c.Metrics()
+	if got := m.Hits + m.Misses + m.StaleServes; got != readers*iters {
+		t.Errorf("hits+misses+stale = %d, want %d reads", got, readers*iters)
+	}
+	if b := c.Bytes(); b < 0 || b > capBytes {
+		t.Errorf("bytes = %d, capacity %d", b, capBytes)
 	}
 }

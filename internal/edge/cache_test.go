@@ -36,9 +36,14 @@ func TestCacheTTLExpiry(t *testing.T) {
 	if m := c.Metrics(); m.Expired != 1 {
 		t.Errorf("expired = %d", m.Expired)
 	}
-	// Expired entry is removed.
-	if c.Len() != 0 {
-		t.Errorf("len = %d after expiry", c.Len())
+	// The expired entry stays resident, byte-accounted, until evicted or
+	// overwritten.
+	if c.Len() != 1 || c.Bytes() != 100 {
+		t.Errorf("after expiry: len = %d, bytes = %d, want 1 and 100", c.Len(), c.Bytes())
+	}
+	c.Insert("a", 40, t0.Add(62*time.Second), false)
+	if c.Len() != 1 || c.Bytes() != 40 || !c.Lookup("a", t0.Add(63*time.Second)) {
+		t.Errorf("after overwrite: len = %d, bytes = %d", c.Len(), c.Bytes())
 	}
 }
 

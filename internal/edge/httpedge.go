@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/logfmt"
@@ -33,12 +31,17 @@ type Origin interface {
 // schema the analyses consume, so an HTTPEdge can feed its own traffic
 // into the characterization pipeline (the liveedge example does).
 //
+// The Cache is the node's only store: each entry carries the response it
+// stands for, so what the edge retains is bounded by the cache's byte
+// capacity and a hit always has its body.
+//
 // The edge degrades rather than amplifies origin failure: with
-// ServeStale set it answers a failed GET from its retained body store
-// (with Age and Warning headers), and with Degraded wired to a circuit
-// breaker it sheds machine-class requests with 503 instead of queueing
-// them against a downed origin (internal/resilience supplies both the
-// failure model and the breaker). HTTPEdge is safe for concurrent use.
+// ServeStale set it answers a failed GET from the entry its cache still
+// holds (with Age and Warning headers), and with Degraded wired to a
+// circuit breaker it sheds machine-class requests with 503 instead of
+// queueing them against a downed origin (internal/resilience supplies
+// both the failure model and the breaker). HTTPEdge is safe for
+// concurrent use.
 type HTTPEdge struct {
 	// Cache is the edge cache; required.
 	Cache *Cache
@@ -62,20 +65,19 @@ type HTTPEdge struct {
 	// Now supplies time (defaults to time.Now); tests override it.
 	Now func() time.Time
 	// ServeStale enables serve-stale-on-error: when the origin fails a
-	// GET or HEAD and a previously fetched copy is still in the body
-	// store, that copy is served (200, X-Cache: STALE, an Age header,
-	// and the RFC 7234 "110 Response is Stale" warning) instead of the
-	// error — how a real CDN shields clients from origin brownouts.
+	// GET or HEAD and the cache still holds an entry for the key —
+	// expired entries stay resident until evicted or overwritten — that
+	// copy is served (200, X-Cache: STALE, an Age header, and the RFC
+	// 7234 "110 Response is Stale" warning) instead of the error — how a
+	// real CDN shields clients from origin brownouts.
 	ServeStale bool
 	// Degraded, if non-nil, reports that the origin path is degraded
 	// (typically resilience.ResilientOrigin.Degraded, i.e. breaker
-	// open). While degraded, requests classified sched.ClassMachine
-	// that cannot be served from cache are shed with 503: no human is
-	// waiting on them, and a recovering origin needs the headroom.
+	// open). While degraded, requests ClassifyRequest calls
+	// sched.ClassMachine that cannot be served from cache are shed with
+	// 503: no human is waiting on them, and a recovering origin needs the
+	// headroom.
 	Degraded func() bool
-	// Classify maps a request to its sched class for shedding; nil uses
-	// ClassifyRequest.
-	Classify func(*http.Request) sched.Class
 	// Defend, if non-nil, is consulted before any cache or origin work:
 	// it can reject the request outright (429), serve a negative-cache
 	// response, or collapse the cache key (see Defense). Admitted
@@ -83,27 +85,6 @@ type HTTPEdge struct {
 	// defense's detectors stay current. internal/defend supplies the
 	// standard detect-and-defend implementation.
 	Defend Defense
-	// MaxBodies bounds the retained response bodies (default 65536);
-	// beyond it the least recently used body is evicted.
-	MaxBodies int
-
-	mu      sync.Mutex
-	bodies  map[string]*storedBody
-	bodyLRU *list.List // front = most recent
-}
-
-const maxBodyStore = 1 << 16
-
-// storedBody is one retained response body. Bodies outlive their cache
-// entry's TTL on purpose: an expired body is exactly what the
-// serve-stale path needs when the origin is down.
-type storedBody struct {
-	body     []byte
-	mime     string
-	etag     string // etagFor(body), hashed once per fetch, not per response
-	storedAt time.Time
-	key      string
-	elem     *list.Element
 }
 
 func (e *HTTPEdge) now() time.Time {
@@ -113,64 +94,19 @@ func (e *HTTPEdge) now() time.Time {
 	return time.Now()
 }
 
-func (e *HTTPEdge) maxBodies() int {
-	if e.MaxBodies > 0 {
-		return e.MaxBodies
-	}
-	return maxBodyStore
+// CacheKey is the key a request's response is cached under and the URL
+// its log record carries. It is the only place a request becomes a key:
+// HTTPEdge and internal/defend both call it, so the negative cache, the
+// collapse rewrite and the edge cache cannot disagree about which
+// requests are the same object.
+func CacheKey(r *http.Request) string {
+	return "http://" + r.Host + r.URL.String()
 }
 
-// storeBody retains a response body for later hits and stale serves,
-// evicting the least recently used entry past MaxBodies.
-func (e *HTTPEdge) storeBody(key string, body []byte, mime, etag string, now time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.bodies == nil {
-		e.bodies = make(map[string]*storedBody)
-		e.bodyLRU = list.New()
-	}
-	if sb, ok := e.bodies[key]; ok {
-		sb.body, sb.mime, sb.etag, sb.storedAt = body, mime, etag, now
-		e.bodyLRU.MoveToFront(sb.elem)
-		return
-	}
-	sb := &storedBody{body: body, mime: mime, etag: etag, storedAt: now, key: key}
-	sb.elem = e.bodyLRU.PushFront(sb)
-	e.bodies[key] = sb
-	for len(e.bodies) > e.maxBodies() {
-		back := e.bodyLRU.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*storedBody)
-		e.bodyLRU.Remove(back)
-		delete(e.bodies, victim.key)
-	}
-}
-
-// loadBody returns the retained body for key, refreshing its recency.
-func (e *HTTPEdge) loadBody(key string) (*storedBody, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sb, ok := e.bodies[key]
-	if ok {
-		e.bodyLRU.MoveToFront(sb.elem)
-	}
-	return sb, ok
-}
-
-// storedBodies returns the number of retained bodies (tests assert the
-// MaxBodies bound holds).
-func (e *HTTPEdge) storedBodies() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.bodies)
-}
-
-// ClassifyRequest is the default shed classifier, reusing the
-// scheduler's taxonomy (§7): telemetry ingest, non-GET methods, and
-// embedded-device user agents are machine-to-machine — no human is
-// waiting — and everything else is human.
+// ClassifyRequest is the shed classifier, reusing the scheduler's
+// taxonomy (§7): telemetry ingest, non-GET methods, and embedded-device
+// user agents are machine-to-machine — no human is waiting — and
+// everything else is human.
 func ClassifyRequest(r *http.Request) sched.Class {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		return sched.ClassMachine
@@ -184,13 +120,6 @@ func ClassifyRequest(r *http.Request) sched.Class {
 	return sched.ClassHuman
 }
 
-func (e *HTTPEdge) classify(r *http.Request) sched.Class {
-	if e.Classify != nil {
-		return e.Classify(r)
-	}
-	return ClassifyRequest(r)
-}
-
 // isTemporary reports whether an origin error is transient (it
 // implements Temporary() bool, as resilience errors do): the edge
 // answers 503 rather than 404 and may serve stale.
@@ -199,233 +128,315 @@ func isTemporary(err error) bool {
 	return errors.As(err, &t) && t.Temporary()
 }
 
-// ServeHTTP implements http.Handler.
-func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	now := e.now()
-	var reqSp *obs.Span
-	if e.Trace != nil {
-		reqSp = e.Trace.Start(r.Method + " " + r.URL.Path)
-		reqSp.SetAttrs(obs.String("method", r.Method), obs.String("path", r.URL.Path))
-	}
-	// reqURL is what the client asked for and what the log records; key is
+// disposition names how a request was answered. Everything respond needs
+// to know beyond the response itself follows from it.
+type disposition uint8
+
+const (
+	uncacheable disposition = iota // from origin, not stored
+	miss                           // from origin, stored
+	hit                            // from a fresh entry
+	stale                          // from a resident entry after the origin failed
+	negative                       // remembered error, by the defense's verdict
+	rejected                       // refused by the defense
+	shedded                        // refused while the origin path is degraded
+)
+
+var dispositions = [...]struct {
+	xCache   string // X-Cache header; "" sends none
+	span     string // the request span's cache attribute
+	logged   logfmt.CacheStatus
+	admitted bool // the defense admitted it, so it hears the outcome
+}{
+	uncacheable: {"UNCACHEABLE", "UNCACHEABLE", logfmt.CacheUncacheable, true},
+	miss:        {"MISS", "MISS", logfmt.CacheMiss, true},
+	hit:         {"HIT", "HIT", logfmt.CacheHit, true},
+	stale:       {"STALE", "STALE", logfmt.CacheHit, true},
+	negative:    {"NEGATIVE", "defend-negative", logfmt.CacheHit, false},
+	rejected:    {"", "defend-reject", logfmt.CacheUncacheable, false},
+	shedded:     {"", "shed", logfmt.CacheUncacheable, true},
+}
+
+// response is what the stages fill in and respond writes out.
+type response struct {
+	disp       disposition
+	status     int
+	body       []byte
+	mime       string
+	etag       string        // "" on the refusals, which carry no validator
+	age        time.Duration // of a stale copy
+	retryAfter int           // seconds; 0 sends no Retry-After
+}
+
+const jsonMIME = "application/json"
+
+// errorResponse is a fixed JSON error body under disp.
+func errorResponse(disp disposition, status int, body string, retryAfter int) response {
+	return response{disp: disp, status: status, body: []byte(body), mime: jsonMIME, retryAfter: retryAfter}
+}
+
+var (
+	rejectResponse = errorResponse(rejected, http.StatusTooManyRequests, `{"error":"rate limited"}`, 0)
+	shedResponse   = errorResponse(shedded, http.StatusServiceUnavailable, `{"error":"shedding load"}`, 1)
+	// Origin failures are responses like any other and carry a validator.
+	unavailableResponse = originError(http.StatusServiceUnavailable, `{"error":"origin unavailable"}`)
+	notFoundResponse    = originError(http.StatusNotFound, `{"error":"not found"}`)
+)
+
+func originError(status int, body string) response {
+	resp := errorResponse(uncacheable, status, body, 0)
+	resp.etag = etagFor(resp.body)
+	return resp
+}
+
+// cached is the payload an HTTPEdge keeps in its Cache: one origin
+// response, its validator hashed once per fetch.
+type cached struct {
+	body     []byte
+	mime     string
+	etag     string
+	storedAt time.Time
+}
+
+func (c *cached) response(disp disposition) response {
+	return response{disp: disp, status: http.StatusOK, body: c.body, mime: c.mime, etag: c.etag}
+}
+
+// exchange is one request on its way through the stages.
+type exchange struct {
+	r     *http.Request
+	now   time.Time
+	reqSp *obs.Span
+	// url is what the client asked for and what the log records; key is
 	// what the cache holds it under, which a defense may collapse.
-	reqURL := "http://" + r.Host + r.URL.String()
-	key := reqURL
-	status := http.StatusOK
-	var body []byte
-	var mime, etag string
-	cacheStatus := logfmt.CacheUncacheable
-	stale := false
+	url, key string
+	// held is the entry lookup found resident, fresh or expired: what
+	// serve-stale answers from if the fetch fails.
+	held *cached
+	// fetched is the origin's answer, storable when it said cacheable to
+	// a GET.
+	fetched  *cached
+	storable bool
+	resp     response
+}
 
-	if e.Defend != nil {
-		act := e.Defend.Admit(now, r)
-		switch {
-		case act.Reject:
-			if e.Obs != nil {
-				e.Obs.requests(r.Method).Inc()
-			}
-			w.Header().Set("Content-Type", "application/json")
-			if act.RetryAfter > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(act.RetryAfter))
-			}
-			w.WriteHeader(http.StatusTooManyRequests)
-			rejBody := []byte(`{"error":"rate limited"}`)
-			if r.Method != http.MethodHead {
-				w.Write(rejBody)
-			}
-			if e.Log != nil {
-				e.logRequest(r, reqURL, now, "application/json", http.StatusTooManyRequests, int64(len(rejBody)), logfmt.CacheUncacheable)
-			}
-			reqSp.SetAttrs(obs.Int("status", http.StatusTooManyRequests), obs.String("cache", "defend-reject"))
-			reqSp.End()
-			return
-		case act.Negative:
-			if e.Obs != nil {
-				e.Obs.requests(r.Method).Inc()
-			}
-			negStatus, negMIME := act.NegStatus, act.NegMIME
-			if negStatus == 0 {
-				negStatus = http.StatusNotFound
-			}
-			if negMIME == "" {
-				negMIME = "application/json"
-			}
-			w.Header().Set("Content-Type", negMIME)
-			w.Header().Set("X-Cache", "NEGATIVE")
-			w.WriteHeader(negStatus)
-			if r.Method != http.MethodHead {
-				w.Write(act.NegBody)
-			}
-			if e.Log != nil {
-				e.logRequest(r, reqURL, now, negMIME, negStatus, int64(len(act.NegBody)), logfmt.CacheHit)
-			}
-			reqSp.SetAttrs(obs.Int("status", negStatus), obs.String("cache", "defend-negative"))
-			reqSp.End()
-			return
-		}
-		if act.CollapseKey != "" {
-			key = act.CollapseKey
-		}
+// ServeHTTP implements http.Handler. Each stage either answers the
+// request — fills x.resp and reports true — or passes it on; respond is
+// the only exit.
+func (e *HTTPEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	x := exchange{r: r, now: e.now(), url: CacheKey(r)}
+	x.key = x.url
+	if e.Trace != nil {
+		x.reqSp = e.Trace.Start(r.Method + " " + r.URL.Path)
+		x.reqSp.SetAttrs(obs.String("method", r.Method), obs.String("path", r.URL.Path))
 	}
+	_ = e.admit(&x) || e.lookup(&x) || e.shed(&x) || e.fetch(&x) || e.store(&x)
+	e.respond(w, &x)
+}
 
-	serveFromCache := r.Method == http.MethodGet && e.Cache.Lookup(key, now)
-	if serveFromCache {
-		if sb, ok := e.loadBody(key); ok {
-			body, mime, etag, cacheStatus = sb.body, sb.mime, sb.etag, logfmt.CacheHit
-		} else {
-			serveFromCache = false // evicted body; refetch below
-		}
+// admit asks the defense, which may refuse the request, answer it from
+// its negative cache, or collapse the cache key.
+func (e *HTTPEdge) admit(x *exchange) bool {
+	if e.Defend == nil {
+		return false
 	}
+	act := e.Defend.Admit(x.now, x.r)
+	switch {
+	case act.Reject:
+		x.resp = rejectResponse
+		x.resp.retryAfter = act.RetryAfter
+		return true
+	case act.Negative:
+		x.resp = response{disp: negative, status: act.NegStatus, body: act.NegBody, mime: act.NegMIME}
+		if x.resp.status == 0 {
+			x.resp.status = http.StatusNotFound
+		}
+		if x.resp.mime == "" {
+			x.resp.mime = jsonMIME
+		}
+		return true
+	}
+	if act.CollapseKey != "" {
+		x.key = act.CollapseKey
+	}
+	return false
+}
+
+// lookup reads the cache once. A GET is answered from a fresh entry; a
+// HEAD always revalidates at the origin and only looks, so that it too
+// has a copy to fall back on. Other methods never touch the cache.
+func (e *HTTPEdge) lookup(x *exchange) bool {
+	use := Demand
+	switch x.r.Method {
+	case http.MethodGet:
+	case http.MethodHead:
+		use = Probe
+	default:
+		return false
+	}
+	got := e.Cache.Read(x.key, x.now, use)
+	x.held, _ = got.Payload.(*cached)
+	if use == Probe || got.State != Fresh || x.held == nil {
+		return false
+	}
+	x.resp = x.held.response(hit)
+	return true
+}
+
+// shed refuses, while the origin path is degraded, the machine-class
+// requests that would need the origin.
+func (e *HTTPEdge) shed(x *exchange) bool {
+	if e.Degraded == nil || !e.Degraded() || ClassifyRequest(x.r) != sched.ClassMachine {
+		return false
+	}
+	x.resp = shedResponse
+	return true
+}
+
+// fetch asks the origin. A failure is answered here: from the held copy
+// when ServeStale allows, else with the error.
+func (e *HTTPEdge) fetch(x *exchange) bool {
+	var fetchStart time.Time
 	if e.Obs != nil {
-		e.Obs.requests(r.Method).Inc()
+		// Origin latency is real wall time even when e.Now is a test
+		// clock: Now models the cache's notion of time, not elapsed
+		// fetch cost.
+		fetchStart = time.Now()
 	}
-	if !serveFromCache {
-		// Load-shed while the origin path is degraded: machine-class
-		// requests that would need the origin get a 503 immediately.
-		if e.Degraded != nil && e.Degraded() {
-			if class := e.classify(r); class == sched.ClassMachine {
-				if e.Obs != nil {
-					e.Obs.shed(class).Inc()
-				}
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set("Retry-After", "1")
-				w.WriteHeader(http.StatusServiceUnavailable)
-				shedBody := []byte(`{"error":"shedding load"}`)
-				if r.Method != http.MethodHead {
-					w.Write(shedBody)
-				}
-				if e.Log != nil {
-					e.logRequest(r, reqURL, now, "application/json", http.StatusServiceUnavailable, int64(len(shedBody)), logfmt.CacheUncacheable)
-				}
-				reqSp.SetAttrs(obs.Int("status", http.StatusServiceUnavailable), obs.String("cache", "shed"))
-				reqSp.End()
-				e.recordOutcome(now, r, logfmt.CacheUncacheable, http.StatusServiceUnavailable)
-				return
-			}
-		}
-		var fetchStart time.Time
-		if e.Obs != nil {
-			// Origin latency is real wall time even when e.Now is a test
-			// clock: Now models the cache's notion of time, not elapsed
-			// fetch cost.
-			fetchStart = time.Now()
-		}
-		fsp := reqSp.Child("origin fetch")
-		// The query string travels to the origin: query-varying objects
-		// (conversion parameters, API arguments) are distinct resources,
-		// which is exactly what cache-busting storms exploit.
-		fetchPath := r.URL.Path
-		if r.URL.RawQuery != "" {
-			fetchPath += "?" + r.URL.RawQuery
-		}
-		b, m, cacheable, err := e.Origin.Fetch(fetchPath)
-		fsp.AddBytes(int64(len(b)))
+	fsp := x.reqSp.Child("origin fetch")
+	// The query string travels to the origin: query-varying objects
+	// (conversion parameters, API arguments) are distinct resources,
+	// which is exactly what cache-busting storms exploit.
+	path := x.r.URL.Path
+	if x.r.URL.RawQuery != "" {
+		path += "?" + x.r.URL.RawQuery
+	}
+	body, mime, cacheable, err := e.Origin.Fetch(path)
+	fsp.AddBytes(int64(len(body)))
+	if err != nil {
+		fsp.SetAttrs(obs.Bool("error", true))
+	}
+	fsp.End()
+	if e.Obs != nil {
+		e.Obs.OriginFetch.Observe(time.Since(fetchStart).Seconds())
 		if err != nil {
-			fsp.SetAttrs(obs.Bool("error", true))
+			e.Obs.OriginErrors.Inc()
 		}
-		fsp.End()
-		if e.Obs != nil {
-			e.Obs.OriginFetch.Observe(time.Since(fetchStart).Seconds())
-			if err != nil {
-				e.Obs.OriginErrors.Inc()
-			}
-		}
-		if err != nil {
-			// Serve-stale degradation: a retained copy beats an error.
-			if e.ServeStale && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
-				if sb, ok := e.loadBody(key); ok {
-					body, mime, etag, cacheStatus = sb.body, sb.mime, sb.etag, logfmt.CacheHit
-					stale = true
-					if e.Obs != nil {
-						e.Obs.StaleServes.Inc()
-					}
-					w.Header().Set("Age", strconv.Itoa(int(now.Sub(sb.storedAt)/time.Second)))
-					w.Header().Set("Warning", `110 - "Response is Stale"`)
-				}
-			}
-			if !stale {
-				if isTemporary(err) {
-					status = http.StatusServiceUnavailable
-					b, m = []byte(`{"error":"origin unavailable"}`), "application/json"
-				} else {
-					status = http.StatusNotFound
-					b, m = []byte(`{"error":"not found"}`), "application/json"
-				}
-				cacheable = false
-				body, mime, etag = b, m, etagFor(b)
-			}
-		} else {
-			body, mime, etag = b, m, etagFor(b)
-			switch {
-			case !cacheable || r.Method != http.MethodGet:
-				cacheStatus = logfmt.CacheUncacheable
-			default:
-				cacheStatus = logfmt.CacheMiss
-				e.Cache.Insert(key, int64(len(body)), now, false)
-				e.storeBody(key, body, mime, etag, now)
+	}
+	switch {
+	case err == nil:
+		x.fetched = &cached{body: body, mime: mime, etag: etagFor(body), storedAt: x.now}
+		x.storable = cacheable && x.r.Method == http.MethodGet
+		return false
+	case e.ServeStale && x.held != nil:
+		x.resp = x.held.response(stale)
+		x.resp.age = x.now.Sub(x.held.storedAt)
+	case isTemporary(err):
+		x.resp = unavailableResponse
+	default:
+		x.resp = notFoundResponse
+	}
+	return true
+}
+
+// store answers with what fetch brought back, keeping it when storable.
+func (e *HTTPEdge) store(x *exchange) bool {
+	x.resp = x.fetched.response(uncacheable)
+	if x.storable {
+		x.resp.disp = miss
+		e.Cache.Store(x.key, int64(len(x.fetched.body)), x.now, x.fetched)
+	}
+	return true
+}
+
+// notModified evaluates If-None-Match against the response's validator
+// (RFC 7232 §3.2): on GET and HEAD only, over every listed entity-tag
+// with the weak comparison, "*" matching any current representation.
+func notModified(r *http.Request, etag string) bool {
+	if etag == "" || (r.Method != http.MethodGet && r.Method != http.MethodHead) {
+		return false
+	}
+	for _, list := range r.Header.Values("If-None-Match") {
+		for list != "" {
+			var tag string
+			tag, list, _ = strings.Cut(list, ",")
+			tag = strings.TrimSpace(tag)
+			if tag == "*" || strings.TrimPrefix(tag, "W/") == etag {
+				return true
 			}
 		}
 	}
+	return false
+}
 
-	// Conditional requests: a matching If-None-Match short-circuits the
-	// body with 304, the validation flow real CDN edges serve for
-	// revalidating clients.
-	if status == http.StatusOK && r.Header.Get("If-None-Match") == etag {
-		w.Header().Set("ETag", etag)
-		w.Header().Set("X-Cache", cacheLabel(cacheStatus, stale))
-		w.WriteHeader(http.StatusNotModified)
-		if e.Obs != nil {
-			e.Obs.NotModified.Inc()
-		}
-		if e.Log != nil {
-			e.logRequest(r, reqURL, now, mime, http.StatusNotModified, 0, cacheStatus)
-		}
-		reqSp.SetAttrs(obs.Int("status", http.StatusNotModified), obs.String("cache", cacheLabel(cacheStatus, stale)))
-		reqSp.End()
-		e.recordOutcome(now, r, cacheStatus, http.StatusNotModified)
-		return
+// respond is the only exit: it writes the headers, status and body,
+// emits the log record, closes the request span, counts the request and
+// tells the defense how an admitted request ended.
+func (e *HTTPEdge) respond(w http.ResponseWriter, x *exchange) {
+	r, resp, disp := x.r, &x.resp, &dispositions[x.resp.disp]
+	status, body := resp.status, resp.body
+	h := w.Header()
+	if resp.etag != "" {
+		h.Set("ETag", resp.etag)
 	}
-
-	w.Header().Set("Content-Type", mime)
-	w.Header().Set("ETag", etag)
-	w.Header().Set("X-Cache", cacheLabel(cacheStatus, stale))
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if disp.xCache != "" {
+		h.Set("X-Cache", disp.xCache)
+	}
+	if resp.disp == stale {
+		h.Set("Age", strconv.Itoa(int(resp.age/time.Second)))
+		h.Set("Warning", `110 - "Response is Stale"`)
+	}
+	if resp.retryAfter > 0 {
+		h.Set("Retry-After", strconv.Itoa(resp.retryAfter))
+	}
+	// Conditional requests: a matching validator short-circuits the body
+	// with 304, the flow real CDN edges serve for revalidating clients.
+	if status == http.StatusOK && notModified(r, resp.etag) {
+		status, body = http.StatusNotModified, nil
+	} else {
+		h.Set("Content-Type", resp.mime)
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
+	if r.Method == http.MethodHead {
+		body = nil
+	}
 	w.WriteHeader(status)
-	if r.Method != http.MethodHead {
+	if len(body) > 0 {
 		w.Write(body)
-		if e.Obs != nil {
-			e.Obs.BytesServed.Add(int64(len(body)))
-		}
 	}
+	written := int64(len(body))
 
 	if e.Log != nil {
-		e.logRequest(r, reqURL, now, mime, status, int64(len(body)), cacheStatus)
+		e.Log(&logfmt.Record{
+			Time:      x.now,
+			ClientID:  logfmt.HashClientIP(ClientHost(r.RemoteAddr)),
+			Method:    r.Method,
+			URL:       x.url,
+			UserAgent: r.UserAgent(),
+			MIMEType:  resp.mime,
+			Status:    status,
+			Bytes:     written,
+			Cache:     disp.logged,
+		})
 	}
-	reqSp.AddBytes(int64(len(body)))
-	reqSp.SetAttrs(obs.Int("status", status), obs.String("cache", cacheLabel(cacheStatus, stale)))
-	reqSp.End()
-	e.recordOutcome(now, r, cacheStatus, status)
-}
-
-// recordOutcome feeds an admitted request's result back to the defense.
-func (e *HTTPEdge) recordOutcome(now time.Time, r *http.Request, cache logfmt.CacheStatus, status int) {
-	if e.Defend != nil {
-		e.Defend.RecordOutcome(now, r, cache, status)
+	x.reqSp.AddBytes(written)
+	x.reqSp.SetAttrs(obs.Int("status", status), obs.String("cache", disp.span))
+	x.reqSp.End()
+	if o := e.Obs; o != nil {
+		o.requests(r.Method).Inc()
+		o.BytesServed.Add(written)
+		if status == http.StatusNotModified {
+			o.NotModified.Inc()
+		}
+		switch resp.disp {
+		case stale:
+			o.StaleServes.Inc()
+		case shedded:
+			o.ShedMachine.Inc()
+		}
 	}
-}
-
-// cacheLabel renders the X-Cache header value.
-func cacheLabel(s logfmt.CacheStatus, stale bool) string {
-	if stale {
-		return "STALE"
-	}
-	switch s {
-	case logfmt.CacheHit:
-		return "HIT"
-	case logfmt.CacheMiss:
-		return "MISS"
-	default:
-		return "UNCACHEABLE"
+	if e.Defend != nil && disp.admitted {
+		e.Defend.RecordOutcome(x.now, r, disp.logged, status)
 	}
 }
 
@@ -439,22 +450,6 @@ func ClientHost(remoteAddr string) string {
 		return remoteAddr
 	}
 	return host
-}
-
-// logRequest emits the record of one request; url is the full URL as
-// requested, before any cache-key collapse.
-func (e *HTTPEdge) logRequest(r *http.Request, url string, now time.Time, mime string, status int, size int64, cache logfmt.CacheStatus) {
-	e.Log(&logfmt.Record{
-		Time:      now,
-		ClientID:  logfmt.HashClientIP(ClientHost(r.RemoteAddr)),
-		Method:    r.Method,
-		URL:       url,
-		UserAgent: r.UserAgent(),
-		MIMEType:  mime,
-		Status:    status,
-		Bytes:     size,
-		Cache:     cache,
-	})
 }
 
 // etagFor derives a strong validator from the body.

@@ -63,14 +63,6 @@ func NewInstrumentation(reg *obs.Registry) *Instrumentation {
 	}
 }
 
-// shed returns the shed counter for one request class.
-func (in *Instrumentation) shed(class sched.Class) *obs.Counter {
-	if class == sched.ClassMachine {
-		return in.ShedMachine
-	}
-	return in.ShedHuman
-}
-
 // requests returns the counter for one request method.
 func (in *Instrumentation) requests(method string) *obs.Counter {
 	switch method {
@@ -100,19 +92,19 @@ func (e *HTTPEdge) Instrument(reg *obs.Registry) *Instrumentation {
 // RegisterCacheMetrics registers pull-style metrics for c in reg under
 // the optional fixed label pairs: edge_cache_{hits,misses,evictions,
 // expired,prefetched_hits}_total counters plus edge_cache_entries and
-// edge_cache_bytes gauges. Values are read via MetricsSnapshot at
+// edge_cache_bytes gauges. Values are read via Metrics at
 // scrape time, so the counters stay exact without adding any cost to
 // the cache's hot path. Panics if the same name and label set is
 // already registered (register each cache once).
 func RegisterCacheMetrics(reg *obs.Registry, c *Cache, labels ...string) {
 	reg.Help("edge_cache_hits_total", "Cache lookups served from cache.")
 	reg.Help("edge_cache_misses_total", "Cache lookups that missed (including expiries).")
-	reg.CounterFunc("edge_cache_hits_total", func() int64 { return c.MetricsSnapshot().Hits }, labels...)
-	reg.CounterFunc("edge_cache_misses_total", func() int64 { return c.MetricsSnapshot().Misses }, labels...)
-	reg.CounterFunc("edge_cache_evictions_total", func() int64 { return c.MetricsSnapshot().Evictions }, labels...)
-	reg.CounterFunc("edge_cache_expired_total", func() int64 { return c.MetricsSnapshot().Expired }, labels...)
-	reg.CounterFunc("edge_cache_prefetched_hits_total", func() int64 { return c.MetricsSnapshot().PrefetchedHits }, labels...)
-	reg.CounterFunc("edge_cache_stale_serves_total", func() int64 { return c.MetricsSnapshot().StaleServes }, labels...)
+	reg.CounterFunc("edge_cache_hits_total", func() int64 { return c.Metrics().Hits }, labels...)
+	reg.CounterFunc("edge_cache_misses_total", func() int64 { return c.Metrics().Misses }, labels...)
+	reg.CounterFunc("edge_cache_evictions_total", func() int64 { return c.Metrics().Evictions }, labels...)
+	reg.CounterFunc("edge_cache_expired_total", func() int64 { return c.Metrics().Expired }, labels...)
+	reg.CounterFunc("edge_cache_prefetched_hits_total", func() int64 { return c.Metrics().PrefetchedHits }, labels...)
+	reg.CounterFunc("edge_cache_stale_serves_total", func() int64 { return c.Metrics().StaleServes }, labels...)
 	reg.GaugeFunc("edge_cache_entries", func() float64 { return float64(c.Len()) }, labels...)
 	reg.GaugeFunc("edge_cache_bytes", func() float64 { return float64(c.Bytes()) }, labels...)
 }

@@ -77,8 +77,8 @@ func TestHTTPEdgeInstrumented(t *testing.T) {
 		{"bytes_served", in.BytesServed.Value(), wantBytes},
 		{"origin_fetches", in.OriginFetch.Count(), 4}, // steps 1, 3, 4, 5
 		{"origin_errors", in.OriginErrors.Value(), 1},
-		{"cache hits", e.Cache.MetricsSnapshot().Hits, 2},     // steps 2, 6
-		{"cache misses", e.Cache.MetricsSnapshot().Misses, 2}, // steps 1, 3
+		{"cache hits", e.Cache.Metrics().Hits, 2},     // steps 2, 6
+		{"cache misses", e.Cache.Metrics().Misses, 2}, // steps 1, 3
 	}
 	for _, c := range checks {
 		if c.got != c.want {
@@ -149,7 +149,7 @@ func TestHTTPEdgeInstrumentedConcurrent(t *testing.T) {
 	if got := e.Obs.GETRequests.Value(); got != clients*perClient {
 		t.Errorf("requests{get} = %d, want %d", got, clients*perClient)
 	}
-	m := e.Cache.MetricsSnapshot()
+	m := e.Cache.Metrics()
 	if m.Hits+m.Misses != clients*perClient {
 		t.Errorf("cache lookups = %d, want %d", m.Hits+m.Misses, clients*perClient)
 	}

@@ -142,6 +142,9 @@ type ReplayResult struct {
 	Cacheable   int64
 	Uncacheable int64
 	Hits        int64
+	// PrefetchedHits counts the hits served from entries a prefetcher
+	// inserted (see internal/prefetch).
+	PrefetchedHits int64
 	// OriginBytes is the traffic fetched from origin (misses and
 	// uncacheable tunnels).
 	OriginBytes int64
@@ -198,25 +201,24 @@ func (p *Pool) Replay(r *logfmt.Record, res *ReplayResult) {
 		return
 	}
 	res.Cacheable++
+	use := Demand
 	if !up {
-		// Origin down: anything in cache — live or stale — serves;
-		// everything else fails.
-		hit, stale := srv.Cache.LookupWithStale(r.URL, r.Time)
-		switch {
-		case hit:
-			res.Hits++
-			res.ServedBytes += r.Bytes
-		case stale:
-			res.StaleServes++
-			res.ServedBytes += r.Bytes
-		default:
-			res.Failed++
-		}
-		return
+		use = Outage
 	}
-	if srv.Cache.Lookup(r.URL, r.Time) {
+	switch got := srv.Cache.Read(r.URL, r.Time, use); {
+	case got.State == Fresh:
 		res.Hits++
+		if got.Prefetched {
+			res.PrefetchedHits++
+		}
 		res.ServedBytes += r.Bytes
+		return
+	case !up && got.State == Expired:
+		res.StaleServes++
+		res.ServedBytes += r.Bytes
+		return
+	case !up:
+		res.Failed++
 		return
 	}
 	res.OriginBytes += r.Bytes

@@ -14,7 +14,8 @@ import (
 // seeded stream internal/edge's TestReplayCharacterisation replays (its
 // JSON records, as the prefetch exhibit filters them), on caches small
 // enough to evict. The constants were taken while Simulator kept its own
-// copy of Pool.Replay and diffed Cache.Metrics() per record; they are
+// copy of Pool.Replay and diffed Cache.Metrics() per record (PrefetchedHits
+// was then a field of Result, not of the embedded ReplayResult); they are
 // what "same numbers" means for any later change to either package.
 func TestCompareCharacterisation(t *testing.T) {
 	cfg := synth.LongTermConfig(15, 0.001)
@@ -52,8 +53,8 @@ func TestCompareCharacterisation(t *testing.T) {
 		OriginBytes: 42005825, ServedBytes: 55877290}
 	untimed := Result{
 		ReplayResult: edge.ReplayResult{Requests: 13218, Cacheable: 9675, Uncacheable: 3543, Hits: 7802,
-			OriginBytes: 18885670, ServedBytes: 55877290},
-		PrefetchesIssued: 6887, PrefetchedBytes: 30325917, PrefetchedHits: 6832,
+			OriginBytes: 18885670, ServedBytes: 55877290, PrefetchedHits: 6832},
+		PrefetchesIssued: 6887, PrefetchedBytes: 30325917,
 	}
 	if got, want := Compare(tm.Model, pc, replay), (Comparison{Baseline: baseline, Prefetch: untimed}); got != want {
 		t.Errorf("Compare\n got %+v\nwant %+v", got, want)
@@ -63,8 +64,8 @@ func TestCompareCharacterisation(t *testing.T) {
 		Untimed:  untimed,
 		Timed: Result{
 			ReplayResult: edge.ReplayResult{Requests: 13218, Cacheable: 9675, Uncacheable: 3543, Hits: 7779,
-				OriginBytes: 18968574, ServedBytes: 55877290},
-			PrefetchesIssued: 6806, PrefetchedBytes: 29917875, PrefetchedHits: 6802,
+				OriginBytes: 18968574, ServedBytes: 55877290, PrefetchedHits: 6802},
+			PrefetchesIssued: 6806, PrefetchedBytes: 29917875,
 		},
 		Skipped: 242,
 	}

@@ -69,12 +69,11 @@ func (c *Config) sanitize() {
 // Result reports one simulation run.
 type Result struct {
 	edge.ReplayResult
-	// PrefetchesIssued counts speculative inserts; PrefetchedBytes their
-	// estimated origin traffic; PrefetchedHits the hits served from
-	// prefetched entries.
+	// PrefetchesIssued counts speculative inserts and PrefetchedBytes
+	// their estimated origin traffic; the hits they served are the
+	// embedded ReplayResult's PrefetchedHits.
 	PrefetchesIssued int64
 	PrefetchedBytes  int64
-	PrefetchedHits   int64
 }
 
 // WasteRatio estimates the share of prefetches that never served a hit.
@@ -124,52 +123,36 @@ func (s *Simulator) Pool() *edge.Pool { return s.pool }
 // origin fetches (an upper bound on the benefit; the paper frames it the
 // same way).
 func (s *Simulator) Observe(r *logfmt.Record) {
-	url := logfmt.CanonicalURL(r.URL)
-	s.replay(r, url)
+	s.observe(r, func(h []string) {
+		for _, pred := range s.model.PredictTopK(h, s.cfg.K) {
+			s.prefetch(pred, r.Time)
+		}
+	})
+}
+
+// observe replays r through the pool under its canonical URL, advances
+// the client's history, and hands the history to predict, which issues
+// whatever prefetches it decides on.
+func (s *Simulator) observe(r *logfmt.Record, predict func(history []string)) {
+	rr := *r
+	rr.URL = logfmt.CanonicalURL(r.URL)
+	s.pool.Replay(&rr, &s.res.ReplayResult)
 	if r.Bytes > 0 {
-		s.sizes[url] = r.Bytes
+		s.sizes[rr.URL] = r.Bytes
 	}
 	key := flows.ClientKeyFor(r)
-	h := append(s.history[key], url)
+	h := append(s.history[key], rr.URL)
 	if len(h) > s.cfg.HistoryLen {
 		h = h[len(h)-s.cfg.HistoryLen:]
 	}
 	s.history[key] = h
-
-	for _, pred := range s.model.PredictTopK(h, s.cfg.K) {
-		s.prefetch(pred, r.Time)
-	}
-}
-
-// replay mirrors edge.Pool.Replay but counts prefetched hits.
-func (s *Simulator) replay(r *logfmt.Record, url string) {
-	res := &s.res
-	res.Requests++
-	res.ServedBytes += r.Bytes
-	srv := s.pool.Route(url)
-	srv.Requests.Add(1)
-	if r.Cache == logfmt.CacheUncacheable || r.Method != "GET" {
-		res.Uncacheable++
-		res.OriginBytes += r.Bytes
-		return
-	}
-	res.Cacheable++
-	before := srv.Cache.Metrics().PrefetchedHits
-	if srv.Cache.Lookup(url, r.Time) {
-		res.Hits++
-		if srv.Cache.Metrics().PrefetchedHits > before {
-			res.PrefetchedHits++
-		}
-		return
-	}
-	res.OriginBytes += r.Bytes
-	srv.Cache.Insert(url, r.Bytes, r.Time, false)
+	predict(h)
 }
 
 func (s *Simulator) prefetch(url string, now time.Time) {
 	srv := s.pool.Route(url)
-	if srv.Cache.Peek(url, now) {
-		return
+	if srv.Cache.Read(url, now, edge.Probe).State == edge.Fresh {
+		return // already there: no duplicate speculative insert
 	}
 	size, ok := s.sizes[url]
 	if !ok {

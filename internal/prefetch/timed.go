@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/flows"
 	"repro/internal/logfmt"
 	"repro/internal/ngram"
 )
@@ -41,26 +40,15 @@ func NewTimedSimulator(tm *ngram.TimedModel, cfg Config) *TimedSimulator {
 // Observe replays one record, prefetching only predictions expected to
 // arrive within MaxGap.
 func (ts *TimedSimulator) Observe(r *logfmt.Record) {
-	s := ts.sim
-	url := logfmt.CanonicalURL(r.URL)
-	s.replay(r, url)
-	if r.Bytes > 0 {
-		s.sizes[url] = r.Bytes
-	}
-	key := flows.ClientKeyFor(r)
-	h := append(s.history[key], url)
-	if len(h) > s.cfg.HistoryLen {
-		h = h[len(h)-s.cfg.HistoryLen:]
-	}
-	s.history[key] = h
-
-	for _, pred := range ts.tm.PredictTimed(h, s.cfg.K) {
-		if ts.MaxGap > 0 && pred.Gap > ts.MaxGap {
-			ts.Skipped++
-			continue
+	ts.sim.observe(r, func(h []string) {
+		for _, pred := range ts.tm.PredictTimed(h, ts.sim.cfg.K) {
+			if ts.MaxGap > 0 && pred.Gap > ts.MaxGap {
+				ts.Skipped++
+				continue
+			}
+			ts.sim.prefetch(pred.URL, r.Time)
 		}
-		s.prefetch(pred.URL, r.Time)
-	}
+	})
 }
 
 // Result returns the accumulated simulation result.
