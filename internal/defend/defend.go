@@ -27,6 +27,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -271,9 +272,11 @@ func (d *Defender) clientKey(r *http.Request) flows.ClientKey {
 	}
 }
 
-// baseKeyFor is the query-stripped cache key of a request's object.
+// baseKeyFor is the query-stripped cache key of a request's object: what
+// a collapsed storm's variants share.
 func baseKeyFor(r *http.Request) string {
-	return "http://" + r.Host + r.URL.Path
+	base, _, _ := strings.Cut(edge.CacheKey(r), "?")
+	return base
 }
 
 // evictDown shrinks m to at most target entries in three passes of

@@ -290,3 +290,25 @@ func etagOf(path string) string {
 	body, _, _, _ := (&WildcardOrigin{}).Fetch(path)
 	return etagFor(body)
 }
+
+// TestCacheKeyRequestForms: an origin-form request line ("GET /a?x=1",
+// what sockets deliver) and an absolute-form one ("GET http://host/a?x=1",
+// what httptest.NewRequest builds from a URL) for one object share one
+// cache entry and log one URL.
+func TestCacheKeyRequestForms(t *testing.T) {
+	h := newHarness(t, 1<<20)
+	const path, want = "/v1/offer/7?x=1", "http://" + conformanceHost + "/v1/offer/7?x=1"
+
+	first := h.do("GET", path, "")
+	second := h.serve(httptest.NewRequest("GET", want, nil))
+	if first.xCache != "MISS" || second.xCache != "HIT" || second.fetches != 0 {
+		t.Errorf("origin-form then absolute-form = %s then %s (%d fetches), want MISS then HIT",
+			first.xCache, second.xCache, second.fetches)
+	}
+	if first.loggedURL != want || second.loggedURL != want {
+		t.Errorf("logged URLs %q and %q, want %q twice", first.loggedURL, second.loggedURL, want)
+	}
+	if host := (&logfmt.Record{URL: second.loggedURL}).Host(); host != conformanceHost {
+		t.Errorf("logged record's Host() = %q, want %q", host, conformanceHost)
+	}
+}

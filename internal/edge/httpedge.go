@@ -98,9 +98,11 @@ func (e *HTTPEdge) now() time.Time {
 // its log record carries. It is the only place a request becomes a key:
 // HTTPEdge and internal/defend both call it, so the negative cache, the
 // collapse rewrite and the edge cache cannot disagree about which
-// requests are the same object.
+// requests are the same object. RequestURI, not String: an absolute-form
+// request line ("GET http://host/a") carries the authority in r.URL too,
+// and must key like the origin-form request for the same object.
 func CacheKey(r *http.Request) string {
-	return "http://" + r.Host + r.URL.String()
+	return "http://" + r.Host + r.URL.RequestURI()
 }
 
 // ClassifyRequest is the shed classifier, reusing the scheduler's
