@@ -272,10 +272,10 @@ func (d *Defender) clientKey(r *http.Request) flows.ClientKey {
 	}
 }
 
-// baseKeyFor is the query-stripped cache key of a request's object: what
-// a collapsed storm's variants share.
-func baseKeyFor(r *http.Request) string {
-	base, _, _ := strings.Cut(edge.CacheKey(r), "?")
+// baseOf strips the query from a cache key, leaving the key of the base
+// object: what a collapsed storm's variants share.
+func baseOf(key string) string {
+	base, _, _ := strings.Cut(key, "?")
 	return base
 }
 
@@ -412,7 +412,8 @@ func (d *Defender) Admit(now time.Time, r *http.Request) edge.DefenseAction {
 	}
 
 	// Negative cache: remembered failures answered at the edge.
-	if got := d.neg.Read(edge.CacheKey(r), now, edge.Demand); got.State == edge.Fresh {
+	full := edge.CacheKey(r)
+	if got := d.neg.Read(full, now, edge.Demand); got.State == edge.Fresh {
 		if d.obs != nil {
 			d.obs.NegativeHits.Inc()
 		}
@@ -421,11 +422,12 @@ func (d *Defender) Admit(now time.Time, r *http.Request) edge.DefenseAction {
 
 	// Cache-key collapse for bases under a query storm.
 	if r.URL.RawQuery != "" {
-		if b, ok := d.bases[baseKeyFor(r)]; ok && now.Before(b.collapsedTo) {
+		base := baseOf(full)
+		if b, ok := d.bases[base]; ok && now.Before(b.collapsedTo) {
 			if d.obs != nil {
 				d.obs.Collapsed.Inc()
 			}
-			return edge.DefenseAction{CollapseKey: baseKeyFor(r)}
+			return edge.DefenseAction{CollapseKey: base}
 		}
 	}
 	return edge.DefenseAction{}
@@ -444,7 +446,7 @@ func (d *Defender) RecordOutcome(now time.Time, r *http.Request, cache logfmt.Ca
 	// amplification signature. Hits are excluded — a warmed popular
 	// object with a stable query is not a storm.
 	if r.Method == http.MethodGet && r.URL.RawQuery != "" && cache != logfmt.CacheHit {
-		b := d.base(baseKeyFor(r), now)
+		b := d.base(baseOf(edge.CacheKey(r)), now)
 		if b.variantFrom.IsZero() || now.Sub(b.variantFrom) > d.cfg.BustWindow {
 			b.variants, b.variantFrom = 0, now
 		}

@@ -123,17 +123,15 @@ func (s *Simulator) Pool() *edge.Pool { return s.pool }
 // origin fetches (an upper bound on the benefit; the paper frames it the
 // same way).
 func (s *Simulator) Observe(r *logfmt.Record) {
-	s.observe(r, func(h []string) {
-		for _, pred := range s.model.PredictTopK(h, s.cfg.K) {
-			s.prefetch(pred, r.Time)
-		}
-	})
+	for _, pred := range s.model.PredictTopK(s.observe(r), s.cfg.K) {
+		s.prefetch(pred, r.Time)
+	}
 }
 
-// observe replays r through the pool under its canonical URL, advances
-// the client's history, and hands the history to predict, which issues
-// whatever prefetches it decides on.
-func (s *Simulator) observe(r *logfmt.Record, predict func(history []string)) {
+// observe replays r through the pool under its canonical URL and returns
+// the client's history with it appended — what the next prediction is
+// made from.
+func (s *Simulator) observe(r *logfmt.Record) (history []string) {
 	rr := *r
 	rr.URL = logfmt.CanonicalURL(r.URL)
 	s.pool.Replay(&rr, &s.res.ReplayResult)
@@ -146,7 +144,7 @@ func (s *Simulator) observe(r *logfmt.Record, predict func(history []string)) {
 		h = h[len(h)-s.cfg.HistoryLen:]
 	}
 	s.history[key] = h
-	predict(h)
+	return h
 }
 
 func (s *Simulator) prefetch(url string, now time.Time) {

@@ -40,15 +40,13 @@ func NewTimedSimulator(tm *ngram.TimedModel, cfg Config) *TimedSimulator {
 // Observe replays one record, prefetching only predictions expected to
 // arrive within MaxGap.
 func (ts *TimedSimulator) Observe(r *logfmt.Record) {
-	ts.sim.observe(r, func(h []string) {
-		for _, pred := range ts.tm.PredictTimed(h, ts.sim.cfg.K) {
-			if ts.MaxGap > 0 && pred.Gap > ts.MaxGap {
-				ts.Skipped++
-				continue
-			}
-			ts.sim.prefetch(pred.URL, r.Time)
+	for _, pred := range ts.tm.PredictTimed(ts.sim.observe(r), ts.sim.cfg.K) {
+		if ts.MaxGap > 0 && pred.Gap > ts.MaxGap {
+			ts.Skipped++
+			continue
 		}
-	})
+		ts.sim.prefetch(pred.URL, r.Time)
+	}
 }
 
 // Result returns the accumulated simulation result.
