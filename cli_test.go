@@ -1,6 +1,7 @@
 package cdnjson
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestCLIPipeline builds every command and drives the full workflow a
@@ -77,6 +80,54 @@ func TestCLIPipeline(t *testing.T) {
 	char2 := run("jsonchar", "-i", tsv)
 	if !strings.Contains(char2, "Traffic source") {
 		t.Errorf("converted file unreadable:\n%.300s", char2)
+	}
+}
+
+// TestJSONReproSmoke builds cmd/jsonrepro and runs a two-exhibit subset:
+// both sections print under their table titles and the run manifest's
+// step ledger holds exactly those two, completed.
+func TestJSONReproSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("jsonrepro smoke test builds a binary; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "jsonrepro")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/jsonrepro").CombinedOutput(); err != nil {
+		t.Fatalf("building jsonrepro: %v\n%s", err, out)
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(bin, "-only", "fig1,table2", "-j", "1", "-scale", "0.0002", "-manifest-dir", dir)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("jsonrepro: %v\n%s\n%s", err, out, stderr.String())
+	}
+	titles := []string{"Figure 1", "Table 2"}
+	for _, title := range titles {
+		if !strings.Contains(string(out), "\n== "+title+" ==\n") {
+			t.Errorf("output has no %q section:\n%s", title, out)
+		}
+	}
+
+	files, _ := filepath.Glob(filepath.Join(dir, "run-*.json"))
+	if len(files) != 1 {
+		t.Fatalf("manifests in %s = %v, want one", dir, files)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man obs.Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.Outcome != "completed" || len(man.Steps) != len(titles) {
+		t.Fatalf("manifest outcome %q with steps %+v, want completed with %v", man.Outcome, man.Steps, titles)
+	}
+	for i, st := range man.Steps {
+		if st.Name != titles[i] || st.Status != "completed" {
+			t.Errorf("manifest step %d = %+v, want %q completed", i, st, titles[i])
+		}
 	}
 }
 

@@ -12,7 +12,7 @@
 //	jsonrepro -scale 0.01 -x 100      # bigger datasets, paper's x
 //	jsonrepro -only fig5,table3
 //	jsonrepro -records logs.cdnc      # analyze a captured log instead of synth
-//	jsonrepro -j 1                    # force the sequential scheduler
+//	jsonrepro -j 1                    # one worker
 //	jsonrepro -shards 8               # shard dataset generation 8 ways
 //	jsonrepro -trace                  # per-stage span table after the run
 //	jsonrepro -trace-out t.json       # Chrome trace (about:tracing/Perfetto)
@@ -42,6 +42,7 @@ import (
 )
 
 func main() {
+	fullKeys, namedKeys := experiments.Keys()
 	var (
 		seed        = flag.Uint64("seed", 42, "seed for all datasets and permutations")
 		scale       = flag.Float64("scale", 0.002, "scale of the Table 2 presets")
@@ -51,10 +52,10 @@ func main() {
 		bin         = flag.Duration("bin", 2*time.Second, "periodicity sampling interval")
 		faultRate   = flag.Float64("fault-rate", 0.05, "steady-state origin error rate of the resilience experiment")
 		faultSeed   = flag.Uint64("fault-seed", 0, "seed for fault injection and backoff jitter (0 derives it from -seed)")
-		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "RunAll step parallelism: 1 runs the exhibits sequentially; N > 1 runs independent steps on N workers (output stays byte-identical)")
+		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "worker count for dataset generation and the exhibit steps (output is byte-identical at every count)")
 		shards      = flag.Int("shards", 1, "synth generation shards: 1 reproduces the historical streams; N > 1 generates on N goroutines (deterministic per seed+shards, different stream)")
 		records     = flag.String("records", "", "load the §4 short-term dataset from this log file (.tsv/.jsonl/.cdnb[.gz]/.cdnc, container detected by magic) instead of synthesizing it")
-		only        = flag.String("only", "", "comma-separated subset: fig1,table2,fig3,fig4,fig5,fig6,table3,prefetch,deprioritize,anomaly,regional,resilience,adversarial,fleetchaos (fleetchaos is live-HTTP and excluded from full runs)")
+		only        = flag.String("only", "", "comma-separated subset, run in paper order: "+strings.Join(fullKeys, ",")+"; never part of a full run, only when named here: "+strings.Join(namedKeys, ","))
 		csvDir      = flag.String("csv", "", "also export each exhibit's data series as CSV into this directory (full runs only)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /readyz, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")
 		trace       = flag.Bool("trace", false, "print a per-stage span table (wall time, records, records/sec) after the run")
@@ -171,76 +172,34 @@ func main() {
 	logger.Info("run starting", "jobs", *jobs, "shards", *shards, "scale", *scale)
 	start := time.Now()
 
-	interrupted := false
-	var report *experiments.Report
-	if *only == "" {
-		rep, err := r.RunAllContext(ctx, os.Stdout)
-		report = rep
-		switch {
-		case errors.Is(err, context.Canceled):
-			interrupted = true
-			logger.Warn("interrupted: partial report",
-				"completed", rep.Completed(), "steps", len(rep.Steps))
-			fmt.Printf("\n== Interrupted: partial report (%d/%d steps) ==\n",
-				rep.Completed(), len(rep.Steps))
-			rep.WriteStepSummary(os.Stdout)
-		case err != nil:
-			finishProfiles(stopProfiles, logger)
-			fail(err)
-		}
-		if *csvDir != "" && !interrupted {
-			if err := experiments.WriteCSV(*csvDir, rep); err != nil {
-				fail(err)
-			}
-			logger.Info("CSV series written", "dir", *csvDir)
+	// One path for full runs and -only subsets: the step table decides
+	// what a key means, the scheduler runs it.
+	var keys []string
+	if *only != "" {
+		for _, k := range strings.Split(*only, ",") {
+			keys = append(keys, strings.ToLower(strings.TrimSpace(k)))
 		}
 	} else {
-		for _, name := range strings.Split(*only, ",") {
-			if ctx.Err() != nil {
-				interrupted = true
-				logger.Warn("interrupted: skipping remaining experiments")
-				fmt.Printf("\n== Interrupted: skipping remaining experiments ==\n")
-				break
-			}
-			var err error
-			fmt.Printf("\n== %s ==\n", name)
-			switch strings.TrimSpace(strings.ToLower(name)) {
-			case "fig1":
-				_, err = r.Figure1(os.Stdout)
-			case "table2":
-				_, err = r.Table2(os.Stdout)
-			case "fig3":
-				_, err = r.Figure3(os.Stdout)
-			case "fig4":
-				_, err = r.Figure4(os.Stdout)
-			case "fig5":
-				_, err = r.Figure5(os.Stdout)
-			case "fig6":
-				_, err = r.Figure6(os.Stdout)
-			case "table3":
-				_, err = r.Table3(os.Stdout)
-			case "prefetch":
-				_, err = r.Prefetch(os.Stdout)
-			case "deprioritize":
-				_, err = r.Deprioritize(os.Stdout)
-			case "anomaly":
-				_, err = r.Anomaly(os.Stdout)
-			case "regional":
-				_, err = r.Regional(os.Stdout)
-			case "resilience":
-				_, err = r.Resilience(os.Stdout)
-			case "adversarial":
-				_, err = r.Adversarial(os.Stdout)
-			case "fleetchaos":
-				_, err = r.FleetChaos(os.Stdout)
-			default:
-				err = fmt.Errorf("unknown experiment %q", name)
-			}
-			if err != nil {
-				finishProfiles(stopProfiles, logger)
-				fail(err)
-			}
+		keys = fullKeys
+	}
+	report, err := r.Run(ctx, os.Stdout, keys...)
+	interrupted := errors.Is(err, context.Canceled)
+	switch {
+	case interrupted:
+		logger.Warn("interrupted: partial report",
+			"completed", report.Completed(), "steps", len(report.Steps))
+		fmt.Printf("\n== Interrupted: partial report (%d/%d steps) ==\n",
+			report.Completed(), len(report.Steps))
+		report.WriteStepSummary(os.Stdout)
+	case err != nil:
+		finishProfiles(stopProfiles, logger)
+		fail(err)
+	}
+	if *csvDir != "" && *only == "" && !interrupted {
+		if err := experiments.WriteCSV(*csvDir, report); err != nil {
+			fail(err)
 		}
+		logger.Info("CSV series written", "dir", *csvDir)
 	}
 	finishProfiles(stopProfiles, logger)
 

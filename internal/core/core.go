@@ -1,22 +1,16 @@
-// Package core ties the substrates together: it abstracts where a log
-// stream comes from (a file, memory, or the synthetic generator), runs
-// one or many observers over a single pass, and fans records out across
-// CPU cores for observers that support sharded aggregation. The
-// experiment runners and the cmd/ tools are thin wrappers over this
-// package.
+// Package core abstracts where a log stream comes from — a file, memory,
+// or the synthetic generator — behind one Source interface, and
+// materializes a source into memory for analyses that need several
+// passes.
 package core
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-
 	"repro/internal/logfmt"
 	"repro/internal/synth"
 )
 
 // Source yields a stream of log records. The *logfmt.Record passed to
-// the callback may be reused between calls; observers must copy any
+// the callback may be reused between calls; callers must copy any
 // retained fields. Each returns the callback's first error.
 type Source interface {
 	Each(fn func(*logfmt.Record) error) error
@@ -88,71 +82,4 @@ func Collect(src Source) ([]logfmt.Record, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Observer consumes records one at a time.
-type Observer interface {
-	Observe(r *logfmt.Record)
-}
-
-// ObserverFunc adapts a function to Observer.
-type ObserverFunc func(*logfmt.Record)
-
-// Observe implements Observer.
-func (f ObserverFunc) Observe(r *logfmt.Record) { f(r) }
-
-// Run streams the source once through every observer in order.
-func Run(src Source, obs ...Observer) error {
-	return src.Each(func(r *logfmt.Record) error {
-		for _, o := range obs {
-			o.Observe(r)
-		}
-		return nil
-	})
-}
-
-// RunParallel fans records out to per-worker observers (created by
-// newShard) partitioned by client ID, so every client's records are seen
-// in order by exactly one shard; merge receives all shards when the
-// stream ends. Aggregations with a Merge operation (e.g.
-// taxonomy.Characterization) use this to use all cores on large files.
-//
-// Partitioning by client keeps per-client analyses (flows, sequences)
-// correct under parallelism; analyses requiring global order should use
-// Run instead.
-func RunParallel[T Observer](src Source, workers int, newShard func() T, merge func([]T)) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	shards := make([]T, workers)
-	chans := make([]chan logfmt.Record, workers)
-	var wg sync.WaitGroup
-	for i := range shards {
-		shards[i] = newShard()
-		chans[i] = make(chan logfmt.Record, 1024)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for rec := range chans[i] {
-				shards[i].Observe(&rec)
-			}
-		}(i)
-	}
-	err := src.Each(func(r *logfmt.Record) error {
-		w := int(r.ClientID % uint64(workers))
-		chans[w] <- *r
-		return nil
-	})
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	if err != nil {
-		return fmt.Errorf("core: parallel run: %w", err)
-	}
-	merge(shards)
-	return nil
 }

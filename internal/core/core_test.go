@@ -4,13 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/logfmt"
 	"repro/internal/synth"
-	"repro/internal/taxonomy"
 )
 
 var t0 = time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -119,123 +117,5 @@ func TestCollect(t *testing.T) {
 	recs2, _ := Collect(mem(5))
 	if recs2[0].Bytes == 999 {
 		t.Error("collect aliased records")
-	}
-}
-
-func TestRunMultipleObservers(t *testing.T) {
-	var a, b int
-	err := Run(mem(8),
-		ObserverFunc(func(*logfmt.Record) { a++ }),
-		ObserverFunc(func(*logfmt.Record) { b++ }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != 8 || b != 8 {
-		t.Errorf("a=%d b=%d", a, b)
-	}
-}
-
-type countShard struct {
-	n       int64
-	clients map[uint64]bool
-}
-
-func (c *countShard) Observe(r *logfmt.Record) {
-	c.n++
-	c.clients[r.ClientID] = true
-}
-
-func TestRunParallelPartitionsByClient(t *testing.T) {
-	src := mem(700)
-	var total int64
-	var shards []*countShard
-	err := RunParallel(src, 4, func() *countShard {
-		return &countShard{clients: map[uint64]bool{}}
-	}, func(s []*countShard) {
-		shards = s
-		for _, sh := range s {
-			atomic.AddInt64(&total, sh.n)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 700 {
-		t.Errorf("total = %d", total)
-	}
-	// A client must appear in exactly one shard.
-	seen := map[uint64]int{}
-	for _, sh := range shards {
-		for c := range sh.clients {
-			seen[c]++
-		}
-	}
-	for c, n := range seen {
-		if n != 1 {
-			t.Errorf("client %d in %d shards", c, n)
-		}
-	}
-}
-
-func TestRunParallelMatchesSequentialCharacterization(t *testing.T) {
-	recs, err := Collect(SynthSource(synth.ShortTermConfig(11, 0.0004)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := MemorySource(recs)
-
-	seq := taxonomy.NewCharacterization()
-	if err := Run(src, ObserverFunc(seq.ObserveAny)); err != nil {
-		t.Fatal(err)
-	}
-
-	// RunParallel feeds Observe; the JSON routing lives in ObserveAny,
-	// so wrap each shard.
-	par2 := taxonomy.NewCharacterization()
-	err = RunParallel(src, 4, func() *anyShard { return &anyShard{c: taxonomy.NewCharacterization()} },
-		func(shards []*anyShard) {
-			for _, s := range shards {
-				par2.Merge(s.c)
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par2.Total != seq.Total {
-		t.Errorf("parallel total %d != sequential %d", par2.Total, seq.Total)
-	}
-	if par2.GETShare() != seq.GETShare() {
-		t.Errorf("GET share diverged: %v vs %v", par2.GETShare(), seq.GETShare())
-	}
-	if par2.UncacheableShare() != seq.UncacheableShare() {
-		t.Error("uncacheable share diverged")
-	}
-}
-
-type anyShard struct{ c *taxonomy.Characterization }
-
-func (a *anyShard) Observe(r *logfmt.Record) { a.c.ObserveAny(r) }
-
-func TestRunParallelDefaultsWorkers(t *testing.T) {
-	var total int64
-	err := RunParallel(mem(20), 0, func() *countShard {
-		return &countShard{clients: map[uint64]bool{}}
-	}, func(s []*countShard) {
-		for _, sh := range s {
-			total += sh.n
-		}
-	})
-	if err != nil || total != 20 {
-		t.Errorf("err=%v total=%d", err, total)
-	}
-}
-
-func TestRunParallelPropagatesSourceError(t *testing.T) {
-	bad := FileSource("/nope")
-	err := RunParallel(bad, 2, func() *countShard {
-		return &countShard{clients: map[uint64]bool{}}
-	}, func([]*countShard) { t.Error("merge called on error") })
-	if err == nil {
-		t.Error("source error swallowed")
 	}
 }

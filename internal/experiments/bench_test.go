@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// benchConfig is deliberately tiny: the benchmark's job is to expose
-// the sequential-vs-parallel wall-clock ratio (benchreport derives
-// runall_speedup from these two), not to stress the analyses.
+// benchConfig is deliberately tiny: the benchmarks' job is to expose
+// the wall-clock ratio between one worker and several, not to stress
+// the analyses.
 func benchConfig() Config {
 	cfg := smallConfig()
 	cfg.PatternTarget = 30_000

@@ -47,12 +47,11 @@ type Config struct {
 	// FaultSeed seeds fault injection and backoff jitter; 0 derives it
 	// from Seed.
 	FaultSeed uint64
-	// Jobs is the RunAll step parallelism: 1 (or 0, the default) runs
-	// the figure/table steps strictly in paper order on one goroutine;
-	// N > 1 generates the shared datasets up front and then runs
-	// independent steps concurrently on N workers, buffering each step's
-	// text and flushing in paper order so the report is byte-identical
-	// to the sequential run.
+	// Jobs is the scheduler's worker count (0 means 1): dataset
+	// generation and the figure/table steps of a run all execute on
+	// that many goroutines. It changes wall time only — each step's text
+	// is buffered and flushed in paper order, so the report bytes are
+	// the same at every width.
 	Jobs int
 	// Shards is the synth generation shard count handed to the dataset
 	// generators (see synth.Config.Shards). 1 (or 0) keeps the
@@ -105,47 +104,48 @@ func (c *Config) sanitize() {
 }
 
 // Runner executes experiments, generating each dataset at most once.
-// The dataset memos are mutex-guarded so the parallel scheduler (and
+// The dataset memos are mutex-guarded so the scheduler's workers (and
 // any caller running individual experiments from several goroutines)
-// generates each one exactly once.
+// generate each one exactly once.
 type Runner struct {
 	cfg Config
 
 	obsReg *obs.Registry
 	trace  *obs.Trace
 
-	// spanMu guards the current span-parenting state: rootSp is the
-	// RunAll root span (set for the duration of RunAllContext), curSp is
-	// the span new child spans should parent on right now (the running
-	// step in a sequential run, the materialize phase in a parallel one).
-	spanMu sync.Mutex
-	rootSp *obs.Span
-	curSp  *obs.Span
-
 	// health, when set via NotifyReady, flips ready once both shared
-	// datasets are materialized. The done flags are atomics so the
-	// parallel materializers can update them without ordering the
-	// dataset mutexes against each other.
-	health      *obs.Health
-	shortDone   atomic.Bool
-	patternDone atomic.Bool
+	// datasets are materialized.
+	health *obs.Health
 
-	shortMu    sync.Mutex
-	short      []logfmt.Record
-	shortBytes int64
-
-	patternMu    sync.Mutex
-	pattern      []logfmt.Record
-	patternBytes int64
+	short, pattern *dataset
 
 	perMu          sync.Mutex
 	periodicityRes *PeriodicityResult
 }
 
+// dataset is one shared record set, generated on first use or injected
+// (UseShortTermRecords, UsePatternRecords), with the byte total the step
+// ledger reports.
+type dataset struct {
+	name  string              // "short-term" / "pattern", as spans and errors spell it
+	reads stepNeed            // the step needs this dataset satisfies
+	cfg   func() synth.Config // how to generate it
+
+	mu    sync.Mutex
+	recs  []logfmt.Record
+	bytes int64
+	// done is an atomic so concurrent materializers can flip readiness
+	// without ordering the dataset mutexes against each other.
+	done atomic.Bool
+}
+
 // NewRunner returns a runner for the given configuration.
 func NewRunner(cfg Config) *Runner {
 	cfg.sanitize()
-	return &Runner{cfg: cfg}
+	r := &Runner{cfg: cfg}
+	r.short = &dataset{name: "short-term", reads: needShort, cfg: r.shortTermConfig}
+	r.pattern = &dataset{name: "pattern", reads: needPattern | needPeriodicity, cfg: r.PatternConfig}
+	return r
 }
 
 // Config returns the runner's effective configuration.
@@ -154,7 +154,7 @@ func (r *Runner) Config() Config { return r.cfg }
 // Instrument attaches a metrics registry and a stage tracer, either of
 // which may be nil. The registry flows into the dataset generators and
 // the scheduler simulation; the tracer gets one span per generated
-// dataset and one per figure/table in RunAll. Call before running
+// dataset and one per figure/table of a run. Call before running
 // experiments.
 func (r *Runner) Instrument(reg *obs.Registry, tr *obs.Trace) {
 	r.obsReg = reg
@@ -167,106 +167,75 @@ func (r *Runner) Instrument(reg *obs.Registry, tr *obs.Trace) {
 // before running experiments; a nil h is ignored.
 func (r *Runner) NotifyReady(h *obs.Health) { r.health = h }
 
-// markShortDone / markPatternDone record dataset completion and flip
-// the readiness gate when both have landed.
-func (r *Runner) markShortDone()   { r.shortDone.Store(true); r.markReady() }
-func (r *Runner) markPatternDone() { r.patternDone.Store(true); r.markReady() }
+// records returns d's records, generating them on first use inside a
+// span under parent (a root span when parent is nil).
+func (r *Runner) records(d *dataset, parent *obs.Span) ([]logfmt.Record, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.recs == nil {
+		open := r.trace.Start
+		if parent != nil {
+			open = parent.Child
+		}
+		sp := open("synth " + d.name + " dataset")
+		defer sp.End()
+		cfg := d.cfg()
+		cfg.Span = sp
+		recs, err := core.Collect(core.SynthSource(cfg))
+		if err != nil {
+			return nil, fmt.Errorf("experiments: generating %s dataset: %w", d.name, err)
+		}
+		r.set(d, recs)
+		sp.AddRecords(int64(len(recs)))
+		sp.AddBytes(d.bytes)
+	}
+	return d.recs, nil
+}
 
-func (r *Runner) markReady() {
-	if r.shortDone.Load() && r.patternDone.Load() {
+// use injects recs as d in place of synthetic generation.
+func (r *Runner) use(d *dataset, recs []logfmt.Record) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	r.set(d, recs)
+}
+
+// set stores d's records and byte total with d.mu held, and flips the
+// readiness gate once both datasets have landed.
+func (r *Runner) set(d *dataset, recs []logfmt.Record) {
+	d.recs, d.bytes = recs, 0
+	for i := range recs {
+		d.bytes += recs[i].Bytes
+	}
+	d.done.Store(true)
+	if r.short.done.Load() && r.pattern.done.Load() {
 		r.health.SetReady(true)
 	}
 }
 
-// span opens a tracer span parented on the innermost active scope — the
-// running step in a sequential RunAll, the materialize phase in a
-// parallel one, the RunAll root otherwise — or a root span when no run
-// is active, or a no-op nil span when no tracer is attached.
-func (r *Runner) span(name string) *obs.Span {
-	r.spanMu.Lock()
-	parent := r.curSp
-	if parent == nil {
-		parent = r.rootSp
-	}
-	r.spanMu.Unlock()
-	if parent != nil {
-		return parent.Child(name)
-	}
-	return r.trace.Start(name)
-}
-
-// setCur installs sp as the parent for spans opened until the next
-// setCur; nil restores parenting on the RunAll root.
-func (r *Runner) setCur(sp *obs.Span) {
-	r.spanMu.Lock()
-	r.curSp = sp
-	r.spanMu.Unlock()
-}
-
 // ShortTermRecords returns (generating on first use) the scaled
 // short-term dataset used by the §4 characterization experiments.
-func (r *Runner) ShortTermRecords() ([]logfmt.Record, error) {
-	r.shortMu.Lock()
-	defer r.shortMu.Unlock()
-	if r.short == nil {
-		cfg := synth.ShortTermConfig(r.cfg.Seed, r.cfg.Scale)
-		cfg.Shards = r.cfg.Shards
-		cfg.Obs = r.obsReg
-		sp := r.span("synth short-term dataset")
-		cfg.Span = sp
-		recs, err := core.Collect(core.SynthSource(cfg))
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("experiments: generating short-term dataset: %w", err)
-		}
-		tallyRecords(sp, recs)
-		sp.End()
-		r.short = recs
-		r.shortBytes = recsBytes(recs)
-		r.markShortDone()
-	}
-	return r.short, nil
-}
+func (r *Runner) ShortTermRecords() ([]logfmt.Record, error) { return r.records(r.short, nil) }
 
-// recsBytes sums the body sizes of a dataset.
-func recsBytes(recs []logfmt.Record) int64 {
-	var bytes int64
-	for i := range recs {
-		bytes += recs[i].Bytes
-	}
-	return bytes
-}
-
-// tallyRecords charges a generated dataset to its span.
-func tallyRecords(sp *obs.Span, recs []logfmt.Record) {
-	if sp == nil {
-		return
-	}
-	sp.AddRecords(int64(len(recs)))
-	sp.AddBytes(recsBytes(recs))
-}
+// PatternRecords returns (generating on first use) the pattern dataset
+// standing in for the paper's long-term dataset in the §5 analyses.
+func (r *Runner) PatternRecords() ([]logfmt.Record, error) { return r.records(r.pattern, nil) }
 
 // UseShortTermRecords injects recs as the short-term dataset in place
 // of synthetic generation — the hook the robust-ingest path uses to run
 // the §4 analyses over records tolerantly decoded from a (possibly
 // corrupt) log file. Call before the first experiment touches the
 // dataset.
-func (r *Runner) UseShortTermRecords(recs []logfmt.Record) {
-	r.shortMu.Lock()
-	r.short = recs
-	r.shortBytes = recsBytes(recs)
-	r.shortMu.Unlock()
-	r.markShortDone()
-}
+func (r *Runner) UseShortTermRecords(recs []logfmt.Record) { r.use(r.short, recs) }
 
 // UsePatternRecords injects recs as the §5 pattern dataset; see
 // UseShortTermRecords.
-func (r *Runner) UsePatternRecords(recs []logfmt.Record) {
-	r.patternMu.Lock()
-	r.pattern = recs
-	r.patternBytes = recsBytes(recs)
-	r.patternMu.Unlock()
-	r.markPatternDone()
+func (r *Runner) UsePatternRecords(recs []logfmt.Record) { r.use(r.pattern, recs) }
+
+func (r *Runner) shortTermConfig() synth.Config {
+	cfg := synth.ShortTermConfig(r.cfg.Seed, r.cfg.Scale)
+	cfg.Shards = r.cfg.Shards
+	cfg.Obs = r.obsReg
+	return cfg
 }
 
 // PatternConfig returns the synth configuration of the pattern dataset.
@@ -280,45 +249,18 @@ func (r *Runner) PatternConfig() synth.Config {
 	return cfg
 }
 
-// PatternRecords returns (generating on first use) the pattern dataset
-// standing in for the paper's long-term dataset in the §5 analyses.
-func (r *Runner) PatternRecords() ([]logfmt.Record, error) {
-	r.patternMu.Lock()
-	defer r.patternMu.Unlock()
-	if r.pattern == nil {
-		sp := r.span("synth pattern dataset")
-		cfg := r.PatternConfig()
-		cfg.Span = sp
-		recs, err := core.Collect(core.SynthSource(cfg))
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("experiments: generating pattern dataset: %w", err)
-		}
-		tallyRecords(sp, recs)
-		sp.End()
-		r.pattern = recs
-		r.patternBytes = recsBytes(recs)
-		r.markPatternDone()
-	}
-	return r.pattern, nil
-}
-
 // datasetTotals sums the record and byte counts of the shared datasets
 // a step declared in its needs — the provenance attributed to that step
 // in the run ledger (a step's own outputs are text, so its data volume
 // is the data it read).
 func (r *Runner) datasetTotals(needs stepNeed) (records, bytes int64) {
-	if needs&needShort != 0 {
-		r.shortMu.Lock()
-		records += int64(len(r.short))
-		bytes += r.shortBytes
-		r.shortMu.Unlock()
-	}
-	if needs&(needPattern|needPeriodicity) != 0 {
-		r.patternMu.Lock()
-		records += int64(len(r.pattern))
-		bytes += r.patternBytes
-		r.patternMu.Unlock()
+	for _, d := range []*dataset{r.short, r.pattern} {
+		if needs&d.reads != 0 {
+			d.mu.Lock()
+			records += int64(len(d.recs))
+			bytes += d.bytes
+			d.mu.Unlock()
+		}
 	}
 	return records, bytes
 }

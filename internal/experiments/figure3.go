@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
-	"repro/internal/logfmt"
 	"repro/internal/stats"
 	"repro/internal/taxonomy"
 	"repro/internal/uastring"
@@ -31,24 +29,19 @@ type Figure3Result struct {
 }
 
 // Figure3 regenerates Fig. 3 (JSON requests by device type) and the §4
-// request/response statistics, running the taxonomy characterization in
-// parallel shards over the short-term dataset.
+// request/response statistics from one taxonomy characterization pass
+// over the short-term dataset.
 func (r *Runner) Figure3(w io.Writer) (Figure3Result, error) {
 	w = out(w)
 	recs, err := r.ShortTermRecords()
 	if err != nil {
 		return Figure3Result{}, err
 	}
+	// ObserveAny takes every record type, so JSON filtering and HTML size
+	// collection happen in the same pass.
 	char := taxonomy.NewCharacterization()
-	err = core.RunParallel(core.MemorySource(recs), 0,
-		func() *charShard { return &charShard{c: taxonomy.NewCharacterization()} },
-		func(shards []*charShard) {
-			for _, s := range shards {
-				char.Merge(s.c)
-			}
-		})
-	if err != nil {
-		return Figure3Result{}, err
+	for i := range recs {
+		char.ObserveAny(&recs[i])
 	}
 
 	res := Figure3Result{
@@ -96,10 +89,3 @@ func (r *Runner) Figure3(w io.Writer) (Figure3Result, error) {
 	compareRow(w, "JSON smaller than HTML at p75", "87%", pct(res.P75Smaller))
 	return res, nil
 }
-
-// charShard routes all record types through ObserveAny so JSON filtering
-// and HTML size collection both happen per shard.
-type charShard struct{ c *taxonomy.Characterization }
-
-// Observe implements core.Observer.
-func (s *charShard) Observe(r *logfmt.Record) { s.c.ObserveAny(r) }

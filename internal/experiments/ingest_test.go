@@ -160,17 +160,20 @@ func TestRunAllContextCancelMidRun(t *testing.T) {
 	if rep == nil {
 		t.Fatal("cancelled run must still return the partial report")
 	}
-	// The header is printed before the step runs, so Table 2 itself
-	// completes; everything after is skipped.
-	if got := rep.Completed(); got != 2 {
-		t.Errorf("completed %d steps, want 2", got)
+	// A section reaches the writer when its step ends, so Table 2 has
+	// completed; a worker may already hold a later step, which finishes.
+	// Completed steps are a paper-order prefix, the rest are skipped.
+	done := rep.Completed()
+	if done < 2 || done == len(rep.Steps) {
+		t.Errorf("completed %d of %d steps, want at least Table 2 and not all", done, len(rep.Steps))
 	}
-	if rep.Steps[0].State != StepCompleted || rep.Steps[1].State != StepCompleted {
-		t.Errorf("first two steps %v/%v, want completed", rep.Steps[0].State, rep.Steps[1].State)
-	}
-	for _, st := range rep.Steps[2:] {
-		if st.State != StepSkipped {
-			t.Errorf("step %q = %v, want skipped", st.Name, st.State)
+	for i, st := range rep.Steps {
+		want := StepSkipped
+		if i < done {
+			want = StepCompleted
+		}
+		if st.State != want {
+			t.Errorf("step %d %q = %v, want %v (completed steps must be a prefix)", i, st.Name, st.State, want)
 		}
 	}
 	if rep.Figure1.EndRatio == 0 {

@@ -79,7 +79,7 @@ var liveCharBase = time.Date(2026, 5, 1, 0, 0, 0, 0, time.UTC)
 // prediction, all estimated live by internal/livechar from one pass
 // over a synthetic stream, then checked against exact batch answers.
 func (r *Runner) LiveChar(w io.Writer) (LiveCharResult, error) {
-	defer r.span("experiment.livechar").End()
+	defer r.trace.Start("experiment.livechar").End()
 	const (
 		durationSec = 240
 		burstEvery  = 15 // seconds — the injected period

@@ -7,11 +7,11 @@ import (
 	"repro/internal/obs"
 )
 
-// TestRunAllSpanHierarchyAndProvenance runs the full report sequentially
-// and checks the provenance the tentpole promises: a RunAll root span
-// with one child per step, dataset spans nested under the step that
-// materialized them, per-step record/byte tallies in the ledger, and
-// readiness flipping once both datasets exist.
+// TestRunAllSpanHierarchyAndProvenance runs the full report on one
+// worker and checks its provenance: a RunAll root span with one child
+// per step, dataset spans nested under the materialize phase, per-step
+// record/byte tallies in the ledger, and readiness flipping once both
+// datasets exist.
 func TestRunAllSpanHierarchyAndProvenance(t *testing.T) {
 	r := NewRunner(smallConfig())
 	reg := obs.NewRegistry()
@@ -50,8 +50,8 @@ func TestRunAllSpanHierarchyAndProvenance(t *testing.T) {
 			t.Errorf("step %q parent/depth = %d/%d, want %d/1", step, s.ParentID, s.Depth, root.ID)
 		}
 	}
-	// Sequentially, datasets materialize lazily inside the first step
-	// that needs them: the synth spans sit under a step, depth 2.
+	// Datasets materialize up front at every width: the synth spans sit
+	// under "materialize datasets", depth 2.
 	for _, ds := range []string{"synth short-term dataset", "synth pattern dataset"} {
 		s, ok := byName[ds]
 		if !ok {
@@ -59,7 +59,7 @@ func TestRunAllSpanHierarchyAndProvenance(t *testing.T) {
 			continue
 		}
 		if s.Depth != 2 {
-			t.Errorf("dataset %q depth = %d, want 2 (nested under a step)", ds, s.Depth)
+			t.Errorf("dataset %q depth = %d, want 2 (nested under materialize)", ds, s.Depth)
 		}
 		if s.Records <= 0 || s.Bytes <= 0 {
 			t.Errorf("dataset %q tallies = %d records / %d bytes", ds, s.Records, s.Bytes)
@@ -98,8 +98,8 @@ func TestRunAllSpanHierarchyAndProvenance(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelMaterializeSpan checks the parallel path's extra
-// trace level: RunAll → materialize datasets → dataset.
+// TestRunAllParallelMaterializeSpan checks the trace shape on several
+// workers: RunAll → materialize datasets → dataset, steps on the root.
 func TestRunAllParallelMaterializeSpan(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Jobs = 4

@@ -156,7 +156,7 @@ func (r *Runner) Resilience(w io.Writer) (ResilienceResult, error) {
 		ResilientOK:  resilient.ok,
 		Retries:      resilient.inst.Retries.Value(),
 		StaleServes:  resilient.edge.Obs.StaleServes.Value(),
-		Shed:         resilient.edge.Obs.ShedMachine.Value() + resilient.edge.Obs.ShedHuman.Value(),
+		Shed:         resilient.edge.Obs.ShedMachine.Value(),
 		BreakerOpens: resilient.breaker.Opens(),
 	}
 	res.BaselineAvailability = float64(res.BaselineOK) / float64(steps)

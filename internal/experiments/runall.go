@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// StepState classifies how one RunAll step ended.
+// StepState classifies how one step of a run ended.
 type StepState uint8
 
 const (
@@ -34,7 +36,7 @@ func (s StepState) String() string {
 	}
 }
 
-// StepStatus records one RunAll step's outcome for the report, so a
+// StepStatus records one step's outcome for the report, so a
 // cancelled or failed run still says exactly what it finished.
 type StepStatus struct {
 	// Name is the section title ("Figure 1", ...).
@@ -114,18 +116,11 @@ func (rep *Report) ManifestSteps() []obs.ManifestStep {
 	return out
 }
 
-// RunAll executes every experiment in paper order, writing the formatted
-// tables and figures to w. It is RunAllContext without cancellation.
-func (r *Runner) RunAll(w io.Writer) (*Report, error) {
-	return r.RunAllContext(context.Background(), w)
-}
-
-// stepNeed is a bitmask of the shared resources a RunAll step reads.
-// The parallel scheduler materializes the union of the selected steps'
-// needs up front, so the steps themselves — which all draw on local
-// RNGs and never mutate shared state — can run in any order, on any
-// number of goroutines, and still compute exactly the sequential
-// results.
+// stepNeed is a bitmask of the shared resources a step reads. The
+// scheduler materializes the union of the selected steps' needs up
+// front, so the steps themselves — which all draw on local RNGs and
+// never mutate shared state — can run in any order, on any number of
+// goroutines, and still compute the same results.
 type stepNeed uint8
 
 const (
@@ -138,143 +133,130 @@ const (
 	needPeriodicity
 )
 
-// stepSpec declares one RunAll step: its section heading, its
-// error-wrapping label (also the tracer span name), the shared
-// resources it reads, and the closure that runs it.
-type stepSpec struct {
-	title string // section heading and span name
-	errAs string // error-wrapping label
+// step is one row of the exhibit table.
+type step struct {
+	key   string // selector for Run and jsonrepro -only
+	title string // section heading and ledger name
+	span  string // tracer span name and error-wrapping label
 	needs stepNeed
-	fn    func(io.Writer) error
+	full  bool // part of a full run; false = runs only when named
+	fn    func(r *Runner, rep *Report, w io.Writer) error
 }
 
-// stepSpecs returns the steps in paper order, writing results into rep.
+// stepTable is every exhibit in paper order: the one table full runs, key
+// subsets, the -only usage text and the unknown-key error all read.
 // Steps that generate their own inputs (Figure 1's arrival sketch, the
-// regional and resilience simulations) declare no needs.
-func (r *Runner) stepSpecs(rep *Report) []stepSpec {
-	return []stepSpec{
-		{"Figure 1", "figure 1", 0, func(w io.Writer) (err error) {
-			rep.Figure1, err = r.Figure1(w)
-			return
-		}},
-		{"Table 2", "table 2", needShort | needPattern, func(w io.Writer) (err error) {
-			rep.Table2, err = r.Table2(w)
-			return
-		}},
-		{"Figure 3 and §4 request/response types", "figure 3", needShort, func(w io.Writer) (err error) {
-			rep.Figure3, err = r.Figure3(w)
-			return
-		}},
-		{"Figure 4 and §4 cacheability", "figure 4", needShort, func(w io.Writer) (err error) {
-			rep.Figure4, err = r.Figure4(w)
-			return
-		}},
-		{"Figure 5 and §5.1 periodicity", "figure 5", needPattern | needPeriodicity, func(w io.Writer) (err error) {
-			rep.Periods, err = r.Figure5(w)
-			return
-		}},
-		{"Figure 6", "figure 6", needPattern | needPeriodicity, func(w io.Writer) (err error) {
-			_, err = r.Figure6(w)
-			return
-		}},
-		{"Table 3 and §5.2 prediction", "table 3", needPattern, func(w io.Writer) (err error) {
-			rep.Table3, err = r.Table3(w)
-			return
-		}},
-		{"Prefetch simulation (§5.2 implication)", "prefetch", needPattern, func(w io.Writer) (err error) {
-			rep.Prefetch, err = r.Prefetch(w)
-			return
-		}},
-		{"Deprioritization (§7 implication)", "deprioritize", needPattern | needPeriodicity, func(w io.Writer) (err error) {
-			rep.Deprioritize, err = r.Deprioritize(w)
-			return
-		}},
-		{"Anomaly detection (§5 applications)", "anomaly", needPattern, func(w io.Writer) (err error) {
-			rep.Anomaly, err = r.Anomaly(w)
-			return
-		}},
-		{"Regional vantages (§7 limitation)", "regional", 0, func(w io.Writer) (err error) {
-			rep.Regional, err = r.Regional(w)
-			return
-		}},
-		{"Resilience under origin faults (robustness)", "resilience", 0, func(w io.Writer) (err error) {
-			rep.Resilience, err = r.Resilience(w)
-			return
-		}},
-		{"Adversarial traffic and edge defenses (robustness)", "adversarial", 0, func(w io.Writer) (err error) {
-			rep.Adversarial, err = r.Adversarial(w)
-			return
-		}},
-	}
+// regional and resilience simulations) declare no needs. fleetchaos
+// drives real sockets in real time, so it stays out of a full run's
+// byte-identical report.
+var stepTable = []step{
+	{"fig1", "Figure 1", "figure 1", 0, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Figure1, err = r.Figure1(w)
+		return
+	}},
+	{"table2", "Table 2", "table 2", needShort | needPattern, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Table2, err = r.Table2(w)
+		return
+	}},
+	{"fig3", "Figure 3 and §4 request/response types", "figure 3", needShort, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Figure3, err = r.Figure3(w)
+		return
+	}},
+	{"fig4", "Figure 4 and §4 cacheability", "figure 4", needShort, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Figure4, err = r.Figure4(w)
+		return
+	}},
+	{"fig5", "Figure 5 and §5.1 periodicity", "figure 5", needPattern | needPeriodicity, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Periods, err = r.Figure5(w)
+		return
+	}},
+	{"fig6", "Figure 6", "figure 6", needPattern | needPeriodicity, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		_, err = r.Figure6(w)
+		return
+	}},
+	{"table3", "Table 3 and §5.2 prediction", "table 3", needPattern, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Table3, err = r.Table3(w)
+		return
+	}},
+	{"prefetch", "Prefetch simulation (§5.2 implication)", "prefetch", needPattern, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Prefetch, err = r.Prefetch(w)
+		return
+	}},
+	{"deprioritize", "Deprioritization (§7 implication)", "deprioritize", needPattern | needPeriodicity, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Deprioritize, err = r.Deprioritize(w)
+		return
+	}},
+	{"anomaly", "Anomaly detection (§5 applications)", "anomaly", needPattern, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Anomaly, err = r.Anomaly(w)
+		return
+	}},
+	{"regional", "Regional vantages (§7 limitation)", "regional", 0, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Regional, err = r.Regional(w)
+		return
+	}},
+	{"resilience", "Resilience under origin faults (robustness)", "resilience", 0, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Resilience, err = r.Resilience(w)
+		return
+	}},
+	{"adversarial", "Adversarial traffic and edge defenses (robustness)", "adversarial", 0, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		rep.Adversarial, err = r.Adversarial(w)
+		return
+	}},
+	{"fleetchaos", "Edge fleet under chaos (robustness)", "fleetchaos", 0, false, func(r *Runner, rep *Report, w io.Writer) (err error) {
+		_, err = r.FleetChaos(w)
+		return
+	}},
 }
 
-// RunAllContext executes every experiment in paper order, writing the
-// formatted tables and figures to w. When the runner is instrumented
-// (see Instrument), each figure/table runs inside its own tracer span,
-// so a -trace run prints where the wall time went.
-//
-// With Config.Jobs > 1 the independent steps run concurrently on a
-// bounded worker pool (see sched.go); each step's text is buffered and
-// flushed in paper order, so the report bytes are identical to the
-// sequential run.
+// Keys lists the step table's keys in paper order: those a full run
+// executes, then those that run only when named.
+func Keys() (full, named []string) {
+	for _, st := range stepTable {
+		if st.full {
+			full = append(full, st.key)
+		} else {
+			named = append(named, st.key)
+		}
+	}
+	return full, named
+}
+
+// RunAll is RunAllContext without cancellation.
+func (r *Runner) RunAll(w io.Writer) (*Report, error) {
+	return r.RunAllContext(context.Background(), w)
+}
+
+// RunAllContext runs every step of a full run; see Run.
+func (r *Runner) RunAllContext(ctx context.Context, w io.Writer) (*Report, error) {
+	full, _ := Keys()
+	return r.Run(ctx, w, full...)
+}
+
+// Run executes the steps named by keys — in paper order, whatever order
+// keys come in — writing each one's section to w. An unknown key fails
+// before any work starts. When the runner is instrumented (see
+// Instrument), each step runs inside its own tracer span, so a -trace
+// run prints where the wall time went.
 //
 // Cancelling ctx stops the run at the next step boundary: the returned
 // Report is still valid, with completed steps' results populated and
 // the rest marked skipped in Steps, and the error is ctx's error. A
 // step failure likewise returns the partial report alongside the error.
-func (r *Runner) RunAllContext(ctx context.Context, w io.Writer) (*Report, error) {
-	w = out(w)
-	var rep Report
-	steps := r.stepSpecs(&rep)
-	rep.Steps = make([]StepStatus, len(steps))
-	for i, st := range steps {
-		rep.Steps[i] = StepStatus{Name: st.title, State: StepSkipped}
-	}
-
-	// The RunAll root span: every step, materialization, and dataset
-	// span opened during the run hangs off it, so the trace export is a
-	// single tree (RunAll → step → dataset → shard).
-	if root := r.trace.Start("RunAll"); root != nil {
-		root.SetAttrs(
-			obs.Int64("seed", int64(r.cfg.Seed)),
-			obs.Float("scale", r.cfg.Scale),
-			obs.Int("jobs", r.cfg.Jobs),
-			obs.Int("shards", r.cfg.Shards),
-		)
-		r.spanMu.Lock()
-		r.rootSp = root
-		r.spanMu.Unlock()
-		defer func() {
-			r.spanMu.Lock()
-			r.rootSp, r.curSp = nil, nil
-			r.spanMu.Unlock()
-			root.End()
-		}()
-	}
-
-	if r.cfg.Jobs > 1 {
-		err := r.runAllParallel(ctx, w, steps, &rep)
-		return &rep, err
-	}
-
-	for i, st := range steps {
-		if err := ctx.Err(); err != nil {
-			return &rep, err
+func (r *Runner) Run(ctx context.Context, w io.Writer, keys ...string) (*Report, error) {
+	want := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		if !slices.ContainsFunc(stepTable, func(st step) bool { return st.key == k }) {
+			full, named := Keys()
+			return nil, fmt.Errorf("experiments: unknown step %q (have %s)", k,
+				strings.Join(append(full, named...), ", "))
 		}
-		fmt.Fprintf(w, "\n== %s ==\n", st.title)
-		sp := r.span(st.errAs)
-		r.setCur(sp)
-		start := time.Now()
-		err := st.fn(w)
-		r.setCur(nil)
-		sp.End()
-		rep.Steps[i].Wall = time.Since(start)
-		rep.Steps[i].Records, rep.Steps[i].Bytes = r.datasetTotals(st.needs)
-		if err != nil {
-			rep.Steps[i].State = StepFailed
-			return &rep, fmt.Errorf("%s: %w", st.errAs, err)
-		}
-		rep.Steps[i].State = StepCompleted
+		want[k] = true
 	}
-	return &rep, nil
+	var selected []step
+	for _, st := range stepTable {
+		if want[st.key] {
+			selected = append(selected, st)
+		}
+	}
+	return r.schedule(ctx, out(w), selected)
 }

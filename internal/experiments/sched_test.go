@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // smallConfig is the tiny-but-pattern-bearing configuration the
@@ -29,9 +31,9 @@ func zeroWalls(rep *Report) {
 	}
 }
 
-// TestRunAllParallelGolden is the tentpole's contract: a parallel run
-// emits byte-identical report text and an identical Report struct to
-// the sequential run.
+// TestRunAllParallelGolden is the scheduler's contract: one path at two
+// widths — four workers emit byte-identical report text and an identical
+// Report struct to one worker.
 func TestRunAllParallelGolden(t *testing.T) {
 	var seqText strings.Builder
 	seqRep, err := NewRunner(smallConfig()).RunAll(&seqText)
@@ -48,13 +50,13 @@ func TestRunAllParallelGolden(t *testing.T) {
 	}
 
 	if seqText.String() != parText.String() {
-		t.Errorf("parallel report text differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+		t.Errorf("report text differs between widths:\n--- Jobs 1 ---\n%s\n--- Jobs 4 ---\n%s",
 			seqText.String(), parText.String())
 	}
 	zeroWalls(seqRep)
 	zeroWalls(parRep)
 	if !reflect.DeepEqual(seqRep, parRep) {
-		t.Error("parallel Report struct differs from sequential")
+		t.Error("Report struct differs between Jobs 1 and Jobs 4")
 	}
 	if got := parRep.Completed(); got != len(parRep.Steps) {
 		t.Errorf("parallel run completed %d of %d steps", got, len(parRep.Steps))
@@ -111,15 +113,97 @@ func TestWriteStepSummaryFailedWall(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelJobsCap checks Jobs beyond the step count is
-// harmless and sanitize keeps the sequential default.
+// TestRunAllParallelJobsCap checks sanitize keeps the one-worker,
+// one-shard default.
 func TestRunAllParallelJobsCap(t *testing.T) {
 	cfg := Config{}
 	cfg.sanitize()
 	if cfg.Jobs != 1 {
-		t.Errorf("default Jobs = %d, want 1 (sequential)", cfg.Jobs)
+		t.Errorf("default Jobs = %d, want 1", cfg.Jobs)
 	}
 	if cfg.Shards != 1 {
 		t.Errorf("default Shards = %d, want 1", cfg.Shards)
+	}
+}
+
+// section cuts the "== title ==" section out of a report.
+func section(t *testing.T, report, title string) string {
+	t.Helper()
+	head := "\n== " + title + " ==\n"
+	i := strings.Index(report, head)
+	if i < 0 {
+		t.Fatalf("report has no section %q", title)
+	}
+	rest := report[i+len(head):]
+	if j := strings.Index(rest, "\n== "); j >= 0 {
+		rest = rest[:j]
+	}
+	return head + rest
+}
+
+// TestRunSubset checks that a key subset goes through the same path as
+// a full run: exactly the named sections, in paper order whatever order
+// the keys come in, byte-equal to the same sections of a full run on the
+// same seed, with a matching ledger — at one worker and at four. An
+// unknown key fails before any work and names the keys there are.
+func TestRunSubset(t *testing.T) {
+	var full strings.Builder
+	fullRep, err := NewRunner(smallConfig()).RunAll(&full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fig5, table3 = "Figure 5 and §5.1 periodicity", "Table 3 and §5.2 prediction"
+	want := section(t, full.String(), fig5) + section(t, full.String(), table3)
+	ledger := map[string]StepStatus{}
+	for _, st := range fullRep.Steps {
+		ledger[st.Name] = st
+	}
+
+	for _, jobs := range []int{1, 4} {
+		cfg := smallConfig()
+		cfg.Jobs = jobs
+		var sb strings.Builder
+		rep, err := NewRunner(cfg).Run(context.Background(), &sb, "table3", "fig5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != want {
+			t.Errorf("Jobs %d: subset text differs from the full run's sections:\n--- subset ---\n%s\n--- full ---\n%s",
+				jobs, sb.String(), want)
+		}
+		if len(rep.Steps) != 2 || rep.Steps[0].Name != fig5 || rep.Steps[1].Name != table3 {
+			t.Fatalf("Jobs %d: ledger = %+v, want Figure 5 then Table 3", jobs, rep.Steps)
+		}
+		for _, st := range rep.Steps {
+			f := ledger[st.Name]
+			if st.State != StepCompleted || st.Records != f.Records || st.Bytes != f.Bytes || st.Records == 0 {
+				t.Errorf("Jobs %d: step %q = %v %d records %d bytes, full run read %d/%d",
+					jobs, st.Name, st.State, st.Records, st.Bytes, f.Records, f.Bytes)
+			}
+		}
+		if rep.Periods == nil || rep.Table3.ActualVocab == 0 {
+			t.Errorf("Jobs %d: subset results missing from the Report", jobs)
+		}
+	}
+
+	r := NewRunner(smallConfig())
+	tr := obs.NewTrace()
+	r.Instrument(nil, tr)
+	var sb strings.Builder
+	rep, err := r.Run(context.Background(), &sb, "fig5", "fig7")
+	if err == nil || rep != nil {
+		t.Fatalf("unknown key: report %v, err %v", rep, err)
+	}
+	fullKeys, named := Keys()
+	for _, k := range append(fullKeys, named...) {
+		if !strings.Contains(err.Error(), k) {
+			t.Errorf("unknown-key error %q does not list key %q", err, k)
+		}
+	}
+	if sb.Len() != 0 || len(tr.Spans()) != 0 {
+		t.Errorf("unknown key did work first: %d bytes written, %d spans", sb.Len(), len(tr.Spans()))
+	}
+	if len(fullKeys) != 13 || len(named) != 1 || named[0] != "fleetchaos" {
+		t.Errorf("Keys() = %v / %v, want the 13 exhibits of a full run and fleetchaos only when named", fullKeys, named)
 	}
 }
