@@ -323,7 +323,7 @@ func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	// Route on the same key the nodes cache on, so placement and cache
 	// affinity agree.
-	key := "http://" + r.Host + r.URL.String()
+	key := edge.CacheKey(r)
 
 	// One extra candidate beyond the failover budget so the hedge has
 	// a distinct target even when every failover attempt is spent.

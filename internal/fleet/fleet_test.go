@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/obs"
 )
 
@@ -106,6 +107,29 @@ func TestRoutingAffinity(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("all paths landed on one node: %v", owner)
+	}
+}
+
+// TestRoutingRequestForms: an object lands on one node whichever way the
+// request line spells it — origin-form ("GET /a") or absolute-form ("GET
+// http://host/a") — and that node is the ring owner of the key the nodes
+// cache it under.
+func TestRoutingRequestForms(t *testing.T) {
+	nodes := []*testNode{newTestNode(t, "edge-00"), newTestNode(t, "edge-01"), newTestNode(t, "edge-02")}
+	f, _ := testFleet(t, Config{}, nodes...)
+
+	for i := 0; i < 20; i++ {
+		path := fmt.Sprintf("/object/%d?v=1", i)
+		origin := httptest.NewRequest("GET", path, nil)
+		absolute := httptest.NewRequest("GET", "http://"+origin.Host+path, nil)
+		want := f.Ring().Lookup(edge.CacheKey(origin))
+		for _, r := range []*http.Request{origin, absolute} {
+			rec := httptest.NewRecorder()
+			f.ServeHTTP(rec, r)
+			if got := rec.Header().Get("X-Fleet-Node"); rec.Code != http.StatusOK || got != want {
+				t.Errorf("GET %s: %d from %q, want 200 from ring owner %q", r.RequestURI, rec.Code, got, want)
+			}
+		}
 	}
 }
 
