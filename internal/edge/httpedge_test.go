@@ -159,9 +159,6 @@ func TestHTTPEdgeShedding(t *testing.T) {
 	if got := e.Obs.ShedMachine.Value(); got != 2 {
 		t.Errorf("machine sheds = %d, want 2", got)
 	}
-	if got := e.Obs.ShedHuman.Value(); got != 0 {
-		t.Errorf("human sheds = %d, want 0", got)
-	}
 }
 
 // TestHTTPEdgeETagPinned pins the validator to the values the edge sent

@@ -33,10 +33,9 @@ type Instrumentation struct {
 	// StaleServes counts responses served from an expired copy after an
 	// origin failure (edge_stale_serves_total).
 	StaleServes *obs.Counter
-	// ShedMachine and ShedHuman count load-shed requests by class into
-	// edge_shed_total{class=...}.
+	// ShedMachine counts load-shed requests
+	// (edge_shed_total{class="machine"}; human traffic is never shed).
 	ShedMachine *obs.Counter
-	ShedHuman   *obs.Counter
 }
 
 // NewInstrumentation registers the HTTPEdge request metrics in reg and
@@ -47,7 +46,7 @@ func NewInstrumentation(reg *obs.Registry) *Instrumentation {
 	reg.Help("edge_bytes_served_total", "Response body bytes written to clients.")
 	reg.Help("edge_origin_fetch_seconds", "Origin fetch round-trip latency.")
 	reg.Help("edge_stale_serves_total", "Responses served stale after an origin failure.")
-	reg.Help("edge_shed_total", "Requests shed while the origin path was degraded, by class.")
+	reg.Help("edge_shed_total", "Machine-class requests shed while the origin path was degraded.")
 	return &Instrumentation{
 		GETRequests:   reg.Counter("edge_requests_total", "method", "get"),
 		POSTRequests:  reg.Counter("edge_requests_total", "method", "post"),
@@ -59,7 +58,6 @@ func NewInstrumentation(reg *obs.Registry) *Instrumentation {
 		OriginErrors:  reg.Counter("edge_origin_errors_total"),
 		StaleServes:   reg.Counter("edge_stale_serves_total"),
 		ShedMachine:   reg.Counter("edge_shed_total", "class", sched.ClassMachine.String()),
-		ShedHuman:     reg.Counter("edge_shed_total", "class", sched.ClassHuman.String()),
 	}
 }
 
