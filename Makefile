@@ -1,32 +1,16 @@
 GO ?= go
 FUZZTIME ?= 5s
-BENCHOUT ?= BENCH_1.json
-BENCHCOUNT ?= 3
-BENCHBASE ?= BENCH_1.json
-BENCHOUT2 ?= BENCH_2.json
-MAXREGRESS ?= 0.20
-# Chunk-container decode floors: parallel chunk decode must beat the
-# sequential binary reader by this factor, and compressed chunks must
-# shrink bytes-per-record to at most this fraction of binary.
-MINCHUNKSPEEDUP ?= 2.0
-MAXCHUNKRATIO ?= 0.5
-# Live-characterization tap budget: the async sketch tap may slow the
-# edge serve path by at most this fraction (gated on multi-core runners
-# only — at GOMAXPROCS=1 the tap's consumer cannot overlap the path).
-MAXCHAROVERHEAD ?= 0.05
-# Replay report folded into bench baselines when present (see slo-check).
-REPLAYREPORT ?= out/replay-slo.json
 # Pinned staticcheck, run via `go run` so no binary install is needed.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: ci vet lint build test race fuzz bench bench-check slo-check attack-check chaos-check char-check
+.PHONY: ci vet lint build test bench-test race fuzz bench slo-check attack-check chaos-check char-check
 
 # ci is the tier-1 gate: everything below, in order. The end-to-end
 # gates run last — slo-check (latency), attack-check (adversarial
 # robustness), chaos-check (fleet availability under node churn), then
 # char-check (the live characterization plane against real traffic) —
 # so they only fail CI after the code itself is sound.
-ci: vet lint build test race fuzz slo-check attack-check chaos-check char-check
+ci: vet lint build test bench-test race fuzz slo-check attack-check chaos-check char-check
 
 vet:
 	$(GO) vet ./...
@@ -48,40 +32,30 @@ build:
 test:
 	$(GO) test ./...
 
+# bench-test vets and tests the benchmark, a module of its own whose only
+# requirement is `replace repro => ../` (so it works offline): a renamed
+# export that would stop the ruler compiling fails here, not in the
+# benchmark run.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # race runs the whole tree under the race detector (about 3 minutes on
 # two cores, most of it internal/experiments).
 race:
 	$(GO) test -race ./...
 
-# bench regenerates the persisted benchmark baseline (BENCH_1.json by
-# default; override with BENCHOUT=...). It runs every benchmark in the
-# perf-critical packages -benchmem -count $(BENCHCOUNT) and derives the
-# sequential-vs-parallel RunAll speedup plus the chunk-container decode
-# comparison (records/sec and bytes-per-record vs the binary baseline).
-# Regenerate on the machine you care about — the file records GOMAXPROCS.
+# bench runs the repository's benchmark (bench/, declared in
+# BENCHMARK.json) with its traced pass on and leaves every end-to-end
+# and per-layer metric in out/bench/result.json. Commit that file as
+# BENCH_<pr>.json: the per-PR trajectory is read from those.
 bench:
-	$(GO) run ./cmd/benchreport -count $(BENCHCOUNT) -out $(BENCHOUT) \
-		-replay $(REPLAYREPORT)
-
-# bench-check is the perf regression gate: re-run the suite, write
-# $(BENCHOUT2), and fail if any benchmark's mean ns/op regressed more
-# than $(MAXREGRESS) (fraction) against $(BENCHBASE), if parallel chunk
-# decode fell below $(MINCHUNKSPEEDUP)x the binary reader, or if
-# compressed chunks exceed $(MAXCHUNKRATIO) of binary bytes-per-record.
-# Compare baselines from the same machine — ns/op across machines is
-# noise, not signal.
-bench-check:
-	$(GO) run ./cmd/benchreport -count $(BENCHCOUNT) -out $(BENCHOUT2) \
-		-baseline $(BENCHBASE) -max-regress $(MAXREGRESS) \
-		-min-chunk-speedup $(MINCHUNKSPEEDUP) -max-chunk-bytes-ratio $(MAXCHUNKRATIO) \
-		-max-livechar-overhead $(MAXCHAROVERHEAD) \
-		-replay $(REPLAYREPORT)
+	bash bench/run.sh --trace 1
 
 # slo-check is the end-to-end latency gate: spin up the liveedge server
 # (faults off), replay a sharded synthetic stream against it open-loop,
 # and fail if the coordinated-omission-safe latency tail or the error
-# budget violates $(SLO). Gates CI the same way bench-check gates ns/op.
-# Tune with SLO/RATE/DURATION/WARMUP/SHARDS (see scripts/slo-check.sh).
+# budget violates $(SLO). Tune with SLO/RATE/DURATION/WARMUP/SHARDS (see
+# scripts/slo-check.sh).
 slo-check:
 	GO=$(GO) ./scripts/slo-check.sh
 

@@ -38,8 +38,8 @@ func encodeChunkedBench(b *testing.B, recs []logfmt.Record, codec logfmt.Codec) 
 	return buf.Bytes()
 }
 
-// reportDecode attaches the cross-format comparison metrics benchreport
-// consumes: decoded records per second and on-disk bytes per record.
+// reportDecode attaches the cross-format comparison metrics: decoded
+// records per second and on-disk bytes per record.
 func reportDecode(b *testing.B, diskBytes, records int) {
 	b.ReportMetric(float64(records*b.N)/b.Elapsed().Seconds(), "records/s")
 	b.ReportMetric(float64(diskBytes)/float64(records), "disk-B/rec")

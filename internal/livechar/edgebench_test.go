@@ -15,10 +15,9 @@ import (
 // request path (Log nil, so the edge skips building records entirely),
 // and BenchmarkEdgeWithLiveChar is the same path with the async
 // characterization tap attached — the full cost of -livechar: record
-// construction plus the non-blocking hand-off. cmd/benchreport derives
-// the relative overhead from the two means and gates it with
-// -max-livechar-overhead; the tap's drop rate rides along as a custom
-// metric so a "fast" result achieved by shedding load is visible.
+// construction plus the non-blocking hand-off. The relative overhead
+// is the ratio of the two means; the tap's drop rate rides along as a
+// custom metric so a "fast" result achieved by shedding load is visible.
 
 func newBenchEdge() *edge.HTTPEdge {
 	return &edge.HTTPEdge{

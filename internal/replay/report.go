@@ -194,20 +194,3 @@ func (r *Report) Write(path string) error {
 	}
 	return os.WriteFile(path, data, 0o644)
 }
-
-// ReadReport loads a replay report from disk — benchreport folds its
-// throughput and tail into the BENCH_*.json trajectory.
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("replay: parse report %s: %w", path, err)
-	}
-	if rep.Schema != ReportSchema {
-		return nil, fmt.Errorf("replay: %s: unexpected schema %q (want %s)", path, rep.Schema, ReportSchema)
-	}
-	return &rep, nil
-}
