@@ -13,8 +13,8 @@
 //   - Edge↔origin resilience: fault injection, retries, breakers,
 //     serve-stale degradation
 //
-// The runnable entry points live in cmd/ (jsongen, jsonchar, jsonperiod,
-// jsonpredict, jsonprefetch, jsonrepro) and examples/.
+// The runnable entry points live in cmd/ (one directory per tool; the
+// README's tools table lists them) and examples/.
 package cdnjson
 
 import (

@@ -110,9 +110,9 @@ func TestToleranceCorruptStream(t *testing.T) {
 	// Table 2 loses exactly the quarantined ~1%; every reported shape
 	// statistic stays within a few percent of the clean run.
 	for _, cmp := range []struct {
-		name       string
-		got, want  float64
-		tol        float64
+		name      string
+		got, want float64
+		tol       float64
 	}{
 		{"short records", float64(t2Tol.Short.Records()), float64(t2Clean.Short.Records()), 0.02},
 		{"pattern records", float64(t2Tol.Pattern.Records()), float64(t2Clean.Pattern.Records()), 0.02},
