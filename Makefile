@@ -35,9 +35,12 @@ test:
 # bench-test vets and tests the benchmark, a module of its own whose only
 # requirement is `replace repro => ../` (so it works offline): a renamed
 # export that would stop the ruler compiling fails here, not in the
-# benchmark run.
+# benchmark run. The two layer benchmarks that live beside their code
+# (the fleet front over a stub transport, the replay pacer's lateness)
+# run one iteration each, so that they keep compiling and running.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run '^$$' -bench 'Front|Pacer' -benchtime 1x ./internal/fleet ./internal/replay
 
 # race runs the whole tree under the race detector (about 3 minutes on
 # two cores, most of it internal/experiments).

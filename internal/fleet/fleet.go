@@ -23,6 +23,14 @@
 //     first response wins (the loser is canceled) — the classic
 //     tail-at-scale discipline.
 //
+// Failover and hedging decide on a member's status line. Up to there the
+// front can still change its mind and holds what it may have to send
+// again (the request body); from there it has committed — the client
+// gets that status line and the body is relayed as it arrives, never
+// buffered. A member that fails after the commit cannot be failed over
+// from: the client's connection is aborted, so the reply reads as
+// broken rather than as short, and fleet_aborted_total counts it.
+//
 // The router is deliberately cache-oblivious: nodes own their caches
 // and defenses; the front tier owns placement, liveness, and retries.
 package fleet
@@ -30,9 +38,11 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -80,6 +90,12 @@ type Member struct {
 	// admin "/healthz". Empty disables probing for this member (it is
 	// pinned up — useful in tests).
 	HealthURL string
+
+	// target is URL parsed, so that an attempt does not parse it again;
+	// requests is the member's fleet_member_requests_total series, nil
+	// until Instrument.
+	target   atomic.Pointer[url.URL]
+	requests *obs.Counter
 
 	state atomic.Int32
 	// fails/oks are consecutive probe outcomes, owned by the health
@@ -173,10 +189,13 @@ func (c Config) withDefaults() Config {
 // Fleet is the front-tier router. Create with New, then StartHealth to
 // begin probing; it implements http.Handler.
 type Fleet struct {
-	cfg    Config
-	ring   *edge.Ring
-	client *http.Client
+	cfg       Config
+	ring      *edge.Ring
+	transport http.RoundTripper
+	maxBody   int64 // maxProxyBody; a field so that a test can lower it
 
+	// members is written only by New; mu guards the members' URL fields
+	// and the health state machine.
 	mu      sync.RWMutex
 	members map[string]*Member
 	order   []string // registration order, for stable snapshots
@@ -205,20 +224,25 @@ func New(cfg Config, members ...*Member) *Fleet {
 		ring:        edge.NewRing(0),
 		members:     make(map[string]*Member, len(members)),
 		lat:         obs.NewHDRHistogram(obs.LatencyHDRConfig()),
+		maxBody:     maxProxyBody,
 		checkerStop: make(chan struct{}),
 		checkerDone: make(chan struct{}),
 	}
-	transport := cfg.Transport
-	if transport == nil {
+	f.transport = cfg.Transport
+	if f.transport == nil {
 		t := http.DefaultTransport.(*http.Transport).Clone()
 		t.MaxIdleConnsPerHost = 256
-		transport = t
+		f.transport = t
 	}
-	f.client = &http.Client{Transport: transport, Timeout: cfg.Timeout}
 	for _, m := range members {
 		f.members[m.Name] = m
 		f.order = append(f.order, m.Name)
 		m.state.Store(int32(StateUp))
+		// A URL that does not parse leaves target nil: every attempt on
+		// the member fails, and fails over, like one on a dead address.
+		if u, err := url.Parse(m.URL); err == nil {
+			m.target.Store(u)
+		}
 		f.ring.Add(m.Name)
 	}
 	return f
@@ -236,8 +260,8 @@ func (f *Fleet) Members() []MemberStatus {
 		m := f.members[name]
 		st := m.State()
 		var reqs int64
-		if f.inst != nil {
-			reqs = f.inst.memberRequests(name).Value()
+		if m.requests != nil {
+			reqs = m.requests.Value()
 		}
 		out = append(out, MemberStatus{
 			Name: m.Name, URL: m.URL, State: st, StateName: st.String(), Requests: reqs,
@@ -277,16 +301,36 @@ func (f *Fleet) HedgeDelay() time.Duration {
 	return d
 }
 
-// proxyResult is one buffered upstream response.
-type proxyResult struct {
-	status int
-	header http.Header
-	body   []byte
-	member string
+// upstream is one member's answer up to its status line: the headers
+// are in, the body is still on the wire. Whoever holds it either relays
+// the body or discards it, and then releases the attempt.
+type upstream struct {
+	resp   *http.Response
+	member *Member
+	// release ends the attempt's deadline, which spans the body.
+	release context.CancelFunc
 }
 
-// maxProxyBody bounds one buffered upstream response (and request)
-// body; the workload is small JSON objects, so 32 MiB is generous.
+// close abandons the body where it stands — a losing hedge leg, or a
+// relay that is over — so the connection is reused only if the body had
+// been read to its end.
+func (u *upstream) close() {
+	u.resp.Body.Close()
+	u.release()
+}
+
+// discard is for an answer the front will not use but whose member is
+// alive (a 5xx it fails over from): the body is read to its end first,
+// still under the attempt's deadline, so the connection goes back to
+// the pool.
+func (u *upstream) discard() {
+	io.Copy(io.Discard, u.resp.Body) // an error only costs the connection
+	u.close()
+}
+
+// maxProxyBody bounds a request body, which is buffered because a
+// failover or a hedge sends it again; the workload is small JSON
+// objects, so 32 MiB is generous.
 const maxProxyBody = 32 << 20
 
 // retryable reports whether a status should fail over to the next
@@ -294,26 +338,25 @@ const maxProxyBody = 32 << 20
 // or its own healthy origin path.
 func retryable(status int) bool { return status >= 500 }
 
-// hopHeaders are not forwarded in either direction (RFC 7230 §6.1).
-var hopHeaders = []string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade",
-}
-
+// copyHeaders copies src into dst without the hop-by-hop headers, which
+// are not forwarded in either direction (RFC 7230 §6.1). The value
+// slices are shared, not copied: src is a request or response this
+// package was handed to read and nothing writes to it afterwards.
 func copyHeaders(dst, src http.Header) {
 	for k, vv := range src {
-		for _, v := range vv {
-			dst.Add(k, v)
+		switch k {
+		case "Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
+			"Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade":
+		default:
+			dst[k] = vv
 		}
-	}
-	for _, h := range hopHeaders {
-		dst.Del(h)
 	}
 }
 
 // ServeHTTP implements http.Handler: route on the object URL, forward
 // to the responsible live node, fail over on connect/5xx errors, and
-// optionally hedge slow GETs.
+// optionally hedge slow GETs. It buffers only what it may have to send
+// twice, the request body; a response is relayed as it arrives.
 func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if f.draining.Load() {
 		w.Header().Set("Connection", "close")
@@ -339,7 +382,12 @@ func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	var body []byte
 	if r.Body != nil && r.Body != http.NoBody {
-		b, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
+		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.maxBody))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+			return
+		}
 		if err != nil {
 			http.Error(w, "reading request body", http.StatusBadGateway)
 			return
@@ -347,155 +395,226 @@ func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		body = b
 	}
 
-	var (
-		res     *proxyResult
-		lastErr error
-	)
-	attempts := f.cfg.MaxFailover + 1
-	if attempts > len(cands) {
-		attempts = len(cands)
-	}
-	for i := 0; i < attempts; i++ {
-		if i > 0 && f.inst != nil {
-			f.inst.Failovers.Inc()
-		}
-		hedgeable := f.cfg.Hedge && i == 0 && r.Method == http.MethodGet &&
-			len(body) == 0 && len(cands) > 1
-		var err error
-		if hedgeable {
-			res, err = f.hedgedAttempt(r.Context(), cands[0], cands[1], r, body)
-		} else {
-			res, err = f.attempt(r.Context(), cands[i], r, body)
-		}
-		if err != nil {
-			lastErr = err
-			res = nil
-			continue
-		}
-		if retryable(res.status) && i+1 < attempts {
-			lastErr = fmt.Errorf("fleet: %s answered %d", res.member, res.status)
-			res = nil
-			continue
-		}
-		break
-	}
-	if res == nil {
+	up, err := f.choose(r, cands, body)
+	if err != nil {
 		if f.inst != nil {
 			f.inst.Exhausted.Inc()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusBadGateway)
-		fmt.Fprintf(w, `{"error":"all replicas failed","detail":%q}`, fmt.Sprint(lastErr))
+		fmt.Fprintf(w, `{"error":"all replicas failed","detail":%q}`, err.Error())
 		return
 	}
+	f.relay(w, up)
+}
 
-	if f.inst != nil {
-		f.inst.memberRequests(res.member).Inc()
-		switch res.header.Get("X-Cache") {
-		case "HIT", "STALE", "NEGATIVE":
-			f.inst.Hits.Inc()
-		case "MISS":
-			f.inst.Misses.Inc()
+// choose runs the failover loop: it returns the first answer whose
+// status line is not retryable, or the last replica's answer whatever
+// it says, or the last error when no replica in budget answered at all.
+// This is the commit point — everything failover and hedging cover
+// happens before it returns.
+func (f *Fleet) choose(r *http.Request, cands []string, body []byte) (*upstream, error) {
+	attempts := min(f.cfg.MaxFailover+1, len(cands))
+	var lastErr error
+	for i := 0; i < attempts; i++ {
+		if i > 0 && f.inst != nil {
+			f.inst.Failovers.Inc()
+		}
+		var up *upstream
+		var err error
+		if f.cfg.Hedge && i == 0 && r.Method == http.MethodGet && len(body) == 0 && len(cands) > 1 {
+			up, err = f.hedgedAttempt(r, cands[0], cands[1])
+		} else {
+			ctx, release := context.WithTimeout(r.Context(), f.cfg.Timeout)
+			up, err = f.attempt(ctx, release, cands[i], r, body)
+		}
+		switch {
+		case err != nil:
+			lastErr = err
+		case retryable(up.resp.StatusCode) && i+1 < attempts:
+			lastErr = fmt.Errorf("fleet: %s answered %d", up.member.Name, up.resp.StatusCode)
+			up.discard()
+		default:
+			return up, nil
 		}
 	}
-	copyHeaders(w.Header(), res.header)
-	w.Header().Set("X-Fleet-Node", res.member)
-	w.WriteHeader(res.status)
-	if r.Method != http.MethodHead {
-		w.Write(res.body)
+	return nil, lastErr
+}
+
+// relay commits to up: status line and headers go to the client, then
+// the body as it arrives. From here there is no second choice — the
+// client has the status line — so an upstream that fails mid-body
+// aborts the client's connection, which is the only way left to say
+// that the reply is not whole.
+func (f *Fleet) relay(w http.ResponseWriter, up *upstream) {
+	defer up.close()
+	resp := up.resp
+	if f.inst != nil {
+		up.member.requests.Inc()
+		if v := resp.Header["X-Cache"]; len(v) > 0 {
+			switch v[0] {
+			case "HIT", "STALE", "NEGATIVE":
+				f.inst.Hits.Inc()
+			case "MISS":
+				f.inst.Misses.Inc()
+			}
+		}
+	}
+	h := w.Header()
+	copyHeaders(h, resp.Header)
+	h.Set("X-Fleet-Node", up.member.Name)
+	w.WriteHeader(resp.StatusCode)
+
+	// Not io.Copy: on a TCP connection net/http's ResponseWriter.ReadFrom
+	// flushes the headers with the body's first 512 bytes and hands the
+	// rest to net.TCPConn.ReadFrom, which for a source that is neither a
+	// file nor a socket allocates a 32 KiB buffer a call — two writes and
+	// one buffer a response where Write needs one write and none. Write
+	// also keeps the two ways a copy can fail apart.
+	bp := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(bp)
+	for {
+		n, rerr := resp.Body.Read(*bp)
+		if n > 0 {
+			if _, werr := w.Write((*bp)[:n]); werr != nil {
+				return // the client has gone; the server knows
+			}
+		}
+		if rerr == io.EOF {
+			return
+		}
+		if rerr != nil {
+			if f.inst != nil {
+				f.inst.Aborted.Inc()
+			}
+			panic(http.ErrAbortHandler)
+		}
 	}
 }
 
-// attempt proxies one request to one member, buffering the response.
-func (f *Fleet) attempt(ctx context.Context, name string, r *http.Request, body []byte) (*proxyResult, error) {
-	f.mu.RLock()
+// relayBufs holds relay's copy buffers, the size io.Copy would allocate.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
+// attempt proxies one request to one member and returns its answer as
+// soon as the status line and headers are in. ctx carries the attempt's
+// one deadline — Config.Timeout, set by the caller — and it covers the
+// body too: release ends it, here when the attempt fails, through the
+// upstream when it answers.
+func (f *Fleet) attempt(ctx context.Context, release context.CancelFunc, name string, r *http.Request, body []byte) (*upstream, error) {
 	m := f.members[name]
-	f.mu.RUnlock()
 	if m == nil {
+		release()
 		return nil, fmt.Errorf("fleet: unknown member %q", name)
 	}
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, r.Method, m.URL+r.URL.RequestURI(), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	target := m.target.Load()
+	if target == nil {
+		release()
+		return nil, fmt.Errorf("fleet: member %q has no usable URL", name)
 	}
+	// The member's scheme and authority, the client's path and query.
+	u := *r.URL
+	u.Scheme, u.Host, u.User, u.Fragment, u.RawFragment = target.Scheme, target.Host, nil, "", ""
+	if target.Path != "" {
+		if u.RawPath != "" || target.RawPath != "" {
+			u.RawPath = target.EscapedPath() + u.EscapedPath()
+		}
+		u.Path = target.Path + u.Path
+	}
+
+	req := (&http.Request{
+		Method: r.Method,
+		URL:    &u,
+		Header: make(http.Header, len(r.Header)),
+		Host:   r.Host, // cache keys on the nodes include the original host
+	}).WithContext(ctx)
 	copyHeaders(req.Header, r.Header)
-	req.Host = r.Host // cache keys on the nodes include the original host
+	if len(body) > 0 {
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+		req.Body, _ = req.GetBody()
+	}
 
 	start := time.Now()
-	resp, err := f.client.Do(req)
+	resp, err := f.transport.RoundTrip(req)
 	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-	if err != nil {
+		release()
 		return nil, err
 	}
 	f.lat.Record(time.Since(start).Nanoseconds())
-	return &proxyResult{
-		status: resp.StatusCode,
-		header: resp.Header.Clone(),
-		body:   respBody,
-		member: name,
-	}, nil
+	return &upstream{resp: resp, member: m, release: release}, nil
 }
 
 // hedgedAttempt races the primary against a delayed hedge to the next
-// replica: the first usable response wins and the loser's context is
-// canceled. An attempt error or retryable status only loses the race —
-// it is returned solely when both legs fail.
-func (f *Fleet) hedgedAttempt(ctx context.Context, primary, backup string, r *http.Request, body []byte) (*proxyResult, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the losing leg
-
+// replica: the first usable answer wins and the loser is cancelled, its
+// body closed unread. An attempt error or retryable status only loses
+// the race — it is returned, as an error, solely when both legs fail.
+func (f *Fleet) hedgedAttempt(r *http.Request, primary, backup string) (*upstream, error) {
 	type legOut struct {
-		res    *proxyResult
-		err    error
-		hedged bool
+		up  *upstream
+		err error
+		leg int // 0 the primary, 1 the hedge
 	}
-	out := make(chan legOut, 2)
-	run := func(name string, hedged bool) {
-		res, err := f.attempt(ctx, name, r, body)
-		out <- legOut{res: res, err: err, hedged: hedged}
+	// Each leg hands its answer to the loop below or, once the loop has
+	// returned, closes it itself: an answer is never left unowned.
+	out := make(chan legOut)
+	decided := make(chan struct{})
+	defer close(decided)
+	var release [2]context.CancelFunc
+	run := func(leg int, name string) {
+		ctx, rel := context.WithTimeout(r.Context(), f.cfg.Timeout)
+		release[leg] = rel
+		go func() {
+			up, err := f.attempt(ctx, rel, name, r, nil)
+			select {
+			case out <- legOut{up: up, err: err, leg: leg}:
+			case <-decided:
+				if up != nil {
+					up.close()
+				}
+			}
+		}()
 	}
-	go run(primary, false)
+	run(0, primary)
 
 	timer := time.NewTimer(f.HedgeDelay())
 	defer timer.Stop()
 
-	hedgeFired := false
 	legs := 1
 	var firstErr error
 	for {
 		select {
 		case <-timer.C:
-			if !hedgeFired {
-				hedgeFired = true
-				legs++
-				if f.inst != nil {
-					f.inst.Hedges.Inc()
-				}
-				go run(backup, true)
+			legs++
+			if f.inst != nil {
+				f.inst.Hedges.Inc()
 			}
+			run(1, backup)
 		case o := <-out:
-			usable := o.err == nil && !retryable(o.res.status)
-			if usable {
-				if f.inst != nil && hedgeFired {
-					if o.hedged {
-						f.inst.HedgesWon.Inc()
-					} else {
-						f.inst.HedgesWasted.Inc()
+			if o.err == nil && !retryable(o.up.resp.StatusCode) {
+				if loser := release[1-o.leg]; loser != nil {
+					loser()
+					if f.inst != nil {
+						if o.leg == 1 {
+							f.inst.HedgesWon.Inc()
+						} else {
+							f.inst.HedgesWasted.Inc()
+						}
 					}
 				}
-				return o.res, nil
+				return o.up, nil
 			}
-			if o.err != nil && firstErr == nil {
+			if o.err == nil {
+				o.err = fmt.Errorf("fleet: %s answered %d", o.up.member.Name, o.up.resp.StatusCode)
+				o.up.discard()
+			}
+			if firstErr == nil {
 				firstErr = o.err
-			} else if o.err == nil && firstErr == nil {
-				firstErr = fmt.Errorf("fleet: %s answered %d", o.res.member, o.res.status)
 			}
 			legs--
 			if legs == 0 {
@@ -505,8 +624,9 @@ func (f *Fleet) hedgedAttempt(ctx context.Context, primary, backup string, r *ht
 				// the hedge on a dead node.
 				return nil, firstErr
 			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		case <-r.Context().Done():
+			// The client has gone, and both legs' contexts with it.
+			return nil, r.Context().Err()
 		}
 	}
 }
@@ -524,14 +644,19 @@ func (f *Fleet) memberNames() []string {
 // UpdateMemberURL repoints a member (a restarted node that came back
 // on a different port). The name — and therefore its ring slice — is
 // unchanged.
-func (f *Fleet) UpdateMemberURL(name, url, healthURL string) error {
+func (f *Fleet) UpdateMemberURL(name, rawURL, healthURL string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	m := f.members[name]
 	if m == nil {
 		return fmt.Errorf("fleet: unknown member %q", name)
 	}
-	m.URL = url
+	target, err := url.Parse(rawURL)
+	if err != nil {
+		return fmt.Errorf("fleet: member %q: %w", name, err)
+	}
+	m.URL = rawURL
+	m.target.Store(target)
 	if healthURL != "" {
 		m.HealthURL = healthURL
 	}

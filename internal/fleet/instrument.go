@@ -26,9 +26,12 @@ type Instrumentation struct {
 	Misses *obs.Counter
 	// NoMembers counts requests refused because the ring was empty.
 	NoMembers *obs.Counter
+	// Aborted counts responses cut off after their status line had gone
+	// to the client, because the member failed mid-body: past the point
+	// where failover can help, the client's connection is dropped.
+	Aborted *obs.Counter
 
 	mu         sync.Mutex
-	memberReqs map[string]*obs.Counter
 	memberTran map[string]*obs.Counter
 }
 
@@ -40,6 +43,7 @@ func (f *Fleet) Instrument(reg *obs.Registry) *Instrumentation {
 	reg.Help("fleet_member_state", "Member health state (0=up, 1=suspect, 2=down).")
 	reg.Help("fleet_member_requests_total", "Requests answered by each member, as routed by the front tier.")
 	reg.Help("fleet_member_transitions_total", "Health state transitions by member and new state.")
+	reg.Help("fleet_aborted_total", "Responses aborted mid-body (client connection dropped) because the member failed after its status line was relayed.")
 	reg.Help("fleet_hits_total", "Node cache hits (X-Cache HIT/STALE/NEGATIVE) observed at the front tier.")
 	inst := &Instrumentation{
 		reg:          reg,
@@ -51,7 +55,7 @@ func (f *Fleet) Instrument(reg *obs.Registry) *Instrumentation {
 		Hits:         reg.Counter("fleet_hits_total"),
 		Misses:       reg.Counter("fleet_misses_total"),
 		NoMembers:    reg.Counter("fleet_no_members_total"),
-		memberReqs:   make(map[string]*obs.Counter),
+		Aborted:      reg.Counter("fleet_aborted_total"),
 		memberTran:   make(map[string]*obs.Counter),
 	}
 	f.inst = inst
@@ -59,24 +63,13 @@ func (f *Fleet) Instrument(reg *obs.Registry) *Instrumentation {
 	f.mu.RLock()
 	for _, name := range f.order {
 		m := f.members[name]
+		m.requests = reg.Counter("fleet_member_requests_total", "member", label(m.Name))
 		reg.GaugeFunc("fleet_member_state", func() float64 {
 			return float64(m.State())
 		}, "member", label(m.Name))
 	}
 	f.mu.RUnlock()
 	return inst
-}
-
-// memberRequests returns (creating) the per-member request counter.
-func (i *Instrumentation) memberRequests(name string) *obs.Counter {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	c := i.memberReqs[name]
-	if c == nil {
-		c = i.reg.Counter("fleet_member_requests_total", "member", label(name))
-		i.memberReqs[name] = c
-	}
-	return c
 }
 
 // transitions returns (creating) the per-member, per-state transition

@@ -97,8 +97,9 @@ func (c *Config) sanitize() error {
 // cover the whole run.
 type Result struct {
 	// Offered counts requests scheduled (enqueued); Sent counts
-	// requests actually issued; Errors counts transport failures;
-	// Dropped counts scheduled requests abandoned on cancellation.
+	// requests actually issued; Errors counts transport failures, a
+	// response body cut short among them; Dropped counts scheduled
+	// requests abandoned on cancellation.
 	Offered, Sent, Errors, Dropped int64
 	// Measured and MeasuredErrors count post-warmup completions and
 	// transport failures — the population the histograms describe and
@@ -114,6 +115,12 @@ type Result struct {
 	// difference IS the coordinated omission a closed-loop harness
 	// hides.
 	Service *obs.HDRHistogram
+	// Lag is how late the generator ran: time from each request's
+	// intended start to the moment a worker issued it — the pacer's
+	// lateness plus any wait for a free worker. Latency ≈ Lag + Service
+	// request by request, so a Lag far below Latency's median says the
+	// median is the server's; a Lag near it says it is the harness's.
+	Lag *obs.HDRHistogram
 	// Status tallies response status codes; StatusLatency holds one
 	// intended-latency histogram per status code.
 	Status        map[int]int64
@@ -183,6 +190,7 @@ func newResult() *Result {
 	return &Result{
 		Latency:       obs.NewHDRHistogram(cfg),
 		Service:       obs.NewHDRHistogram(cfg),
+		Lag:           obs.NewHDRHistogram(cfg),
 		Status:        make(map[int]int64),
 		StatusLatency: make(map[int]*obs.HDRHistogram),
 		MIME:          make(map[string]int64),
@@ -270,6 +278,7 @@ func Run(ctx context.Context, records []logfmt.Record, cfg Config) (*Result, err
 		measured.Add(1)
 		res.Latency.Record(intendedLat)
 		res.Service.Record(serviceLat)
+		res.Lag.Record(svcStart.Sub(t.intended).Nanoseconds())
 		if promLatency != nil {
 			promLatency.Record(intendedLat)
 			promService.Record(serviceLat)
@@ -364,6 +373,7 @@ func Run(ctx context.Context, records []logfmt.Record, cfg Config) (*Result, err
 						"p50_ms", hdrMs(res.Latency, 0.50),
 						"p99_ms", hdrMs(res.Latency, 0.99),
 						"p999_ms", hdrMs(res.Latency, 0.999),
+						"lag_p99_ms", hdrMs(res.Lag, 0.99),
 					)
 				}
 			}
@@ -375,6 +385,8 @@ func Run(ctx context.Context, records []logfmt.Record, cfg Config) (*Result, err
 		deadline = start.Add(cfg.Duration)
 	}
 	base := sorted[0].Time
+	var pace pacer
+	defer pace.close()
 dispatch:
 	for i := 0; ; i++ {
 		var rec *logfmt.Record
@@ -395,13 +407,7 @@ dispatch:
 		if !deadline.IsZero() && intended.After(deadline) {
 			break
 		}
-		if wait := time.Until(intended); wait > 0 {
-			select {
-			case <-ctx.Done():
-				break dispatch
-			case <-time.After(wait):
-			}
-		} else if ctx.Err() != nil {
+		if pace.wait(ctx, intended) != nil {
 			break dispatch
 		}
 		select {
@@ -436,7 +442,10 @@ func hdrMs(h *obs.HDRHistogram, q float64) string {
 // configured with a trusted ClientIDHeader keys its per-client state
 // on — every replayed request otherwise shares one socket), and returns
 // the status, normalized response MIME type, and the answering fleet
-// node (X-Fleet-Node; empty against a single edge).
+// node (X-Fleet-Node; empty against a single edge). A body that ends
+// in an error — a connection dropped after the status line, a front tier
+// aborting a response it had begun — is the request's error: a reply
+// that lost bytes is not a fast 200.
 func send(ctx context.Context, cfg Config, rec *logfmt.Record) (int, string, string, error) {
 	url := cfg.Target + rec.Path()
 	req, err := http.NewRequestWithContext(ctx, rec.Method, url, nil)
@@ -451,8 +460,11 @@ func send(ctx context.Context, cfg Config, rec *logfmt.Record) (int, string, str
 	if err != nil {
 		return 0, "", "", err
 	}
-	io.Copy(io.Discard, resp.Body)
+	_, err = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		return 0, "", "", fmt.Errorf("reading response body: %w", err)
+	}
 	return resp.StatusCode, normalizeMIME(resp.Header.Get("Content-Type")),
 		resp.Header.Get("X-Fleet-Node"), nil
 }

@@ -249,7 +249,7 @@ func TestProgressLineAndRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"replay progress", "rps=", "inflight=", "p99_ms="} {
+	for _, want := range []string{"replay progress", "rps=", "inflight=", "p99_ms=", "lag_p99_ms="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress log missing %q:\n%s", want, out)
 		}

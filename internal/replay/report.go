@@ -30,6 +30,7 @@ type Report struct {
 	Throughput Throughput      `json:"throughput"`
 	Errors     ErrorBudget     `json:"errors"`
 	Latency    LatencyTable    `json:"latency"`
+	SchedLag   SchedLag        `json:"sched_lag_ms"`
 	PerStatus  []ClassStats    `json:"per_status,omitempty"`
 	PerMIME    []ClassStats    `json:"per_mime,omitempty"`
 	PerNode    []ClassStats    `json:"per_node,omitempty"`
@@ -85,6 +86,16 @@ type LatencyRow struct {
 	ServiceMs  float64 `json:"service_ms"`
 }
 
+// SchedLag is how late the generator itself ran, in milliseconds:
+// request start minus intended start (Result.Lag). Read it against the
+// intended p50 — far below it, the latency table is the server's; near
+// it, the harness (pacing, or too little -concurrency) is in the numbers.
+type SchedLag struct {
+	P50Ms float64 `json:"p50"`
+	P99Ms float64 `json:"p99"`
+	MaxMs float64 `json:"max"`
+}
+
 // ClassStats is one per-status or per-MIME breakdown row (intended
 // latency, milliseconds).
 type ClassStats struct {
@@ -137,6 +148,11 @@ func BuildReport(runID, input string, records int, cfg Config, res *Result, slo 
 			MeanMs: res.Latency.Mean() / 1e6,
 			MinMs:  ms(res.Latency.Min()),
 			MaxMs:  ms(res.Latency.Max()),
+		},
+		SchedLag: SchedLag{
+			P50Ms: ms(res.Lag.Quantile(0.50)),
+			P99Ms: ms(res.Lag.Quantile(0.99)),
+			MaxMs: ms(res.Lag.Max()),
 		},
 		Intended: res.Latency.Snapshot(),
 		Service:  res.Service.Snapshot(),

@@ -175,6 +175,7 @@ func TestBuildReport(t *testing.T) {
 	}
 	res.StatusLatency[200].RecordDuration(time.Millisecond)
 	res.MIME = map[string]int64{"application/json": 3}
+	res.Lag.RecordDuration(250 * time.Microsecond)
 
 	slo, _ := ParseSLO("p99<50ms")
 	rep := BuildReport("run-1", "in.tsv", 42, Config{Target: "http://x", Rate: 100, Concurrency: 8}, res, slo)
@@ -193,6 +194,9 @@ func TestBuildReport(t *testing.T) {
 	if rep.SLO == nil || rep.SLO.Pass {
 		t.Errorf("slo verdict: %+v (100ms sample must violate p99<50ms)", rep.SLO)
 	}
+	if lag := rep.SchedLag; lag.P50Ms < 0.24 || lag.P50Ms > 0.26 || lag.MaxMs != 0.25 {
+		t.Errorf("sched_lag_ms: %+v, want the one 0.25 ms sample", lag)
+	}
 	if rep.Intended.Count != res.Latency.Count() {
 		t.Errorf("intended snapshot count %d != %d", rep.Intended.Count, res.Latency.Count())
 	}
@@ -210,7 +214,7 @@ func TestBuildReport(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Schema != ReportSchema || back.Throughput.Sent != rep.Throughput.Sent || back.SLO.Pass != rep.SLO.Pass {
+	if back.Schema != ReportSchema || back.Throughput.Sent != rep.Throughput.Sent || back.SLO.Pass != rep.SLO.Pass || back.SchedLag != rep.SchedLag {
 		t.Errorf("round trip: %+v", back)
 	}
 	// The embedded HDR snapshot rebuilds into a queryable histogram.
