@@ -35,12 +35,14 @@ test:
 # bench-test vets and tests the benchmark, a module of its own whose only
 # requirement is `replace repro => ../` (so it works offline): a renamed
 # export that would stop the ruler compiling fails here, not in the
-# benchmark run. The two layer benchmarks that live beside their code
-# (the fleet front over a stub transport, the replay pacer's lateness)
-# run one iteration each, so that they keep compiling and running.
+# benchmark run. The layer benchmarks that live beside their code (the
+# fleet front over a stub transport, the replay pacer's lateness, and
+# predict-then-train on a cache-busting stream in the ngram model and in
+# livechar's consumer) run one iteration each, so that they keep
+# compiling and running.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Front|Pacer' -benchtime 1x ./internal/fleet ./internal/replay
+	$(GO) test -run '^$$' -bench 'Front|Pacer|PredictOnline|PredictorObserve' -benchtime 1x ./internal/fleet ./internal/replay ./internal/ngram ./internal/livechar
 
 # race runs the whole tree under the race detector (about 3 minutes on
 # two cores, most of it internal/experiments).
@@ -95,7 +97,10 @@ char-check:
 	GO=$(GO) ./scripts/char-check.sh
 
 # fuzz gives each decode-path fuzzer a short budget (go only runs one
-# fuzz target per invocation). Raise FUZZTIME for a longer soak.
+# fuzz target per invocation). Raise FUZZTIME for a longer soak. The
+# ngram differential caps minimisation: the oracle ranges over maps, so
+# coverage flickers, inputs keep looking new, and the default minute of
+# minimising each would use up the whole budget.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseTSV -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzBinaryReader -fuzztime=$(FUZZTIME) ./internal/logfmt
@@ -106,3 +111,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDetect -fuzztime=$(FUZZTIME) ./internal/dsp
 	$(GO) test -run=^$$ -fuzz=FuzzClassify -fuzztime=$(FUZZTIME) ./internal/uastring
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalURL -fuzztime=$(FUZZTIME) ./internal/logfmt
+	$(GO) test -run=^$$ -fuzz=FuzzModelAgainstOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/ngram

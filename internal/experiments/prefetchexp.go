@@ -53,6 +53,8 @@ func (r *Runner) Prefetch(w io.Writer) (PrefetchResult, error) {
 		}
 	}
 
+	// This is the only baseline replay: the K sweep below runs the
+	// prefetching side alone.
 	cfg := prefetch.DefaultConfig()
 	cmp := prefetch.Compare(model, cfg, replayJSON)
 	res := PrefetchResult{
@@ -71,8 +73,8 @@ func (r *Runner) Prefetch(w io.Writer) (PrefetchResult, error) {
 	for _, k := range []int{2, 5} {
 		kcfg := cfg
 		kcfg.K = k
-		kcmp := prefetch.Compare(model, kcfg, replayJSON)
-		hr, waste := kcmp.Prefetch.HitRatio(), kcmp.Prefetch.WasteRatio()
+		swept := prefetch.Simulate(model, kcfg, replayJSON)
+		hr, waste := swept.HitRatio(), swept.WasteRatio()
 		res.KSweep[k] = [2]float64{hr, waste}
 		tb.AddRowf(fmt.Sprintf("prefetch K=%d", k), fmt.Sprintf("%.3f", hr), fmt.Sprintf("%.2f", waste))
 	}

@@ -71,11 +71,6 @@ type Config struct {
 	// PredictK is the guess-set size for the live hit-rate gauge
 	// (Table 3's K). Default 5.
 	PredictK int
-	// PredictSample scores 1-in-PredictSample prediction candidates for
-	// the hit-rate gauge (training still sees every transition) —
-	// PredictTopK dominates the consumer's per-event cost. Default 4;
-	// 1 scores every candidate.
-	PredictSample int
 	// MaxVocab bounds the ngram model's interned vocabulary; further
 	// transitions stop training (predictions continue). Default 65536.
 	MaxVocab int
@@ -114,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PredictK <= 0 {
 		c.PredictK = 5
-	}
-	if c.PredictSample <= 0 {
-		c.PredictSample = 4
 	}
 	if c.MaxVocab <= 0 {
 		c.MaxVocab = 1 << 16
@@ -202,7 +194,7 @@ func New(cfg Config) *LiveChar {
 		curObjects: NewSpaceSaving(cfg.Capacity),
 		curDomains: NewSpaceSaving(cfg.Capacity),
 		ring:       newBinRing(cfg.Bin, cfg.Bins),
-		pred:       newPredictor(cfg.NgramOrder, cfg.PredictK, cfg.PredictSample, cfg.MaxVocab, cfg.MaxClients),
+		pred:       newPredictor(cfg.NgramOrder, cfg.PredictK, cfg.MaxVocab, cfg.MaxClients),
 		winStartNS: -1,
 		lastTNS:    -1,
 		periods:    []Period{},

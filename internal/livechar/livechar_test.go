@@ -221,6 +221,9 @@ func TestLiveCharPredictability(t *testing.T) {
 	if st.Observations == 0 {
 		t.Fatal("no predictions attempted")
 	}
+	if st.Eligible != st.Observations {
+		t.Errorf("eligible %d, observations %d: every candidate is scored", st.Eligible, st.Observations)
+	}
 	if st.HitRate < 0.8 {
 		t.Errorf("hit rate = %.3f on a deterministic cycle, want >= 0.8 (%+v)", st.HitRate, st)
 	}

@@ -17,24 +17,21 @@ type predictor struct {
 	model      *ngram.Model
 	order      int
 	k          int
-	sample     int
 	maxVocab   int
 	maxClients int
 
 	histories map[uint64][]string
 
-	eligible     int64 // positions with history (prediction candidates)
-	observations int64 // predictions attempted (1-in-sample of eligible)
+	observations int64 // positions with history: each is predicted, then trained on
 	hits         int64
 	vocabDrops   int64 // transitions skipped because the vocab is full
 }
 
-func newPredictor(order, k, sample, maxVocab, maxClients int) *predictor {
+func newPredictor(order, k, maxVocab, maxClients int) *predictor {
 	return &predictor{
 		model:      ngram.NewModel(order),
 		order:      order,
 		k:          k,
-		sample:     sample,
 		maxVocab:   maxVocab,
 		maxClients: maxClients,
 		histories:  make(map[uint64][]string),
@@ -53,20 +50,15 @@ func (p *predictor) observe(client uint64, url string) {
 		}
 	}
 	if len(h) > 0 {
-		// Training sees every transition, but the hit-rate gauge only
-		// scores 1-in-sample of them: PredictTopK dominates the
-		// consumer's per-event cost (candidate collection plus a
-		// popularity re-sort whose cache every training bump
-		// invalidates), and the gauge is a statistical estimate that
-		// systematic sampling leaves unbiased.
-		p.eligible++
-		if p.sample <= 1 || p.eligible%int64(p.sample) == 1 {
-			p.observations++
-			for _, cand := range p.model.PredictTopK(h, p.k) {
-				if cand == url {
-					p.hits++
-					break
-				}
+		// Every transition is scored before it trains. The model ranks
+		// each context's continuations as it counts them, so a
+		// prediction reads a few short lists and training in between
+		// costs the next one nothing.
+		p.observations++
+		for _, cand := range p.model.PredictTopK(h, p.k) {
+			if cand == url {
+				p.hits++
+				break
 			}
 		}
 		if p.model.VocabSize() < p.maxVocab {
@@ -91,13 +83,11 @@ func (p *predictor) hitRate() float64 {
 
 // PredictStats is the live predictability view published on /charz.
 type PredictStats struct {
-	// Eligible is how many requests were prediction candidates (every
-	// request from a client with at least one prior request). Training
-	// saw all of them.
+	// Eligible is how many requests were prediction candidates: every
+	// request from a client with at least one prior request.
 	Eligible int64 `json:"eligible"`
-	// Observations is how many next-request predictions were actually
-	// scored — a 1-in-Config.PredictSample systematic sample of
-	// Eligible.
+	// Observations is how many next-request predictions were scored.
+	// Every candidate is, so it equals Eligible; the schema keeps both.
 	Observations int64 `json:"observations"`
 	// Hits is how many times the actual URL was in the top-K guess set.
 	Hits int64 `json:"hits"`
@@ -117,7 +107,7 @@ type PredictStats struct {
 
 func (p *predictor) stats() PredictStats {
 	return PredictStats{
-		Eligible:     p.eligible,
+		Eligible:     p.observations,
 		Observations: p.observations,
 		Hits:         p.hits,
 		HitRate:      p.hitRate(),

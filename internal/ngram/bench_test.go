@@ -84,3 +84,68 @@ func BenchmarkEvaluate(b *testing.B) {
 		Evaluate(m, test, 10)
 	}
 }
+
+// hostileStream is a seeded request stream shaped like the live plane's
+// input under a cache-busting attack: 64 clients, 30 % of requests to a
+// URL never seen before (until 60 000 such URLs exist; then they are
+// drawn again at random, which keeps the vocabulary under livechar's
+// MaxVocab), the rest Zipf over 5 000 objects.
+// internal/livechar's BenchmarkPredictorObserve draws the same stream.
+type hostileStream struct {
+	rng   *stats.RNG
+	zipf  *stats.Zipf
+	fresh int
+}
+
+func newHostileStream() *hostileStream {
+	return &hostileStream{rng: stats.NewRNG(20), zipf: stats.NewZipf(5000, 1.1)}
+}
+
+func (s *hostileStream) next() (client int, url string) {
+	client = s.rng.Intn(64)
+	switch {
+	case !s.rng.Bool(0.3):
+		url = fmt.Sprintf("https://x.com/obj/%d", s.zipf.Sample(s.rng))
+	case s.fresh < 60000:
+		url = fmt.Sprintf("https://x.com/obj/0?bust=%d", s.fresh)
+		s.fresh++
+	default:
+		url = fmt.Sprintf("https://x.com/obj/0?bust=%d", s.rng.Intn(s.fresh))
+	}
+	return client, url
+}
+
+// BenchmarkPredictOnline times what livechar's consumer does per
+// request — predict from the client's history, then train on what was
+// requested — on a model already holding 150 000 transitions of a
+// hostile stream. The batch benchmarks above never train between
+// predictions, so they cannot see a cost that training causes in the
+// next prediction.
+func BenchmarkPredictOnline(b *testing.B) {
+	const order, k = 3, 5
+	m := NewModel(order)
+	s := newHostileStream()
+	var histories [64][]string
+	step := func(predict bool) {
+		c, url := s.next()
+		h := histories[c]
+		if len(h) > 0 {
+			if predict {
+				m.PredictTopK(h, k)
+			}
+			m.ObserveTransition(h, url)
+		}
+		if len(h) == order {
+			h = h[:copy(h, h[1:])]
+		}
+		histories[c] = append(h, url)
+	}
+	for i := 0; i < 150000; i++ {
+		step(false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(true)
+	}
+}

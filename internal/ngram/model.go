@@ -7,9 +7,9 @@
 package ngram
 
 import (
-	"encoding/binary"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // backoffAlpha discounts candidates taken from shorter contexts, the
@@ -17,9 +17,15 @@ import (
 // reference describes the same family.
 const backoffAlpha = 0.4
 
+// topCap is how many continuations a context keeps in exact rank order.
+// It is not a limit on K: PredictTopK answers a larger K exactly by
+// ranking the spilled continuations at that call.
+const topCap = 16
+
 // Model is a backoff ngram model over URL tokens. The zero value is not
 // usable; construct with NewModel. Model is not safe for concurrent use
-// during Train; concurrent PredictTopK/Score calls after training are
+// during Train or ObserveTransition; PredictTopK, Score and
+// UnigramEntropyBits only read, so concurrent calls after training are
 // safe.
 type Model struct {
 	order int
@@ -27,22 +33,128 @@ type Model struct {
 	vocab map[string]int32
 	words []string
 
-	// contexts maps an encoded token-ID context (length 0..order) to
-	// its continuation counts.
-	contexts map[string]*followers
-
-	// popCache is the unigram (global popularity) ranking, sorted by
-	// descending count; rebuilt lazily after training. It bounds the
-	// cost of backoff to the empty context, which otherwise scans the
-	// whole vocabulary per prediction.
-	popCache   []prediction
-	popVersion int
-	version    int
+	// unigram is the empty context: how often each token was requested
+	// next, whatever came before. Its ranking is the global popularity
+	// that predictions fall back to.
+	unigram followers
+	// contexts holds every longer context, keyed (ctxKey) by the context
+	// one token shorter and the token that extends it to the left: the
+	// contexts a history matches are found shortest first, one lookup
+	// each, and training creates a context only after the shorter one,
+	// so a missing context ends the walk.
+	contexts map[uint64]*followers
 }
 
+// ctxKey is the key of the context that puts id in front of the context
+// numbered shorter (0: the empty context).
+func ctxKey(shorter, id int32) uint64 {
+	return uint64(uint32(shorter))<<32 | uint64(uint32(id))
+}
+
+// follow is one continuation of a context and how often it was seen.
+type follow struct{ id, count int32 }
+
+// rank orders continuations: the higher count first, the lower ID on a
+// tie.
+func rank(a, b follow) int {
+	if a.count != b.count {
+		return cmp.Compare(b.count, a.count)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// followers is one context's continuation counts, ranked as they are
+// counted: top is the exact best topCap continuations in rank order,
+// rest holds the others. Counts only grow, so a bump can only move its
+// continuation forward; top is repaired by one insertion step and is
+// never rebuilt.
 type followers struct {
-	counts map[int32]int
-	total  int
+	total int
+	top   []follow
+	rest  map[int32]int32 // nil until the context has more than topCap continuations
+	num   int32           // what ctxKey calls this context; contexts are numbered from 1
+}
+
+// bump counts one more occurrence of next.
+func (f *followers) bump(next int32) {
+	e := follow{id: next}
+	i := f.index(next)
+	if i >= 0 {
+		e.count = f.top[i].count
+	} else {
+		e.count = f.rest[next]
+	}
+	if e.count == math.MaxInt32 {
+		return // saturated; wrapping would break the rank order
+	}
+	e.count++
+	f.total++
+	switch {
+	case i >= 0:
+	case len(f.top) < topCap:
+		i = len(f.top)
+		f.top = append(f.top, e)
+	default:
+		// next is spilled or new. Everything in rest ranks behind the
+		// last of top, so that is the only entry next can displace.
+		i = topCap - 1
+		last := f.top[i]
+		if f.rest == nil {
+			f.rest = make(map[int32]int32)
+		}
+		if rank(e, last) > 0 {
+			f.rest[next] = e.count
+			return
+		}
+		if e.count > 1 {
+			delete(f.rest, next)
+		}
+		f.rest[last.id] = last.count
+	}
+	for ; i > 0 && rank(e, f.top[i-1]) < 0; i-- {
+		f.top[i] = f.top[i-1]
+	}
+	f.top[i] = e
+}
+
+// index returns next's position in top, or -1.
+func (f *followers) index(next int32) int {
+	for i := range f.top {
+		if f.top[i].id == next {
+			return i
+		}
+	}
+	return -1
+}
+
+// count returns how often next followed this context.
+func (f *followers) count(next int32) int32 {
+	if i := f.index(next); i >= 0 {
+		return f.top[i].count
+	}
+	return f.rest[next]
+}
+
+// ranked returns the first k continuations in rank order, or all of them
+// when there are fewer. Up to topCap that is a prefix of top; beyond it
+// the spilled continuations are ranked for this call.
+func (f *followers) ranked(k int) []follow {
+	if k <= len(f.top) {
+		return f.top[:k]
+	}
+	if len(f.rest) == 0 {
+		return f.top
+	}
+	all := make([]follow, len(f.top), len(f.top)+len(f.rest))
+	copy(all, f.top)
+	for id, c := range f.rest {
+		all = append(all, follow{id: id, count: c})
+	}
+	slices.SortFunc(all[len(f.top):], rank)
+	if k < len(all) {
+		all = all[:k]
+	}
+	return all
 }
 
 // NewModel returns a model that conditions on up to order previous
@@ -54,7 +166,7 @@ func NewModel(order int) *Model {
 	return &Model{
 		order:    order,
 		vocab:    make(map[string]int32),
-		contexts: make(map[string]*followers),
+		contexts: make(map[uint64]*followers),
 	}
 }
 
@@ -74,14 +186,10 @@ func (m *Model) intern(tok string) int32 {
 	return id
 }
 
-// encode packs a context window of token IDs into a map key.
-func encode(ids []int32) string {
-	buf := make([]byte, 4*len(ids))
-	for i, id := range ids {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(id))
-	}
-	return string(buf)
-}
+// stackOrder is the history length whose IDs and contexts a query or a
+// single observed transition keeps on the stack; longer ones spill to
+// the heap.
+const stackOrder = 8
 
 // Train folds one client request flow (a time-ordered URL sequence) into
 // the model, updating transition counts for every context length from 1
@@ -95,13 +203,7 @@ func (m *Model) Train(seq []string) {
 		ids[i] = m.intern(s)
 	}
 	for i := 1; i < len(ids); i++ {
-		next := ids[i]
-		// Unigram prior (empty context) captures global popularity,
-		// which the paper notes program analysis misses.
-		m.bump("", next)
-		for n := 1; n <= m.order && n <= i; n++ {
-			m.bump(encode(ids[i-n:i]), next)
-		}
+		m.observe(ids[max(0, i-m.order):i], ids[i])
 	}
 }
 
@@ -120,14 +222,30 @@ func (m *Model) ObserveTransition(history []string, next string) {
 	if len(history) > m.order {
 		history = history[len(history)-m.order:]
 	}
-	ids := make([]int32, len(history))
-	for i, h := range history {
-		ids[i] = m.intern(h)
+	var buf [stackOrder]int32
+	ids := buf[:0]
+	for _, h := range history {
+		ids = append(ids, m.intern(h))
 	}
-	nid := m.intern(next)
-	m.bump("", nid)
-	for n := 1; n <= len(ids); n++ {
-		m.bump(encode(ids[len(ids)-n:]), nid)
+	m.observe(ids, m.intern(next))
+}
+
+// observe counts next after every suffix of history (at most order IDs,
+// most recent last), the empty one included.
+func (m *Model) observe(history []int32, next int32) {
+	// Unigram prior (empty context) captures global popularity, which
+	// the paper notes program analysis misses.
+	m.unigram.bump(next)
+	shorter := int32(0)
+	for i := len(history) - 1; i >= 0; i-- {
+		key := ctxKey(shorter, history[i])
+		f := m.contexts[key]
+		if f == nil {
+			f = &followers{num: int32(len(m.contexts)) + 1}
+			m.contexts[key] = f
+		}
+		f.bump(next)
+		shorter = f.num
 	}
 }
 
@@ -137,54 +255,23 @@ func (m *Model) ObserveTransition(history []string, next string) {
 // prefetching is cheap; entropy near log2(vocab) means the stream is
 // close to unpredictable white noise. Returns 0 for an untrained model.
 func (m *Model) UnigramEntropyBits() float64 {
-	f := m.contexts[""]
-	if f == nil || f.total == 0 {
+	f := &m.unigram
+	if f.total == 0 {
 		return 0
 	}
 	total := float64(f.total)
 	var bits float64
-	for _, c := range f.counts {
-		if c > 0 {
-			p := float64(c) / total
-			bits -= p * math.Log2(p)
-		}
+	add := func(c int32) {
+		p := float64(c) / total
+		bits -= p * math.Log2(p)
+	}
+	for _, e := range f.top {
+		add(e.count)
+	}
+	for _, c := range f.rest {
+		add(c)
 	}
 	return bits
-}
-
-func (m *Model) bump(ctx string, next int32) {
-	f := m.contexts[ctx]
-	if f == nil {
-		f = &followers{counts: make(map[int32]int)}
-		m.contexts[ctx] = f
-	}
-	f.counts[next]++
-	f.total++
-	m.version++
-}
-
-// popularity returns the cached global ranking, rebuilding if stale.
-func (m *Model) popularity() []prediction {
-	if m.popCache != nil && m.popVersion == m.version {
-		return m.popCache
-	}
-	f := m.contexts[""]
-	if f == nil {
-		return nil
-	}
-	cands := make([]prediction, 0, len(f.counts))
-	for id, c := range f.counts {
-		cands = append(cands, prediction{id: id, score: float64(c) / float64(f.total)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].id < cands[j].id
-	})
-	m.popCache = cands
-	m.popVersion = m.version
-	return cands
 }
 
 // prediction is one candidate with its backoff score.
@@ -194,54 +281,51 @@ type prediction struct {
 }
 
 // PredictTopK returns up to k most probable next URLs given the history
-// (most recent last). Longer context matches outrank shorter ones via
-// backoff discounting; descent stops as soon as k candidates are
-// collected, and unknown histories fall back to the cached global
-// popularity ranking.
+// (most recent last). A candidate's score is its best discounted
+// relative frequency over the contexts visited, longest first; descent
+// stops as soon as k candidates are collected, and what is still
+// missing is filled from the global popularity ranking.
+//
+// Each context contributes only its first k continuations: one ranked
+// below k others in the context where it scores best is outscored by
+// all k of them, so the top k of the full candidate set lies in the
+// union of those prefixes, and whether k distinct candidates exist yet
+// comes out the same on the prefixes as on the full lists.
 func (m *Model) PredictTopK(history []string, k int) []string {
 	if k <= 0 {
 		return nil
 	}
-	ids, ok := m.lookupHistory(history)
-	if !ok {
-		// Unseen tokens in history: fall back entirely to popularity.
-		ids = nil
-	}
-	best := make(map[int32]float64, k*2)
-	weight := 1.0
-	for n := min(m.order, len(ids)); n >= 1 && len(best) < k; n-- {
-		f := m.contexts[encode(ids[len(ids)-n:])]
-		if f != nil {
-			for id, c := range f.counts {
-				score := weight * float64(c) / float64(f.total)
-				if score > best[id] {
-					best[id] = score
-				}
+	var ctxBuf [stackOrder]*followers
+	ctxs, weight := m.match(ctxBuf[:0], history)
+	var candBuf [3 * topCap]prediction // at most k a context; more spill to the heap
+	cands := candBuf[:0]
+	for i := len(ctxs) - 1; i >= 0 && len(cands) < k; i-- {
+		f := ctxs[i]
+		earlier := cands // one context's continuations are distinct
+		for _, e := range f.ranked(k) {
+			score := weight * float64(e.count) / float64(f.total)
+			if j := indexOf(earlier, e.id); j < 0 {
+				cands = append(cands, prediction{id: e.id, score: score})
+			} else if score > cands[j].score {
+				cands[j].score = score
 			}
 		}
 		weight *= backoffAlpha
 	}
-	cands := make([]prediction, 0, len(best)+k)
-	for id, s := range best {
-		cands = append(cands, prediction{id: id, score: s})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].id < cands[j].id
+	slices.SortFunc(cands, func(a, b prediction) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.id, b.id))
 	})
 	if len(cands) < k {
-		// Fill the remainder from global popularity, skipping ids
-		// already present.
-		for _, p := range m.popularity() {
+		// Fill the remainder in popularity order, skipping ids already
+		// present. Fewer than k are, so the first k popular suffice.
+		scored := cands
+		for _, e := range m.unigram.ranked(k) {
 			if len(cands) >= k {
 				break
 			}
-			if _, seen := best[p.id]; seen {
-				continue
+			if indexOf(scored, e.id) < 0 {
+				cands = append(cands, prediction{id: e.id})
 			}
-			cands = append(cands, prediction{id: p.id, score: weight * p.score})
 		}
 	}
 	if len(cands) == 0 {
@@ -251,10 +335,20 @@ func (m *Model) PredictTopK(history []string, k int) []string {
 		k = len(cands)
 	}
 	out := make([]string, k)
-	for i := 0; i < k; i++ {
+	for i := range out {
 		out[i] = m.words[cands[i].id]
 	}
 	return out
+}
+
+// indexOf returns id's position in cands, or -1.
+func indexOf(cands []prediction, id int32) int {
+	for i := range cands {
+		if cands[i].id == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Score returns the stupid-backoff score of next given the history; 0
@@ -266,38 +360,55 @@ func (m *Model) Score(history []string, next string) float64 {
 	if !ok {
 		return 0
 	}
-	ids, _ := m.lookupHistory(history)
-	weight := 1.0
-	for n := min(m.order, len(ids)); n >= 0; n-- {
-		var key string
-		if n > 0 {
-			key = encode(ids[len(ids)-n:])
+	var ctxBuf [stackOrder]*followers
+	ctxs, weight := m.match(ctxBuf[:0], history)
+	for i := len(ctxs); i >= 0; i-- {
+		f := &m.unigram
+		if i > 0 {
+			f = ctxs[i-1]
 		}
-		if f := m.contexts[key]; f != nil {
-			if c := f.counts[nid]; c > 0 {
-				return weight * float64(c) / float64(f.total)
-			}
+		if c := f.count(nid); c > 0 {
+			return weight * float64(c) / float64(f.total)
 		}
 		weight *= backoffAlpha
 	}
 	return 0
 }
 
-// lookupHistory resolves history tokens to IDs, truncating to the model
-// order; ok is false if any token in the retained window is unknown.
-func (m *Model) lookupHistory(history []string) ([]int32, bool) {
+// match appends to buf the contexts that exist for the history's last
+// order tokens, by length: ctxs[0] is the last token alone, ctxs[1] the
+// last two, as far as training has seen them. weight is the backoff
+// discount of the longest of them: every length the history offers and
+// training never saw costs one backoffAlpha. A history with an unknown
+// token matches nothing, undiscounted, which leaves the empty context.
+func (m *Model) match(buf []*followers, history []string) (ctxs []*followers, weight float64) {
 	if len(history) > m.order {
 		history = history[len(history)-m.order:]
 	}
-	ids := make([]int32, 0, len(history))
+	var idBuf [stackOrder]int32
+	ids := idBuf[:0]
 	for _, h := range history {
 		id, ok := m.vocab[h]
 		if !ok {
-			return nil, false
+			return nil, 1
 		}
 		ids = append(ids, id)
 	}
-	return ids, true
+	ctxs = buf
+	shorter := int32(0)
+	for i := len(ids) - 1; i >= 0; i-- {
+		f := m.contexts[ctxKey(shorter, ids[i])]
+		if f == nil {
+			break
+		}
+		ctxs = append(ctxs, f)
+		shorter = f.num
+	}
+	weight = 1
+	for n := len(ids); n > len(ctxs); n-- {
+		weight *= backoffAlpha
+	}
+	return ctxs, weight
 }
 
 // EvalResult is the outcome of Evaluate.
@@ -338,11 +449,4 @@ func Evaluate(m *Model, testSeqs [][]string, k int) EvalResult {
 		}
 	}
 	return res
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

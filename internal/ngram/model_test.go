@@ -2,6 +2,8 @@ package ngram
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -259,4 +261,91 @@ func TestUnigramEntropyBits(t *testing.T) {
 	if got := sk.UnigramEntropyBits(); got <= 0 || got >= 1 {
 		t.Errorf("skewed entropy = %v, want in (0, 1)", got)
 	}
+}
+
+// TestConcurrentPredictAfterTraining holds Model to its documented
+// contract: once training is over, queries only read. Histories with a
+// never-seen token take the popularity fallback, which used to build a
+// cache on first use. Run under -race (make race).
+func TestConcurrentPredictAfterTraining(t *testing.T) {
+	m := NewModel(3)
+	for _, seq := range benchSeqs(50, 60, 40) {
+		m.Train(seq)
+	}
+	histories := benchSeqs(8, 60, 3)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(h []string) {
+			defer wg.Done()
+			unseen := []string{h[0], "never-seen", h[2]}
+			for i := 0; i < 200; i++ {
+				for _, q := range [][]string{h, unseen} {
+					if len(m.PredictTopK(q, 5)) != 5 {
+						t.Errorf("PredictTopK(%v, 5) came back short", q)
+					}
+					m.PredictTopK(q, 2*topCap)
+					m.Score(q, h[1])
+				}
+				m.UnigramEntropyBits()
+			}
+		}(histories[g])
+	}
+	wg.Wait()
+}
+
+// TestPredictTopKAllocs pins a prediction to one allocation, the slice
+// it returns — with every backoff level visited and with the whole
+// answer taken from the popularity ranking.
+func TestPredictTopKAllocs(t *testing.T) {
+	m := NewModel(3)
+	seqs := benchSeqs(300, 500, 40)
+	for _, seq := range seqs {
+		m.Train(seq)
+	}
+	known := seqs[0][:3]
+	unseen := []string{"never-seen"}
+	for _, h := range [][]string{known, unseen} {
+		if got := testing.AllocsPerRun(100, func() { m.PredictTopK(h, 10) }); got > 1 {
+			t.Errorf("PredictTopK(%v, 10) allocates %v times, want at most 1", h, got)
+		}
+	}
+}
+
+// TestContextFootprint bounds what the model retains for a context with
+// one continuation, which is what nearly every context of a
+// cache-busting stream is: 50 000 order-3 transitions that share no
+// token make 150 000 such contexts (and one unigram context that
+// spills). The vocabulary is interned first so that only contexts are
+// measured.
+func TestContextFootprint(t *testing.T) {
+	const transitions = 50000
+	m := NewModel(3)
+	toks := make([]string, 4*transitions)
+	for i := range toks {
+		toks[i] = fmt.Sprintf("https://x.com/obj/%d", i)
+		m.intern(toks[i])
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < len(toks); i += 4 {
+		m.ObserveTransition(toks[i:i+3], toks[i+3])
+	}
+	after := heap()
+	contexts := len(m.contexts) + 1
+	if contexts != 3*transitions+1 {
+		t.Fatalf("contexts = %d, want %d", contexts, 3*transitions+1)
+	}
+	perContext := float64(after-before) / float64(contexts)
+	t.Logf("%.1f B retained a context", perContext)
+	if perContext > 130 {
+		t.Errorf("%.1f B retained a context, want at most 130", perContext)
+	}
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(toks)
 }

@@ -175,6 +175,15 @@ func (c Comparison) HitRatioDelta() float64 {
 	return c.Prefetch.HitRatio() - c.Baseline.HitRatio()
 }
 
+// Simulate replays records through a prefetching simulator around model:
+// the prefetching half of Compare, for a sweep that needs the baseline
+// once.
+func Simulate(model *ngram.Model, cfg Config, records func(func(*logfmt.Record))) Result {
+	sim := NewSimulator(model, cfg)
+	records(func(r *logfmt.Record) { sim.Observe(r) })
+	return sim.Result()
+}
+
 // Compare replays records through a plain pool and through a prefetching
 // simulator with identical cache shape, returning both outcomes.
 // records is iterated twice via the replay function.
@@ -187,8 +196,6 @@ func Compare(model *ngram.Model, cfg Config, records func(func(*logfmt.Record)))
 		rr.URL = logfmt.CanonicalURL(rr.URL)
 		base.Replay(&rr, &cmp.Baseline)
 	})
-	sim := NewSimulator(model, cfg)
-	records(func(r *logfmt.Record) { sim.Observe(r) })
-	cmp.Prefetch = sim.Result()
+	cmp.Prefetch = Simulate(model, cfg, records)
 	return cmp
 }
