@@ -3,7 +3,7 @@ FUZZTIME ?= 5s
 # Pinned staticcheck, run via `go run` so no binary install is needed.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: ci vet lint build test bench-test race fuzz bench slo-check attack-check chaos-check char-check
+.PHONY: ci vet lint build test bench-test race fuzz bench loc slo-check attack-check chaos-check char-check
 
 # ci is the tier-1 gate: everything below, in order. The end-to-end
 # gates run last — slo-check (latency), attack-check (adversarial
@@ -56,10 +56,19 @@ race:
 bench:
 	bash bench/run.sh --trace 1
 
+# loc prints the ROADMAP "Size" metric: Go lines outside bench/ that are
+# neither blank nor a whole-line comment, without test files and with
+# them — the second so that lines moved into _test.go do not count as a
+# reduction.
+LOC = xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
+loc:
+	@echo "non-test: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | $(LOC))"
+	@echo "with tests: $$(find . -name '*.go' ! -path './bench/*' | $(LOC))"
+
 # slo-check is the end-to-end latency gate: spin up the liveedge server
-# (faults off), replay a sharded synthetic stream against it open-loop,
-# and fail if the coordinated-omission-safe latency tail or the error
-# budget violates $(SLO). Tune with SLO/RATE/DURATION/WARMUP/SHARDS (see
+# (faults off), replay a synthetic stream against it open-loop, and fail
+# if the coordinated-omission-safe latency tail or the error budget
+# violates $(SLO). Tune with SLO/RATE/DURATION/WARMUP (see
 # scripts/slo-check.sh).
 slo-check:
 	GO=$(GO) ./scripts/slo-check.sh
@@ -108,6 +117,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalJSONLine -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzTolerantReader -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzParseSLO -fuzztime=$(FUZZTIME) ./internal/replay
+	$(GO) test -run=^$$ -fuzz=FuzzParseTimeline -fuzztime=$(FUZZTIME) ./internal/fleet/chaos
 	$(GO) test -run=^$$ -fuzz=FuzzDetect -fuzztime=$(FUZZTIME) ./internal/dsp
 	$(GO) test -run=^$$ -fuzz=FuzzClassify -fuzztime=$(FUZZTIME) ./internal/uastring
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalURL -fuzztime=$(FUZZTIME) ./internal/logfmt

@@ -1,15 +1,21 @@
 package cdnjson
 
 import (
+	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
+	"repro/internal/edge"
 	"repro/internal/obs"
 )
 
@@ -64,9 +70,9 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("jsonpredict output malformed:\n%.400s", predict)
 	}
 
-	pf := run("jsonprefetch", "-i", data, "-k", "1")
-	if !strings.Contains(pf, "baseline") || !strings.Contains(pf, "prefetch K=1") {
-		t.Errorf("jsonprefetch output malformed:\n%.400s", pf)
+	pf := run("jsonprefetch", "-i", data, "-k", "1,2")
+	if strings.Count(pf, "baseline") != 1 || !strings.Contains(pf, "prefetch K=1") || !strings.Contains(pf, "prefetch K=2") {
+		t.Errorf("jsonprefetch output malformed (want one baseline row, then K=1 and K=2):\n%.600s", pf)
 	}
 
 	an := run("jsonanomaly", "-train", data, "-top", "3")
@@ -161,5 +167,90 @@ func TestLiveEdgeSmoke(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestJSONFleetSmoke builds cmd/liveedge and cmd/jsonfleet and runs a
+// two-node fleet over real processes: the URL-file handshake publishes
+// the front, one path through the front lands on one named node and is a
+// cache hit the second time, /fleetz shows both members live, and SIGTERM
+// exits 0 inside the drain window.
+func TestJSONFleetSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("jsonfleet smoke test builds binaries and spawns processes; skipped in -short")
+	}
+	dir := t.TempDir()
+	for _, tool := range []string{"liveedge", "jsonfleet"} {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./cmd/"+tool).CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", tool, err, out)
+		}
+	}
+	urlFile := filepath.Join(dir, "fleet.url")
+	cmd := exec.Command(filepath.Join(dir, "jsonfleet"), "-nodes", "2",
+		"-node-bin", filepath.Join(dir, "liveedge"), "-url-file", urlFile, "-work", dir)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var waitErr error
+	exited := make(chan struct{})
+	go func() { waitErr = cmd.Wait(); close(exited) }()
+	t.Cleanup(func() {
+		// A failed run can leave the supervisor up: SIGTERM lets it reap
+		// its nodes before it goes.
+		cmd.Process.Signal(syscall.SIGTERM)
+		select {
+		case <-exited:
+		case <-time.After(5 * time.Second):
+			cmd.Process.Kill()
+		}
+	})
+
+	urls, err := edge.AwaitURLFile(context.Background(), urlFile, 20*time.Second)
+	if err != nil || len(urls) < 2 {
+		t.Fatalf("URL-file handshake: %v %v\n%s", urls, err, stderr.String())
+	}
+	front, admin := urls[0], urls[1]
+	get := func(url string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v\n%s", url, err, stderr.String())
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp, body
+	}
+
+	first, _ := get(front + "/stories")
+	second, _ := get(front + "/stories")
+	node := first.Header.Get("X-Fleet-Node")
+	if first.StatusCode != 200 || second.StatusCode != 200 || node == "" || second.Header.Get("X-Fleet-Node") != node {
+		t.Errorf("same path answered %d by %q, then %d by %q; want 200 from one named node",
+			first.StatusCode, node, second.StatusCode, second.Header.Get("X-Fleet-Node"))
+	}
+	if got := second.Header.Get("X-Cache"); got != "HIT" {
+		t.Errorf("second GET X-Cache = %q (first %q), want HIT", got, first.Header.Get("X-Cache"))
+	}
+
+	var fleetz struct {
+		Live    int               `json:"live"`
+		Members []json.RawMessage `json:"members"`
+	}
+	if _, body := get(admin + "/fleetz"); json.Unmarshal(body, &fleetz) != nil || fleetz.Live != 2 || len(fleetz.Members) != 2 {
+		t.Errorf("/fleetz = %s, want 2 live members", body)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-exited:
+		if waitErr != nil {
+			t.Errorf("jsonfleet after SIGTERM: %v, want exit 0\n%s", waitErr, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Errorf("jsonfleet still running 10s after SIGTERM\n%s", stderr.String())
 	}
 }

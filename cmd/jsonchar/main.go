@@ -12,7 +12,6 @@
 //	jsonchar -i logs.tsv.gz
 //	jsonchar -i logs.cdnb -max-error-rate 0.1 -dead-letter bad.jsonl
 //	jsonchar -synth -scale 0.002
-//	jsonchar -synth -shards 8         # shard generation across 8 goroutines
 //	jsonchar -i logs.tsv.gz -j 4      # cap text-format decode workers
 //	jsonchar -synth -trace -metrics-addr :9090
 //	jsonchar -i logs.tsv.gz -trace-out t.json   # Chrome trace of the ingest stages
@@ -56,7 +55,6 @@ func main() {
 		scale       = flag.Float64("scale", 0.002, "scale for -synth")
 		seed        = flag.Uint64("seed", 42, "seed for -synth")
 		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "decode workers for file ingest of the text formats")
-		shards      = flag.Int("shards", 1, "generation shards for -synth: 1 reproduces the historical stream; N > 1 generates on N goroutines (deterministic per seed+shards)")
 		topApps     = flag.Int("top-apps", 10, "how many applications to list")
 		maxErrRate  = flag.Float64("max-error-rate", 0.05, "abort file ingest when more than this fraction of records is corrupt")
 		deadLetter  = flag.String("dead-letter", "", "append quarantined record spans to this JSONL file")
@@ -70,10 +68,6 @@ func main() {
 	flag.Parse()
 	if *jobs < 1 {
 		fmt.Fprintln(os.Stderr, "jsonchar: -j must be >= 1")
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "jsonchar: -shards must be >= 1")
 		os.Exit(2)
 	}
 
@@ -94,8 +88,7 @@ func main() {
 	man := obs.NewManifest("jsonchar", runID)
 	man.Config = map[string]any{
 		"input": *in, "synth": *useSynth, "scale": *scale, "seed": *seed,
-		"jobs": *jobs, "shards": *shards,
-		"max_error_rate": *maxErrRate, "dead_letter": *deadLetter,
+		"jobs": *jobs, "max_error_rate": *maxErrRate, "dead_letter": *deadLetter,
 	}
 	finish := func(outcome string) {
 		man.Finish(outcome)
@@ -136,9 +129,7 @@ func main() {
 	switch {
 	case *useSynth:
 		cfg := synth.ShortTermConfig(*seed, *scale)
-		cfg.Shards = *shards
 		cfg.Obs = reg
-		cfg.Span = sp
 		src = core.SynthSource(cfg)
 	case *in != "":
 		opts := ingest.Options{

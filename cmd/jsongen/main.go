@@ -6,7 +6,6 @@
 //	jsongen -preset short -scale 0.002 -o logs.tsv.gz
 //	jsongen -preset long -seed 7 -o logs.jsonl
 //	jsongen -duration 2h -target 150000 -domains 40 -o pattern.tsv
-//	jsongen -preset short -scale 0.01 -shards 8 -o stream.tsv.gz
 //	jsongen -preset short -o logs.cdnc -codec gzip -chunk-records 8192
 //
 // The output format is inferred from the file extension (.tsv, .jsonl,
@@ -35,7 +34,6 @@ func main() {
 		duration = flag.Duration("duration", 0, "override capture window")
 		target   = flag.Int("target", 0, "override target record count")
 		domains  = flag.Int("domains", 0, "override domain count")
-		shards   = flag.Int("shards", 0, "generate with this many parallel shards (0/1 = sequential; deterministic per seed+shards)")
 		utcOff   = flag.Duration("utc-offset", 0, "vantage time-zone offset shifting the diurnal cycle (e.g. -8h, 9h)")
 		quiet    = flag.Bool("q", false, "suppress the summary line")
 
@@ -71,7 +69,6 @@ func main() {
 		cfg.Domains = *domains
 	}
 	cfg.UTCOffset = *utcOff
-	cfg.Shards = *shards
 	cfg.Attack = synth.AttackConfig{
 		CacheBustShare: *atkBust,
 		FlashShare:     *atkFlash,

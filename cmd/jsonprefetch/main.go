@@ -76,20 +76,24 @@ func main() {
 	cfg.CacheBytes = *cacheMB << 20
 	cfg.TTL = *ttl
 
-	first := true
-	for _, k := range kvals {
+	// The baseline does not depend on K: replay it once, with the first
+	// K's prefetching side, and run the prefetching side alone after that.
+	for i, k := range kvals {
 		kcfg := cfg
 		kcfg.K = k
-		cmp := prefetch.Compare(model, kcfg, replayJSON)
-		if first {
+		var res prefetch.Result
+		if i == 0 {
+			cmp := prefetch.Compare(model, kcfg, replayJSON)
 			tb.AddRowf("baseline", fmt.Sprintf("%.3f", cmp.Baseline.HitRatio()), "-",
 				cmp.Baseline.OriginBytes, "-")
-			first = false
+			res = cmp.Prefetch
+		} else {
+			res = prefetch.Simulate(model, kcfg, replayJSON)
 		}
 		tb.AddRowf(fmt.Sprintf("prefetch K=%d", k),
-			fmt.Sprintf("%.3f", cmp.Prefetch.HitRatio()),
-			fmt.Sprintf("%.2f", cmp.Prefetch.WasteRatio()),
-			cmp.Prefetch.OriginBytes, cmp.Prefetch.PrefetchedBytes)
+			fmt.Sprintf("%.3f", res.HitRatio()),
+			fmt.Sprintf("%.2f", res.WasteRatio()),
+			res.OriginBytes, res.PrefetchedBytes)
 	}
 	fmt.Print(tb.String())
 }

@@ -13,7 +13,6 @@
 //	jsonrepro -only fig5,table3
 //	jsonrepro -records logs.cdnc      # analyze a captured log instead of synth
 //	jsonrepro -j 1                    # one worker
-//	jsonrepro -shards 8               # shard dataset generation 8 ways
 //	jsonrepro -trace                  # per-stage span table after the run
 //	jsonrepro -trace-out t.json       # Chrome trace (about:tracing/Perfetto)
 //	jsonrepro -span-log spans.jsonl   # machine-readable span log
@@ -42,7 +41,6 @@ import (
 )
 
 func main() {
-	fullKeys, namedKeys := experiments.Keys()
 	var (
 		seed        = flag.Uint64("seed", 42, "seed for all datasets and permutations")
 		scale       = flag.Float64("scale", 0.002, "scale of the Table 2 presets")
@@ -53,9 +51,8 @@ func main() {
 		faultRate   = flag.Float64("fault-rate", 0.05, "steady-state origin error rate of the resilience experiment")
 		faultSeed   = flag.Uint64("fault-seed", 0, "seed for fault injection and backoff jitter (0 derives it from -seed)")
 		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "worker count for dataset generation and the exhibit steps (output is byte-identical at every count)")
-		shards      = flag.Int("shards", 1, "synth generation shards: 1 reproduces the historical streams; N > 1 generates on N goroutines (deterministic per seed+shards, different stream)")
 		records     = flag.String("records", "", "load the §4 short-term dataset from this log file (.tsv/.jsonl/.cdnb[.gz]/.cdnc, container detected by magic) instead of synthesizing it")
-		only        = flag.String("only", "", "comma-separated subset, run in paper order: "+strings.Join(fullKeys, ",")+"; never part of a full run, only when named here: "+strings.Join(namedKeys, ","))
+		only        = flag.String("only", "", "comma-separated subset, run in paper order: "+strings.Join(experiments.Keys(), ","))
 		csvDir      = flag.String("csv", "", "also export each exhibit's data series as CSV into this directory (full runs only)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /readyz, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")
 		trace       = flag.Bool("trace", false, "print a per-stage span table (wall time, records, records/sec) after the run")
@@ -68,10 +65,6 @@ func main() {
 	flag.Parse()
 	if *jobs < 1 {
 		fmt.Fprintln(os.Stderr, "jsonrepro: -j must be >= 1")
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "jsonrepro: -shards must be >= 1")
 		os.Exit(2)
 	}
 
@@ -93,7 +86,7 @@ func main() {
 		"pattern_target": *target, "pattern_window": window.String(),
 		"permutations": *x, "sample_bin": bin.String(),
 		"fault_rate": *faultRate, "fault_seed": *faultSeed,
-		"jobs": *jobs, "shards": *shards, "only": *only,
+		"jobs": *jobs, "only": *only,
 		"records": *records,
 	}
 
@@ -142,7 +135,6 @@ func main() {
 		FaultRate:     *faultRate,
 		FaultSeed:     *faultSeed,
 		Jobs:          *jobs,
-		Shards:        *shards,
 	}
 	r := experiments.NewRunner(cfg)
 	r.Instrument(reg, tr)
@@ -169,18 +161,17 @@ func main() {
 		logger.Info("profiling started", "dir", profileDir(*manifestDir))
 	}
 
-	logger.Info("run starting", "jobs", *jobs, "shards", *shards, "scale", *scale)
+	logger.Info("run starting", "jobs", *jobs, "scale", *scale)
 	start := time.Now()
 
 	// One path for full runs and -only subsets: the step table decides
 	// what a key means, the scheduler runs it.
-	var keys []string
+	keys := experiments.Keys()
 	if *only != "" {
+		keys = nil
 		for _, k := range strings.Split(*only, ",") {
 			keys = append(keys, strings.ToLower(strings.TrimSpace(k)))
 		}
-	} else {
-		keys = fullKeys
 	}
 	report, err := r.Run(ctx, os.Stdout, keys...)
 	interrupted := errors.Is(err, context.Canceled)

@@ -496,8 +496,8 @@ func runSelfDriven(st *edgeStack) {
 }
 
 // printScrapeSample fetches a Prometheus endpoint and prints its edge_*
-// and resilience_* samples (skipping comment lines and the histogram
-// bucket series).
+// and resilience_* samples (skipping comment lines and the summaries'
+// quantile series).
 func printScrapeSample(url string) {
 	resp, err := http.Get(url)
 	if err != nil {
@@ -509,7 +509,7 @@ func printScrapeSample(url string) {
 	for sc.Scan() {
 		line := sc.Text()
 		if (strings.HasPrefix(line, "edge_") || strings.HasPrefix(line, "resilience_")) &&
-			!strings.Contains(line, "_bucket{") {
+			!strings.Contains(line, `quantile="`) {
 			fmt.Printf("  %s\n", line)
 		}
 	}

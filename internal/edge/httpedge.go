@@ -320,7 +320,7 @@ func (e *HTTPEdge) fetch(x *exchange) bool {
 	}
 	fsp.End()
 	if e.Obs != nil {
-		e.Obs.OriginFetch.Observe(time.Since(fetchStart).Seconds())
+		e.Obs.OriginFetch.RecordDuration(time.Since(fetchStart))
 		if err != nil {
 			e.Obs.OriginErrors.Inc()
 		}

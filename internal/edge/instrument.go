@@ -26,7 +26,7 @@ type Instrumentation struct {
 	BytesServed *obs.Counter
 	// OriginFetch is the origin round-trip latency distribution in
 	// seconds (edge_origin_fetch_seconds).
-	OriginFetch *obs.Histogram
+	OriginFetch *obs.HDRHistogram
 	// OriginErrors counts failed origin fetches
 	// (edge_origin_errors_total).
 	OriginErrors *obs.Counter
@@ -54,7 +54,7 @@ func NewInstrumentation(reg *obs.Registry) *Instrumentation {
 		OtherRequests: reg.Counter("edge_requests_total", "method", "other"),
 		NotModified:   reg.Counter("edge_not_modified_total"),
 		BytesServed:   reg.Counter("edge_bytes_served_total"),
-		OriginFetch:   reg.Histogram("edge_origin_fetch_seconds", nil),
+		OriginFetch:   reg.HDR("edge_origin_fetch_seconds", obs.LatencyHDRConfig()),
 		OriginErrors:  reg.Counter("edge_origin_errors_total"),
 		StaleServes:   reg.Counter("edge_stale_serves_total"),
 		ShedMachine:   reg.Counter("edge_shed_total", "class", sched.ClassMachine.String()),

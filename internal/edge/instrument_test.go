@@ -45,6 +45,14 @@ func TestHTTPEdgeInstrumented(t *testing.T) {
 	// 1. GET /stories: cache miss, fetched from origin.
 	resp, body1 := do("GET", "/stories", nil)
 	etag := resp.Header.Get("ETag")
+	// That one miss is one recorded origin fetch on the wire.
+	var first strings.Builder
+	if err := reg.WritePrometheus(&first); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first.String(), "edge_origin_fetch_seconds_count 1\n") {
+		t.Errorf("scrape after one miss lacks edge_origin_fetch_seconds_count 1:\n%s", first.String())
+	}
 	// 2. GET /stories again: cache hit.
 	_, body2 := do("GET", "/stories", nil)
 	// 3. GET an unknown article: origin error, 404 served.
@@ -96,8 +104,10 @@ func TestHTTPEdgeInstrumented(t *testing.T) {
 		"edge_cache_hits_total 2",
 		"edge_cache_misses_total 2",
 		`edge_requests_total{method="get"} 4`,
-		"# TYPE edge_origin_fetch_seconds histogram",
-		`edge_origin_fetch_seconds_bucket{le="+Inf"} 4`,
+		"# TYPE edge_origin_fetch_seconds summary",
+		`edge_origin_fetch_seconds{quantile="0.99"} `,
+		"edge_origin_fetch_seconds_sum ",
+		"edge_origin_fetch_seconds_count 4",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q:\n%s", want, out)

@@ -250,7 +250,6 @@ func (r *Runner) adversarialConfig(attack synth.AttackConfig) synth.Config {
 	cfg.Duration = 6 * time.Minute
 	cfg.TargetRequests = 9000
 	cfg.Domains = 12
-	cfg.Shards = 0
 	cfg.Attack = attack
 	return cfg
 }

@@ -20,8 +20,8 @@ func benchRunAll(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		// A fresh runner per iteration so dataset generation — the cost
-		// the shards and the scheduler's resource phase attack — is
-		// measured, not memoized away.
+		// the scheduler's resource phase attacks — is measured, not
+		// memoized away.
 		rep, err := NewRunner(cfg).RunAll(io.Discard)
 		if err != nil {
 			b.Fatal(err)
@@ -42,15 +42,5 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	if cfg.Jobs < 2 {
 		cfg.Jobs = 2
 	}
-	benchRunAll(b, cfg)
-}
-
-func BenchmarkRunAllParallelSharded(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Jobs = runtime.GOMAXPROCS(0)
-	if cfg.Jobs < 2 {
-		cfg.Jobs = 2
-	}
-	cfg.Shards = runtime.GOMAXPROCS(0)
 	benchRunAll(b, cfg)
 }

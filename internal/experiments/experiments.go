@@ -53,12 +53,6 @@ type Config struct {
 	// is buffered and flushed in paper order, so the report bytes are
 	// the same at every width.
 	Jobs int
-	// Shards is the synth generation shard count handed to the dataset
-	// generators (see synth.Config.Shards). 1 (or 0) keeps the
-	// single-goroutine generator and the historical streams; N > 1 is
-	// faster on multi-core machines but yields a different (still fully
-	// deterministic) dataset per (Seed, Shards).
-	Shards int
 }
 
 // DefaultConfig returns the laptop-scale defaults.
@@ -97,9 +91,6 @@ func (c *Config) sanitize() {
 	}
 	if c.Jobs <= 0 {
 		c.Jobs = 1
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 }
 
@@ -179,9 +170,7 @@ func (r *Runner) records(d *dataset, parent *obs.Span) ([]logfmt.Record, error) 
 		}
 		sp := open("synth " + d.name + " dataset")
 		defer sp.End()
-		cfg := d.cfg()
-		cfg.Span = sp
-		recs, err := core.Collect(core.SynthSource(cfg))
+		recs, err := core.Collect(core.SynthSource(d.cfg()))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: generating %s dataset: %w", d.name, err)
 		}
@@ -233,7 +222,6 @@ func (r *Runner) UsePatternRecords(recs []logfmt.Record) { r.use(r.pattern, recs
 
 func (r *Runner) shortTermConfig() synth.Config {
 	cfg := synth.ShortTermConfig(r.cfg.Seed, r.cfg.Scale)
-	cfg.Shards = r.cfg.Shards
 	cfg.Obs = r.obsReg
 	return cfg
 }
@@ -244,7 +232,6 @@ func (r *Runner) PatternConfig() synth.Config {
 	cfg.Duration = r.cfg.PatternWindow
 	cfg.TargetRequests = r.cfg.PatternTarget
 	cfg.Domains = 40
-	cfg.Shards = r.cfg.Shards
 	cfg.Obs = r.obsReg
 	return cfg
 }

@@ -139,86 +139,75 @@ type step struct {
 	title string // section heading and ledger name
 	span  string // tracer span name and error-wrapping label
 	needs stepNeed
-	full  bool // part of a full run; false = runs only when named
 	fn    func(r *Runner, rep *Report, w io.Writer) error
 }
 
 // stepTable is every exhibit in paper order: the one table full runs, key
 // subsets, the -only usage text and the unknown-key error all read.
 // Steps that generate their own inputs (Figure 1's arrival sketch, the
-// regional and resilience simulations) declare no needs. fleetchaos
-// drives real sockets in real time, so it stays out of a full run's
-// byte-identical report.
+// regional and resilience simulations) declare no needs.
 var stepTable = []step{
-	{"fig1", "Figure 1", "figure 1", 0, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"fig1", "Figure 1", "figure 1", 0, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Figure1, err = r.Figure1(w)
 		return
 	}},
-	{"table2", "Table 2", "table 2", needShort | needPattern, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"table2", "Table 2", "table 2", needShort | needPattern, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Table2, err = r.Table2(w)
 		return
 	}},
-	{"fig3", "Figure 3 and §4 request/response types", "figure 3", needShort, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"fig3", "Figure 3 and §4 request/response types", "figure 3", needShort, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Figure3, err = r.Figure3(w)
 		return
 	}},
-	{"fig4", "Figure 4 and §4 cacheability", "figure 4", needShort, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"fig4", "Figure 4 and §4 cacheability", "figure 4", needShort, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Figure4, err = r.Figure4(w)
 		return
 	}},
-	{"fig5", "Figure 5 and §5.1 periodicity", "figure 5", needPattern | needPeriodicity, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"fig5", "Figure 5 and §5.1 periodicity", "figure 5", needPattern | needPeriodicity, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Periods, err = r.Figure5(w)
 		return
 	}},
-	{"fig6", "Figure 6", "figure 6", needPattern | needPeriodicity, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"fig6", "Figure 6", "figure 6", needPattern | needPeriodicity, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		_, err = r.Figure6(w)
 		return
 	}},
-	{"table3", "Table 3 and §5.2 prediction", "table 3", needPattern, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"table3", "Table 3 and §5.2 prediction", "table 3", needPattern, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Table3, err = r.Table3(w)
 		return
 	}},
-	{"prefetch", "Prefetch simulation (§5.2 implication)", "prefetch", needPattern, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"prefetch", "Prefetch simulation (§5.2 implication)", "prefetch", needPattern, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Prefetch, err = r.Prefetch(w)
 		return
 	}},
-	{"deprioritize", "Deprioritization (§7 implication)", "deprioritize", needPattern | needPeriodicity, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"deprioritize", "Deprioritization (§7 implication)", "deprioritize", needPattern | needPeriodicity, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Deprioritize, err = r.Deprioritize(w)
 		return
 	}},
-	{"anomaly", "Anomaly detection (§5 applications)", "anomaly", needPattern, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"anomaly", "Anomaly detection (§5 applications)", "anomaly", needPattern, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Anomaly, err = r.Anomaly(w)
 		return
 	}},
-	{"regional", "Regional vantages (§7 limitation)", "regional", 0, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"regional", "Regional vantages (§7 limitation)", "regional", 0, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Regional, err = r.Regional(w)
 		return
 	}},
-	{"resilience", "Resilience under origin faults (robustness)", "resilience", 0, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"resilience", "Resilience under origin faults (robustness)", "resilience", 0, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Resilience, err = r.Resilience(w)
 		return
 	}},
-	{"adversarial", "Adversarial traffic and edge defenses (robustness)", "adversarial", 0, true, func(r *Runner, rep *Report, w io.Writer) (err error) {
+	{"adversarial", "Adversarial traffic and edge defenses (robustness)", "adversarial", 0, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Adversarial, err = r.Adversarial(w)
-		return
-	}},
-	{"fleetchaos", "Edge fleet under chaos (robustness)", "fleetchaos", 0, false, func(r *Runner, rep *Report, w io.Writer) (err error) {
-		_, err = r.FleetChaos(w)
 		return
 	}},
 }
 
-// Keys lists the step table's keys in paper order: those a full run
-// executes, then those that run only when named.
-func Keys() (full, named []string) {
-	for _, st := range stepTable {
-		if st.full {
-			full = append(full, st.key)
-		} else {
-			named = append(named, st.key)
-		}
+// Keys lists the step table's keys in paper order.
+func Keys() []string {
+	keys := make([]string, len(stepTable))
+	for i, st := range stepTable {
+		keys[i] = st.key
 	}
-	return full, named
+	return keys
 }
 
 // RunAll is RunAllContext without cancellation.
@@ -228,8 +217,7 @@ func (r *Runner) RunAll(w io.Writer) (*Report, error) {
 
 // RunAllContext runs every step of a full run; see Run.
 func (r *Runner) RunAllContext(ctx context.Context, w io.Writer) (*Report, error) {
-	full, _ := Keys()
-	return r.Run(ctx, w, full...)
+	return r.Run(ctx, w, Keys()...)
 }
 
 // Run executes the steps named by keys — in paper order, whatever order
@@ -246,9 +234,8 @@ func (r *Runner) Run(ctx context.Context, w io.Writer, keys ...string) (*Report,
 	want := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		if !slices.ContainsFunc(stepTable, func(st step) bool { return st.key == k }) {
-			full, named := Keys()
 			return nil, fmt.Errorf("experiments: unknown step %q (have %s)", k,
-				strings.Join(append(full, named...), ", "))
+				strings.Join(Keys(), ", "))
 		}
 		want[k] = true
 	}

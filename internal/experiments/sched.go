@@ -40,15 +40,14 @@ func (r *Runner) schedule(ctx context.Context, w io.Writer, selected []step) (*R
 	}
 
 	// The root span: the materialization and every step hang off it, so
-	// the trace export is a single tree (RunAll → materialize → dataset →
-	// shard, RunAll → step).
+	// the trace export is a single tree (RunAll → materialize → dataset,
+	// RunAll → step).
 	root := r.trace.Start("RunAll")
 	defer root.End()
 	root.SetAttrs(
 		obs.Int64("seed", int64(r.cfg.Seed)),
 		obs.Float("scale", r.cfg.Scale),
 		obs.Int("jobs", r.cfg.Jobs),
-		obs.Int("shards", r.cfg.Shards),
 	)
 
 	if failed, err := r.materialize(ctx, root, selected); err != nil {
@@ -61,10 +60,10 @@ func (r *Runner) schedule(ctx context.Context, w io.Writer, selected []step) (*R
 	}
 
 	var running *obs.Gauge
-	var wallHist *obs.Histogram
+	var wallHist *obs.HDRHistogram
 	if r.obsReg != nil {
 		running = r.obsReg.Gauge("experiments_steps_running")
-		wallHist = r.obsReg.Histogram("experiments_step_wall_seconds", nil)
+		wallHist = r.obsReg.HDR("experiments_step_wall_seconds", obs.LatencyHDRConfig())
 	}
 
 	bufs := make([]bytes.Buffer, len(selected))
@@ -85,7 +84,7 @@ func (r *Runner) schedule(ctx context.Context, w io.Writer, selected []step) (*R
 		sp.End()
 		rep.Steps[i].Wall = time.Since(start)
 		if wallHist != nil {
-			wallHist.ObserveSince(start)
+			wallHist.RecordDuration(rep.Steps[i].Wall)
 		}
 		return err
 	}, func(i int, err error) {

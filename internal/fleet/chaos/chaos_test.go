@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -141,6 +142,35 @@ func TestParseTimelineErrors(t *testing.T) {
 			t.Errorf("ParseTimeline(%q) accepted, want error", bad)
 		}
 	}
+}
+
+// FuzzParseTimeline feeds the timeline grammar arbitrary text: it must
+// never panic, and whatever it accepts must re-render through
+// Event.String into text it accepts again as the same events.
+func FuzzParseTimeline(f *testing.F) {
+	render := func(events []Event) string {
+		var b strings.Builder
+		for _, ev := range events {
+			fmt.Fprintln(&b, ev)
+		}
+		return b.String()
+	}
+	f.Add(render(GenerateTimeline(7, []string{"edge-00", "edge-01", "edge-02"}, 10*time.Second, 4)))
+	f.Add("# comment\n+500ms kill edge-01\n+2s restart edge-01\n@4s pause edge-02 300ms\n+1s mark settled\n")
+	f.Add("+2000000h kill a\n+2000000h restart a\n") // relative offsets that overflow together
+	f.Fuzz(func(t *testing.T, text string) {
+		events, err := ParseTimeline(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		back, err := ParseTimeline(strings.NewReader(render(events)))
+		if err != nil {
+			t.Fatalf("accepted %q but rejected its rendering %q: %v", text, render(events), err)
+		}
+		if !slices.Equal(events, back) {
+			t.Fatalf("round trip changed the events:\n%v\n%v", events, back)
+		}
+	})
 }
 
 func TestGenerateTimelineDeterministic(t *testing.T) {

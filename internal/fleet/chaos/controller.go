@@ -8,10 +8,10 @@ import (
 )
 
 // Target is what a Controller drives: something that can crash,
-// resurrect, and fault-inject named nodes. The in-process experiment
-// implements it over httptest servers and Injectors; the jsonfleet
-// supervisor implements it with SIGKILL/respawn plus each child's
-// chaos control endpoint.
+// resurrect, and fault-inject named nodes. The jsonfleet supervisor
+// implements it with SIGKILL/respawn plus each child's chaos control
+// endpoint; internal/fleet's scenario test implements it over httptest
+// servers and Injectors.
 type Target interface {
 	// Kill terminates the node's process (or closes its listener).
 	Kill(node string) error

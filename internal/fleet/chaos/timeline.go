@@ -79,7 +79,7 @@ func ParseTimeline(r io.Reader) ([]Event, error) {
 		switch {
 		case strings.HasPrefix(off, "+"):
 			d, err := time.ParseDuration(off[1:])
-			if err != nil || d < 0 {
+			if err != nil || d < 0 || cursor+d < cursor {
 				return nil, fmt.Errorf("chaos: line %d: bad relative offset %q", lineno, off)
 			}
 			at = cursor + d

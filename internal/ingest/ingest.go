@@ -96,7 +96,7 @@ type Instrumentation struct {
 	// DecodeSeconds is the decode latency distribution, one
 	// observation per decoded unit — a batch of text lines or one chunk
 	// (ingest_decode_seconds).
-	DecodeSeconds *obs.Histogram
+	DecodeSeconds *obs.HDRHistogram
 
 	// BinarySkips and ChunkSkips are the per-format views of the shared
 	// skip metric family.
@@ -115,7 +115,7 @@ func (i *Instrumentation) decodeStart() time.Time {
 
 func (i *Instrumentation) decodeDone(start time.Time) {
 	if i != nil {
-		i.DecodeSeconds.Observe(time.Since(start).Seconds())
+		i.DecodeSeconds.RecordDuration(time.Since(start))
 	}
 }
 
@@ -164,7 +164,7 @@ func NewInstrumentation(reg *obs.Registry) *Instrumentation {
 		Records:       reg.Counter("ingest_records_total"),
 		Quarantined:   reg.Counter("ingest_quarantined_total"),
 		QueueDepth:    reg.Gauge("ingest_queue_depth"),
-		DecodeSeconds: reg.Histogram("ingest_decode_seconds", obs.ExpBuckets(1e-7, 4, 12)),
+		DecodeSeconds: reg.HDR("ingest_decode_seconds", obs.LatencyHDRConfig()),
 		BinarySkips:   newSkipMetrics(reg, "binary"),
 		ChunkSkips:    newSkipMetrics(reg, "chunk"),
 	}

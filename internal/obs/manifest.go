@@ -15,7 +15,7 @@ import (
 // This file implements run manifests: the `run-<id>.json` artifact every
 // CLI run emits so a reviewer can reproduce any figure bit-for-bit. A
 // manifest captures the full effective configuration (seed, scale,
-// shards, parallelism, fault injection), the toolchain and VCS revision
+// parallelism, fault injection), the toolchain and VCS revision
 // that built the binary, the per-step ledger from the experiment
 // scheduler, dead-letter counts from tolerant ingest, a final snapshot
 // of the metrics registry, and the span tree of the run.
@@ -62,7 +62,7 @@ type Manifest struct {
 	DeadLetters int64 `json:"dead_letters"`
 
 	// Metrics is the final registry snapshot: counters and gauges by
-	// name{labels}, histograms as _count and _sum entries.
+	// name{labels}, HDR summaries as _count and _sum entries.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 
 	// Spans is the run's span tree (ids and parent ids preserved);
@@ -163,34 +163,28 @@ func (m *Manifest) WriteFile(dir string) (string, error) {
 }
 
 // SnapshotMetrics flattens a registry into name{labels} → value:
-// counters and gauges directly, histograms as _count and _sum entries —
+// counters and gauges directly, HDR summaries as _count and _sum entries —
 // the manifest-friendly projection of a /metrics scrape.
 func SnapshotMetrics(r *Registry) map[string]float64 {
 	out := make(map[string]float64)
 	for _, f := range r.snapshotFamilies() {
 		for _, s := range f.series {
-			key := f.name
+			labels := ""
 			if lk := labelKey(s.labels); lk != "" {
-				key += "{" + lk + "}"
+				labels = "{" + lk + "}"
 			}
 			switch {
 			case s.c != nil:
-				out[key] = float64(s.c.Value())
+				out[f.name+labels] = float64(s.c.Value())
 			case s.cfn != nil:
-				out[key] = float64(s.cfn())
+				out[f.name+labels] = float64(s.cfn())
 			case s.g != nil:
-				out[key] = s.g.Value()
+				out[f.name+labels] = s.g.Value()
 			case s.gfn != nil:
-				out[key] = s.gfn()
-			case s.h != nil:
-				snap := s.h.Snapshot()
-				countKey, sumKey := f.name+"_count", f.name+"_sum"
-				if lk := labelKey(s.labels); lk != "" {
-					countKey += "{" + lk + "}"
-					sumKey += "{" + lk + "}"
-				}
-				out[countKey] = float64(snap.Count)
-				out[sumKey] = snap.Sum
+				out[f.name+labels] = s.gfn()
+			case s.hdr != nil:
+				out[f.name+"_count"+labels] = float64(s.hdr.Count())
+				out[f.name+"_sum"+labels] = float64(s.hdr.Sum()) * s.hdr.Config().Unit
 			}
 		}
 	}

@@ -23,9 +23,9 @@ func TestManifestRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("synth_records_generated_total").Add(1234)
 	reg.Counter("edge_requests_total", "method", "get").Add(7)
-	h := reg.Histogram("ingest_decode_seconds", []float64{0.001, 0.01})
-	h.Observe(0.002)
-	h.Observe(0.005)
+	h := reg.HDR("ingest_decode_seconds", LatencyHDRConfig())
+	h.RecordDuration(2 * time.Millisecond)
+	h.RecordDuration(5 * time.Millisecond)
 
 	tr := NewTrace()
 	root := tr.Start("RunAll")
@@ -60,10 +60,10 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Errorf("labeled counter snapshot = %v", got)
 	}
 	if got := m.Metrics["ingest_decode_seconds_count"]; got != 2 {
-		t.Errorf("histogram count snapshot = %v", got)
+		t.Errorf("summary count snapshot = %v", got)
 	}
 	if got := m.Metrics["ingest_decode_seconds_sum"]; got < 0.0069 || got > 0.0071 {
-		t.Errorf("histogram sum snapshot = %v", got)
+		t.Errorf("summary sum snapshot = %v", got)
 	}
 	if len(m.Spans) != 2 {
 		t.Errorf("spans embedded = %d, want 2", len(m.Spans))

@@ -1,8 +1,8 @@
 // Package obs is the repo's zero-dependency observability substrate:
-// atomic Counter/Gauge/Histogram metric types, a labeled Registry with
-// Prometheus text-format exposition, a lightweight per-stage tracer
-// (Trace/Span), and an AdminMux serving /metrics, /debug/vars, and
-// /debug/pprof. Every layer of the pipeline — the net/http edge, the
+// atomic Counter and Gauge metrics and one distribution type
+// (HDRHistogram), a labeled Registry with Prometheus text-format
+// exposition, a lightweight per-stage tracer (Trace/Span), and an
+// AdminMux serving /metrics, /debug/vars, and /debug/pprof. Every layer of the pipeline — the net/http edge, the
 // synthetic workload generator, the scheduler simulation, and the
 // experiment harness — reports through this package, so a single scrape
 // of a running process answers the questions the paper's analyses ask
@@ -13,7 +13,6 @@ package obs
 import (
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing integer metric. The zero value
@@ -64,115 +63,3 @@ func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a fixed-bucket histogram with atomic observation. Bucket
-// boundaries are upper bounds (inclusive); observations above the last
-// bound land in the implicit +Inf bucket. Construct histograms through
-// Registry.Histogram, which supplies the default log-spaced bounds when
-// none are given. All methods are safe for concurrent use.
-type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Int64 // len(bounds)+1; last is +Inf
-	sumBits atomic.Uint64
-}
-
-// ExpBuckets returns n log-spaced bucket upper bounds starting at start
-// and multiplying by factor: start, start*factor, start*factor², ….
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start
-		start *= factor
-	}
-	return b
-}
-
-// DefBuckets are the default latency bounds in seconds: log-spaced from
-// 100µs to ~52s, doubling each bucket. Suitable for both origin fetch
-// latencies and simulated queueing delays.
-func DefBuckets() []float64 { return ExpBuckets(1e-4, 2, 20) }
-
-func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefBuckets()
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly increasing")
-		}
-	}
-	cp := make([]float64, len(bounds))
-	copy(cp, bounds)
-	return &Histogram{bounds: cp, counts: make([]atomic.Int64, len(cp)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	// Binary search for the first bound >= v.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo].Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// ObserveSince records the seconds elapsed since start — the usual
-// way a duration histogram is fed from a deferred call.
-func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
-
-// HistogramSnapshot is a point-in-time read of a histogram.
-type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds (excluding +Inf).
-	Bounds []float64
-	// Counts are per-bucket (non-cumulative) counts; len(Bounds)+1, the
-	// last being the +Inf bucket.
-	Counts []int64
-	// Count is the total number of observations.
-	Count int64
-	// Sum is the sum of all observed values.
-	Sum float64
-}
-
-// Snapshot returns a consistent-enough view for exposition: each bucket
-// is read atomically, though concurrent observers may land between
-// bucket reads.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]int64, len(h.counts)),
-		Sum:    math.Float64frombits(h.sumBits.Load()),
-	}
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		s.Counts[i] = c
-		s.Count += c
-	}
-	return s
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

@@ -36,48 +36,6 @@ func TestGaugeIncDec(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveSince(t *testing.T) {
-	h := newHistogram(nil)
-	h.ObserveSince(time.Now().Add(-time.Millisecond))
-	if got := h.Count(); got != 1 {
-		t.Fatalf("count = %d, want 1", got)
-	}
-	if s := h.Sum(); s <= 0 || s > 10 {
-		t.Errorf("observed elapsed seconds = %g, want small positive", s)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1, 1.5, 4, 100} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	// 0.5 and 1 land in le=1; 1.5 in le=2; 4 in le=4; 100 in +Inf.
-	want := []int64{2, 1, 1, 1}
-	for i, w := range want {
-		if s.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d (all: %v)", i, s.Counts[i], w, s.Counts)
-		}
-	}
-	if s.Count != 5 {
-		t.Errorf("count = %d, want 5", s.Count)
-	}
-	if s.Sum != 107 {
-		t.Errorf("sum = %g, want 107", s.Sum)
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(0.001, 10, 4)
-	want := []float64{0.001, 0.01, 0.1, 1}
-	for i := range want {
-		if b[i] < want[i]*0.999 || b[i] > want[i]*1.001 {
-			t.Errorf("bucket %d = %g, want %g", i, b[i], want[i])
-		}
-	}
-}
-
 func TestRegistryGetOrCreate(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("x_total", "k", "v")
@@ -89,10 +47,10 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if a == c {
 		t.Error("different labels returned the same counter")
 	}
-	h1 := reg.Histogram("h_seconds", []float64{1, 2})
-	h2 := reg.Histogram("h_seconds", nil)
+	h1 := reg.HDR("h_seconds", LatencyHDRConfig())
+	h2 := reg.HDR("h_seconds", HDRConfig{})
 	if h1 != h2 {
-		t.Error("histogram get-or-create returned distinct instances")
+		t.Error("HDR get-or-create returned distinct instances")
 	}
 }
 
@@ -142,7 +100,7 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 // the -race target in the Makefile relies on this for coverage.
 func TestConcurrentUse(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("lat_seconds", nil)
+	h := reg.HDR("lat_seconds", LatencyHDRConfig())
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -151,7 +109,7 @@ func TestConcurrentUse(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				reg.Counter("c_total").Inc()
 				reg.Gauge("g").Add(1)
-				h.Observe(float64(j) / 1000)
+				h.RecordDuration(time.Duration(j) * time.Millisecond)
 			}
 		}(i)
 	}

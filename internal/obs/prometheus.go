@@ -11,8 +11,8 @@ import (
 // WritePrometheus writes every registered metric in the Prometheus text
 // exposition format (version 0.0.4): one # TYPE line per family (plus
 // # HELP when set), families sorted by name, series sorted by label
-// set. Histograms emit cumulative _bucket series ending in le="+Inf",
-// plus _sum and _count.
+// set. HDR histograms are summaries: one {quantile="..."} sample per
+// default quantile, plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range r.snapshotFamilies() {
@@ -45,51 +45,23 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case s.hdr != nil:
 				unit := s.hdr.Config().Unit
 				for _, row := range s.hdr.Percentiles() {
-					writeQuantileSample(bw, f.name, s.labels,
+					writeSample(bw, f.name, "", s.labels,
 						formatFloat(row.Quantile), formatFloat(float64(row.Value)*unit))
 				}
 				writeSample(bw, f.name, "_sum", s.labels, "", formatFloat(float64(s.hdr.Sum())*unit))
 				writeSample(bw, f.name, "_count", s.labels, "", strconv.FormatInt(s.hdr.Count(), 10))
-			case s.h != nil:
-				snap := s.h.Snapshot()
-				var cum int64
-				for i, b := range snap.Bounds {
-					cum += snap.Counts[i]
-					writeSample(bw, f.name, "_bucket", s.labels, formatFloat(b), strconv.FormatInt(cum, 10))
-				}
-				cum += snap.Counts[len(snap.Counts)-1]
-				writeSample(bw, f.name, "_bucket", s.labels, "+Inf", strconv.FormatInt(cum, 10))
-				writeSample(bw, f.name, "_sum", s.labels, "", formatFloat(snap.Sum))
-				writeSample(bw, f.name, "_count", s.labels, "", strconv.FormatInt(snap.Count, 10))
 			}
 		}
 	}
 	return bw.Flush()
 }
 
-// writeQuantileSample emits one summary sample:
-// name{labels[,]quantile="q"} value.
-func writeQuantileSample(bw *bufio.Writer, name string, labels []string, q, value string) {
-	bw.WriteString(name)
-	bw.WriteByte('{')
-	for i := 0; i+1 < len(labels); i += 2 {
-		bw.WriteString(labels[i])
-		bw.WriteString(`="`)
-		bw.WriteString(escapeLabel(labels[i+1]))
-		bw.WriteString(`",`)
-	}
-	bw.WriteString(`quantile="`)
-	bw.WriteString(q)
-	bw.WriteString(`"} `)
-	bw.WriteString(value)
-	bw.WriteByte('\n')
-}
-
-// writeSample emits one sample line: name[suffix]{labels[,le="le"]} value.
-func writeSample(bw *bufio.Writer, name, suffix string, labels []string, le, value string) {
+// writeSample emits one sample line:
+// name[suffix]{labels[,quantile="quantile"]} value.
+func writeSample(bw *bufio.Writer, name, suffix string, labels []string, quantile, value string) {
 	bw.WriteString(name)
 	bw.WriteString(suffix)
-	if len(labels) > 0 || le != "" {
+	if len(labels) > 0 || quantile != "" {
 		bw.WriteByte('{')
 		first := true
 		for i := 0; i+1 < len(labels); i += 2 {
@@ -102,12 +74,12 @@ func writeSample(bw *bufio.Writer, name, suffix string, labels []string, le, val
 			bw.WriteString(escapeLabel(labels[i+1]))
 			bw.WriteByte('"')
 		}
-		if le != "" {
+		if quantile != "" {
 			if !first {
 				bw.WriteByte(',')
 			}
-			bw.WriteString(`le="`)
-			bw.WriteString(le)
+			bw.WriteString(`quantile="`)
+			bw.WriteString(quantile)
 			bw.WriteByte('"')
 		}
 		bw.WriteByte('}')

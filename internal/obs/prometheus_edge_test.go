@@ -3,10 +3,13 @@ package obs
 import (
 	"bufio"
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // parseExposition is a strict parser for the subset of the text
@@ -162,66 +165,67 @@ func keys(m map[string]float64) []string {
 	return out
 }
 
-func TestHistogramBucketsMonotonicUnderConcurrency(t *testing.T) {
+// TestSummaryConsistentUnderConcurrency scrapes the real exposition
+// while writers are recording: every scrape must parse cleanly with
+// every quantile present and _count never running backwards; once the
+// writers are done the quantiles must not decrease in q and _count and
+// _sum must be exact. (Mid-run each quantile is its own pass over
+// moving buckets, so only the settled scrape is ordered in q.)
+func TestSummaryConsistentUnderConcurrency(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("lat_seconds", []float64{0.001, 0.01, 0.1, 1})
+	h := reg.HDR("lat_seconds", LatencyHDRConfig())
 
 	const goroutines, observes = 8, 2000
 	var start, done sync.WaitGroup
 	start.Add(1)
 	for g := 0; g < goroutines; g++ {
 		done.Add(1)
-		go func(g int) {
+		go func() {
 			defer done.Done()
 			start.Wait()
 			for i := 0; i < observes; i++ {
-				h.Observe(float64(i%1000) / 5000.0)
+				h.RecordDuration(time.Duration(i%1000) * 200 * time.Microsecond)
 			}
-		}(g)
+		}()
 	}
 	start.Done()
 
-	// Scrape the real exposition while writers are running: every scrape
-	// must parse cleanly and its buckets must be cumulative in le with
-	// +Inf equal to the count — the invariants Prometheus relies on.
-	les := []string{"0.001", "0.01", "0.1", "1", "+Inf"}
-	for scrape := 0; scrape < 20; scrape++ {
+	scrape := func() (quantiles []float64, samples map[string]float64) {
 		var sb strings.Builder
 		if err := reg.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
-		samples := parseExposition(t, sb.String())
-		var prev float64 = -1
-		for _, le := range les {
-			v, ok := samples[`lat_seconds_bucket{le=`+strconv.Quote(le)+`}`]
+		samples = parseExposition(t, sb.String())
+		for _, q := range HDRQuantiles {
+			v, ok := samples[`lat_seconds{quantile=`+strconv.Quote(formatFloat(q))+`}`]
 			if !ok {
-				t.Fatalf("scrape %d: missing bucket le=%s", scrape, le)
+				t.Fatalf("scrape lacks quantile %g:\n%s", q, sb.String())
 			}
-			if v < prev {
-				t.Fatalf("scrape %d: bucket le=%s = %v < previous %v (not cumulative)", scrape, le, v, prev)
-			}
-			prev = v
+			quantiles = append(quantiles, v)
 		}
-		if prev != samples["lat_seconds_count"] {
-			t.Fatalf("scrape %d: +Inf bucket %v != count %v", scrape, prev, samples["lat_seconds_count"])
+		return quantiles, samples
+	}
+	var lastCount float64
+	for n := 0; n < 20; n++ {
+		_, samples := scrape()
+		if c := samples["lat_seconds_count"]; c < lastCount {
+			t.Fatalf("scrape %d: count %v ran backwards from %v", n, c, lastCount)
+		} else {
+			lastCount = c
 		}
 	}
 	done.Wait()
 
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	quantiles, samples := scrape()
+	if !sort.Float64sAreSorted(quantiles) {
+		t.Errorf("settled quantiles decrease in q: %v", quantiles)
 	}
-	samples := parseExposition(t, b.String())
 	if got := samples["lat_seconds_count"]; got != goroutines*observes {
 		t.Errorf("final count = %v, want %d", got, goroutines*observes)
 	}
-	if got := samples[`lat_seconds_bucket{le="+Inf"}`]; got != goroutines*observes {
-		t.Errorf("final +Inf bucket = %v, want %d", got, goroutines*observes)
-	}
-	snap := h.Snapshot()
-	if snap.Count != goroutines*observes {
-		t.Errorf("snapshot count = %d, want %d", snap.Count, goroutines*observes)
+	// 8 × two passes over 0, 0.2 ms, …, 199.8 ms: the sum is exact.
+	if got, want := samples["lat_seconds_sum"], float64(goroutines*2)*999*1000/2*200e-6; math.Abs(got-want) > 1e-6 {
+		t.Errorf("final sum = %v s, want %v", got, want)
 	}
 }
 

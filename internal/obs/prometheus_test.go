@@ -43,34 +43,6 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestPrometheusHistogramCumulative(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("lat_seconds", []float64{0.1, 1, 10}, "class", "human")
-	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
-		h.Observe(v)
-	}
-	out := scrape(t, reg)
-	wants := []string{
-		"# TYPE lat_seconds histogram\n",
-		`lat_seconds_bucket{class="human",le="0.1"} 1` + "\n",
-		`lat_seconds_bucket{class="human",le="1"} 3` + "\n",
-		`lat_seconds_bucket{class="human",le="10"} 4` + "\n",
-		`lat_seconds_bucket{class="human",le="+Inf"} 5` + "\n",
-		`lat_seconds_sum{class="human"} 56.05` + "\n",
-		`lat_seconds_count{class="human"} 5` + "\n",
-	}
-	for _, want := range wants {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// Buckets must be cumulative and ordered: the +Inf line comes last
-	// among the bucket lines.
-	if strings.Index(out, `le="10"`) > strings.Index(out, `le="+Inf"`) {
-		t.Error("+Inf bucket not after finite buckets")
-	}
-}
-
 func TestPrometheusFuncsAndOrdering(t *testing.T) {
 	reg := NewRegistry()
 	reg.CounterFunc("zz_total", func() int64 { return 9 })

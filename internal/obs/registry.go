@@ -13,7 +13,6 @@ type metricKind uint8
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindSummary
 )
 
@@ -23,10 +22,8 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindSummary:
-		return "summary"
 	default:
-		return "histogram"
+		return "summary"
 	}
 }
 
@@ -36,7 +33,6 @@ type series struct {
 	labels []string // sorted key/value pairs, flattened
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
 	hdr    *HDRHistogram
 	cfn    func() int64
 	gfn    func() float64
@@ -118,17 +114,6 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 		return &series{g: &Gauge{}}
 	})
 	return s.g
-}
-
-// Histogram returns the histogram with the given name and label pairs,
-// creating it with the given bucket bounds on first use (nil bounds =
-// DefBuckets). Bounds passed on later calls for an existing histogram
-// are ignored.
-func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
-	s := r.getOrCreate(name, kindHistogram, nil, labels, func() *series {
-		return &series{h: newHistogram(bounds)}
-	})
-	return s.h
 }
 
 // HDR returns the HDRHistogram with the given name and label pairs,

@@ -10,14 +10,14 @@ import (
 )
 
 // DefaultSpanLimit is the span-retention cap applied when Trace.Limit is
-// zero. Large enough that a full jsonrepro run (a few hundred spans even
-// heavily sharded) is never truncated, small enough that a per-request
+// zero. Large enough that a full jsonrepro run (a few dozen spans) is
+// never truncated, small enough that a per-request
 // tracer on a long-lived edge cannot grow without bound.
 const DefaultSpanLimit = 16384
 
 // Trace collects hierarchical Spans: pipeline-level stages (one span per
 // dataset generation, per figure, per analysis pass) that may nest —
-// RunAll → step → dataset → shard. A nil *Trace is a valid no-op: Start
+// RunAll → materialize datasets → dataset. A nil *Trace is a valid no-op: Start
 // returns a nil *Span whose methods are all no-ops, so instrumented code
 // needs no nil checks at call sites. Trace is safe for concurrent use.
 //

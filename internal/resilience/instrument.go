@@ -23,7 +23,7 @@ type Instrumentation struct {
 	BreakerRejects *obs.Counter
 	// AttemptSeconds is the per-attempt origin latency distribution
 	// (resilience_attempt_seconds).
-	AttemptSeconds *obs.Histogram
+	AttemptSeconds *obs.HDRHistogram
 }
 
 // NewInstrumentation registers the resilience metrics in reg and
@@ -40,7 +40,7 @@ func NewInstrumentation(reg *obs.Registry) *Instrumentation {
 		AttemptError:   reg.Counter("resilience_attempts_total", "result", "error"),
 		AttemptTimeout: reg.Counter("resilience_attempts_total", "result", "timeout"),
 		BreakerRejects: reg.Counter("resilience_breaker_rejects_total"),
-		AttemptSeconds: reg.Histogram("resilience_attempt_seconds", nil),
+		AttemptSeconds: reg.HDR("resilience_attempt_seconds", obs.LatencyHDRConfig()),
 	}
 }
 

@@ -95,7 +95,7 @@ func (ro *ResilientOrigin) Fetch(path string) ([]byte, string, bool, error) {
 		body, mime, cacheable, err := ro.attempt(path)
 		temporary := err != nil && IsTemporary(err)
 		if ro.Obs != nil {
-			ro.Obs.AttemptSeconds.Observe(time.Since(start).Seconds())
+			ro.Obs.AttemptSeconds.RecordDuration(time.Since(start))
 			ro.Obs.attemptResult(err).Inc()
 		}
 		if ro.Breaker != nil {

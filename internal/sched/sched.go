@@ -72,7 +72,7 @@ type Config struct {
 	// Discipline is the queueing policy.
 	Discipline Discipline
 	// Obs, if non-nil, receives every request's queueing delay into the
-	// sched_queue_latency_seconds histogram labeled by class, so scrapes
+	// sched_queue_latency_seconds summary labeled by class, so scrapes
 	// see the same per-class latency distributions the Result summarizes.
 	Obs *obs.Registry
 }
@@ -127,11 +127,11 @@ func Simulate(reqs []Request, cfg Config) (Result, error) {
 	var busy time.Duration
 	var lastCompletion time.Time
 
-	var humanLat, machineLat *obs.Histogram
+	var humanLat, machineLat *obs.HDRHistogram
 	if cfg.Obs != nil {
 		cfg.Obs.Help("sched_queue_latency_seconds", "Simulated queueing delay by request class.")
-		humanLat = cfg.Obs.Histogram("sched_queue_latency_seconds", nil, "class", ClassHuman.String())
-		machineLat = cfg.Obs.Histogram("sched_queue_latency_seconds", nil, "class", ClassMachine.String())
+		humanLat = cfg.Obs.HDR("sched_queue_latency_seconds", obs.LatencyHDRConfig(), "class", ClassHuman.String())
+		machineLat = cfg.Obs.HDR("sched_queue_latency_seconds", obs.LatencyHDRConfig(), "class", ClassMachine.String())
 	}
 
 	serve := func(r Request, start time.Time) {
@@ -151,14 +151,14 @@ func Simulate(reqs []Request, cfg Config) (Result, error) {
 			res.Human.Wait.Add(w)
 			res.Human.Requests++
 			if humanLat != nil {
-				humanLat.Observe(w)
+				humanLat.RecordDuration(wait)
 			}
 		} else {
 			machineWaits = append(machineWaits, w)
 			res.Machine.Wait.Add(w)
 			res.Machine.Requests++
 			if machineLat != nil {
-				machineLat.Observe(w)
+				machineLat.RecordDuration(wait)
 			}
 		}
 	}

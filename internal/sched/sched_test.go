@@ -219,8 +219,8 @@ func TestSimulateObservesQueueLatency(t *testing.T) {
 	if _, err := Simulate(reqs, Config{Workers: 1, Discipline: PriorityHuman, Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
-	human := reg.Histogram("sched_queue_latency_seconds", nil, "class", "human")
-	machine := reg.Histogram("sched_queue_latency_seconds", nil, "class", "machine")
+	human := reg.HDR("sched_queue_latency_seconds", obs.HDRConfig{}, "class", "human")
+	machine := reg.HDR("sched_queue_latency_seconds", obs.HDRConfig{}, "class", "machine")
 	if human.Count() != 4 || machine.Count() != 3 {
 		t.Errorf("latency observations = %d human / %d machine, want 4/3", human.Count(), machine.Count())
 	}

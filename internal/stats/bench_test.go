@@ -50,7 +50,7 @@ func BenchmarkCounterAdd(b *testing.B) {
 }
 
 func BenchmarkHistogramAdd(b *testing.B) {
-	h := NewLinearHistogram(0, 3600, 120)
+	h := NewHistogram([]float64{45, 90, 180, 360, 720, 1800, 3600})
 	r := NewRNG(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

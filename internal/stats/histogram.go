@@ -7,15 +7,13 @@ import (
 )
 
 // Histogram counts observations into fixed, caller-defined bins. It backs
-// the period histogram (Fig. 5) and the size distributions in §4. The
-// bins are defined by their upper edges; an observation x falls into the
-// first bin whose edge is >= x. Observations above the last edge go into
-// an overflow bin. Histogram is not safe for concurrent use.
+// the period histogram (Fig. 5). The bins are defined by their upper
+// edges; an observation x falls into the first bin whose edge is >= x,
+// and one above the last edge is not counted. Histogram is not safe for
+// concurrent use.
 type Histogram struct {
-	edges    []float64
-	counts   []int64
-	overflow int64
-	total    int64
+	edges  []float64
+	counts []int64
 }
 
 // NewHistogram creates a histogram with the given ascending bin upper
@@ -34,34 +32,14 @@ func NewHistogram(edges []float64) *Histogram {
 	return &Histogram{edges: e, counts: make([]int64, len(e))}
 }
 
-// NewLinearHistogram creates nbins equal-width bins spanning [lo, hi].
-func NewLinearHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		panic("stats: NewLinearHistogram with invalid range")
-	}
-	edges := make([]float64, nbins)
-	w := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + w*float64(i+1)
-	}
-	return NewHistogram(edges)
-}
-
 // Add records one observation.
-func (h *Histogram) Add(x float64) { h.AddN(x, 1) }
-
-// AddN records an observation with weight n.
-func (h *Histogram) AddN(x float64, n int64) {
-	h.total += n
-	i := sort.SearchFloat64s(h.edges, x)
-	if i >= len(h.edges) {
-		h.overflow += n
-		return
+func (h *Histogram) Add(x float64) {
+	if i := sort.SearchFloat64s(h.edges, x); i < len(h.edges) {
+		h.counts[i]++
 	}
-	h.counts[i] += n
 }
 
-// NumBins returns the number of (non-overflow) bins.
+// NumBins returns the number of bins.
 func (h *Histogram) NumBins() int { return len(h.edges) }
 
 // Edge returns the upper edge of bin i.
@@ -69,31 +47,6 @@ func (h *Histogram) Edge(i int) float64 { return h.edges[i] }
 
 // Count returns the tally of bin i.
 func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
-// Overflow returns the tally of observations above the last edge.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
-// Total returns the total number of observations (including overflow).
-func (h *Histogram) Total() int64 { return h.total }
-
-// Share returns bin i's fraction of all observations.
-func (h *Histogram) Share(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
-}
-
-// MaxCount returns the largest bin tally (excluding overflow).
-func (h *Histogram) MaxCount() int64 {
-	var m int64
-	for _, c := range h.counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
 
 // ECDF is an empirical cumulative distribution function built from a
 // sample. It backs Fig. 6 (CDF of periodic-client share). The zero value

@@ -13,29 +13,12 @@ func TestHistogramBinning(t *testing.T) {
 	h.Add(10)   // bin 0 (edge inclusive)
 	h.Add(10.1) // bin 1
 	h.Add(25)   // bin 2
-	h.Add(31)   // overflow
+	h.Add(31)   // above the last edge: not counted
 	if h.Count(0) != 2 || h.Count(1) != 1 || h.Count(2) != 1 {
 		t.Errorf("counts = %d,%d,%d", h.Count(0), h.Count(1), h.Count(2))
 	}
-	if h.Overflow() != 1 {
-		t.Errorf("overflow = %d", h.Overflow())
-	}
-	if h.Total() != 5 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.Share(0) != 0.4 {
-		t.Errorf("share(0) = %v", h.Share(0))
-	}
-	if h.MaxCount() != 2 {
-		t.Errorf("MaxCount = %d", h.MaxCount())
-	}
-}
-
-func TestHistogramAddN(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
-	h.AddN(0.5, 10)
-	if h.Count(0) != 10 || h.Total() != 10 {
-		t.Error("AddN miscounted")
+	if h.NumBins() != 3 || h.Edge(0) != 10 || h.Edge(2) != 30 {
+		t.Errorf("bins = %d, edges %v..%v", h.NumBins(), h.Edge(0), h.Edge(2))
 	}
 }
 
@@ -52,33 +35,24 @@ func TestNewHistogramValidation(t *testing.T) {
 	}
 }
 
-func TestNewLinearHistogram(t *testing.T) {
-	h := NewLinearHistogram(0, 100, 10)
-	if h.NumBins() != 10 {
-		t.Fatalf("bins = %d", h.NumBins())
-	}
-	if h.Edge(0) != 10 || h.Edge(9) != 100 {
-		t.Errorf("edges = %v..%v", h.Edge(0), h.Edge(9))
-	}
-	h.Add(95)
-	if h.Count(9) != 1 {
-		t.Error("95 should land in the last bin")
-	}
-}
-
 func TestHistogramConservation(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := NewRNG(seed)
-		h := NewLinearHistogram(0, 1, 7)
+		h := NewHistogram([]float64{0.25, 0.5, 0.75, 1})
 		const n = 500
+		var inRange int64
 		for i := 0; i < n; i++ {
-			h.Add(r.Float64() * 1.2) // some overflow
+			x := r.Float64() * 1.2 // some above the last edge
+			if x <= 1 {
+				inRange++
+			}
+			h.Add(x)
 		}
 		var sum int64
 		for i := 0; i < h.NumBins(); i++ {
 			sum += h.Count(i)
 		}
-		return sum+h.Overflow() == int64(n) && h.Total() == int64(n)
+		return sum == inRange
 	}, nil)
 	if err != nil {
 		t.Error(err)

@@ -49,23 +49,6 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64())
 }
 
-// SplitIndexed derives the index-th member of a family of independent
-// generators from r's current state WITHOUT advancing r. Unlike Split,
-// whose result depends on how many values were drawn before the call,
-// SplitIndexed(i) is a pure function of (state, i): callers that hand
-// one sub-stream to each of N shards get the same family regardless of
-// the order (or concurrency) in which the shards are created. Distinct
-// indices give statistically independent streams (the state/index mix
-// is diffused through splitmix64 before seeding).
-func (r *RNG) SplitIndexed(index uint64) *RNG {
-	// Fold the four state words and the index into one 64-bit seed.
-	// Each word is pre-rotated so that states differing in only one
-	// word still produce distinct seeds.
-	x := r.s[0] ^ rotl(r.s[1], 17) ^ rotl(r.s[2], 31) ^ rotl(r.s[3], 47)
-	x ^= (index + 1) * 0x9e3779b97f4a7c15
-	return NewRNG(x)
-}
-
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns the next 64 uniformly distributed bits.

@@ -55,49 +55,6 @@ func TestRNGSplitIndependent(t *testing.T) {
 	}
 }
 
-func TestSplitIndexedPureAndOrderFree(t *testing.T) {
-	// SplitIndexed must not advance the parent and must not depend on
-	// the order indices are requested in.
-	a, b := NewRNG(9), NewRNG(9)
-	fwd := make([]uint64, 8)
-	for i := range fwd {
-		fwd[i] = a.SplitIndexed(uint64(i)).Uint64()
-	}
-	for i := len(fwd) - 1; i >= 0; i-- {
-		if got := b.SplitIndexed(uint64(i)).Uint64(); got != fwd[i] {
-			t.Fatalf("index %d: reverse-order derivation %d != %d", i, got, fwd[i])
-		}
-	}
-	// Parent stream is untouched: both parents still agree.
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("SplitIndexed advanced the parent state")
-		}
-	}
-}
-
-func TestSplitIndexedStreamsDiffer(t *testing.T) {
-	r := NewRNG(123)
-	streams := make([]*RNG, 6)
-	for i := range streams {
-		streams[i] = r.SplitIndexed(uint64(i))
-	}
-	for i := 0; i < len(streams); i++ {
-		for j := i + 1; j < len(streams); j++ {
-			same := 0
-			a, b := *streams[i], *streams[j] // copy state; keep originals
-			for k := 0; k < 100; k++ {
-				if a.Uint64() == b.Uint64() {
-					same++
-				}
-			}
-			if same > 2 {
-				t.Errorf("streams %d and %d agree on %d/100 draws", i, j, same)
-			}
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 10000; i++ {

@@ -104,11 +104,11 @@ func (a AttackConfig) validate() error {
 }
 
 // newAttackClientID mints a client ID from the attack namespace, which
-// is disjoint from the benign namespace (and per-shard via idPrefix) so
-// labeling by ID never collides.
+// is disjoint from the benign namespace so labeling by ID never
+// collides.
 func (g *generator) newAttackClientID() uint64 {
 	g.nextAttackID++
-	return logfmt.HashClientIP("atk/" + g.idPrefix + itoa(int(g.nextAttackID)) + "-bot")
+	return logfmt.HashClientIP("atk/" + itoa(int(g.nextAttackID)) + "-bot")
 }
 
 // buildAttackPopulation creates the configured attack actors. It must
@@ -281,8 +281,8 @@ func (c *flashClient) fire(now time.Time, g *generator) time.Time {
 }
 
 // flashDomain picks the crowd's target deterministically — the highest
-// weight always-cacheable domain — so every shard's crowd converges on
-// the same handful of hot objects.
+// weight always-cacheable domain — so the crowd converges on a handful
+// of hot objects.
 func (g *generator) flashDomain() *Domain {
 	var best *Domain
 	for _, d := range g.universe.Domains {
@@ -414,7 +414,7 @@ func (g *generator) buildAmplifiers(budget float64, winStart, winEnd time.Time, 
 
 // AttackMask labels each record of a combined stream as attack traffic
 // by subtracting the benign stream: generate once with Config.Attack
-// set and once with it zeroed (same Seed and Shards), and the benign
+// set and once with it zeroed (same Seed), and the benign
 // records appear in the combined stream unchanged and in order. The
 // returned mask is true at attack positions. It errors if benign is not
 // an ordered subsequence of combined — which would mean the overlay

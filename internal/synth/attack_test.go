@@ -8,11 +8,10 @@ import (
 	"repro/internal/logfmt"
 )
 
-func attackTestConfig(shards int) Config {
+func attackTestConfig() Config {
 	cfg := ShortTermConfig(99, 0.001)
 	cfg.Duration = 5 * time.Minute
 	cfg.TargetRequests = 12_000
-	cfg.Shards = shards
 	cfg.Attack = AttackConfig{
 		CacheBustShare: 0.20,
 		FlashShare:     0.15,
@@ -39,55 +38,48 @@ func collect(t *testing.T, cfg Config) []logfmt.Record {
 // benign stream of a seed is byte-identical, in order, whether or not
 // an attack is configured on top of it.
 func TestAttackOverlayPreservesBenignStream(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := attackTestConfig(shards)
-		combined := collect(t, cfg)
-		benignCfg := cfg
-		benignCfg.Attack = AttackConfig{}
-		benign := collect(t, benignCfg)
+	cfg := attackTestConfig()
+	combined := collect(t, cfg)
+	benignCfg := cfg
+	benignCfg.Attack = AttackConfig{}
+	benign := collect(t, benignCfg)
 
-		if len(combined) <= len(benign) {
-			t.Fatalf("shards=%d: combined stream (%d) not larger than benign (%d)",
-				shards, len(combined), len(benign))
+	if len(combined) <= len(benign) {
+		t.Fatalf("combined stream (%d) not larger than benign (%d)", len(combined), len(benign))
+	}
+	mask, err := AttackMask(combined, benign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacks := 0
+	for _, m := range mask {
+		if m {
+			attacks++
 		}
-		mask, err := AttackMask(combined, benign)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		attacks := 0
-		for _, m := range mask {
-			if m {
-				attacks++
-			}
-		}
-		if attacks != len(combined)-len(benign) {
-			t.Fatalf("shards=%d: mask marks %d attacks, want %d",
-				shards, attacks, len(combined)-len(benign))
-		}
-		// The configured share should be roughly met (fleet sizing is
-		// approximate; allow a wide band).
-		want := cfg.Attack.Sum() * float64(cfg.TargetRequests)
-		if f := float64(attacks); f < 0.5*want || f > 1.6*want {
-			t.Errorf("shards=%d: %d attack records, want within [0.5,1.6]x of %.0f",
-				shards, attacks, want)
-		}
+	}
+	if attacks != len(combined)-len(benign) {
+		t.Fatalf("mask marks %d attacks, want %d", attacks, len(combined)-len(benign))
+	}
+	// The configured share should be roughly met (fleet sizing is
+	// approximate; allow a wide band).
+	want := cfg.Attack.Sum() * float64(cfg.TargetRequests)
+	if f := float64(attacks); f < 0.5*want || f > 1.6*want {
+		t.Errorf("%d attack records, want within [0.5,1.6]x of %.0f", attacks, want)
 	}
 }
 
 // TestAttackDeterministic checks equal configs give identical combined
-// streams, sharded and not.
+// streams.
 func TestAttackDeterministic(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		cfg := attackTestConfig(shards)
-		a := collect(t, cfg)
-		b := collect(t, cfg)
-		if len(a) != len(b) {
-			t.Fatalf("shards=%d: lengths differ: %d vs %d", shards, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("shards=%d: record %d differs:\n%+v\n%+v", shards, i, a[i], b[i])
-			}
+	cfg := attackTestConfig()
+	a := collect(t, cfg)
+	b := collect(t, cfg)
+	if len(a) != len(b) {
+		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("record %d differs:\n%+v\n%+v", i, a[i], b[i])
 		}
 	}
 }
@@ -95,7 +87,7 @@ func TestAttackDeterministic(t *testing.T) {
 // TestAttackShapes verifies each population's signature in the labeled
 // attack subset.
 func TestAttackShapes(t *testing.T) {
-	cfg := attackTestConfig(1)
+	cfg := attackTestConfig()
 	combined := collect(t, cfg)
 	benignCfg := cfg
 	benignCfg.Attack = AttackConfig{}
@@ -150,7 +142,7 @@ func TestAttackShapes(t *testing.T) {
 
 // TestAttackWindow confirms Start/Duration bound the overlay in time.
 func TestAttackWindow(t *testing.T) {
-	cfg := attackTestConfig(1)
+	cfg := attackTestConfig()
 	cfg.Attack.Start = 2 * time.Minute
 	cfg.Attack.Duration = time.Minute
 	combined := collect(t, cfg)
@@ -179,7 +171,7 @@ func TestAttackWindow(t *testing.T) {
 
 // TestAttackConfigValidate exercises the validation bounds.
 func TestAttackConfigValidate(t *testing.T) {
-	cfg := attackTestConfig(1)
+	cfg := attackTestConfig()
 	cfg.Attack.BotShare = -0.1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative share accepted")

@@ -1,18 +1,16 @@
 package synth
 
 import (
-	"runtime"
-	"strconv"
 	"testing"
 
 	"repro/internal/logfmt"
 )
 
-// benchGenerate runs one full Generate pass per iteration, discarding
-// records; allocation counts surface the record-path interning work.
-func benchGenerate(b *testing.B, shards int) {
+// BenchmarkGenerate runs one full Generate pass per iteration,
+// discarding records; allocation counts surface the record-path
+// interning work.
+func BenchmarkGenerate(b *testing.B) {
 	cfg := ShortTermConfig(42, 0.002) // ~50K records
-	cfg.Shards = shards
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -24,15 +22,5 @@ func benchGenerate(b *testing.B, shards int) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(n), "records/op")
-	}
-}
-
-func BenchmarkGenerate(b *testing.B) { benchGenerate(b, 1) }
-
-func BenchmarkGenerateSharded(b *testing.B) {
-	for _, shards := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			benchGenerate(b, shards)
-		})
 	}
 }

@@ -99,26 +99,11 @@ type Config struct {
 	// attack is enabled (see AttackMask). The zero value disables all
 	// attack traffic.
 	Attack AttackConfig
-	// Shards splits the client population across this many independent
-	// sub-generators running on their own goroutines, their outputs
-	// k-way merged by timestamp. 0 or 1 keeps the single-goroutine
-	// generator and reproduces the historical stream for a given Seed
-	// exactly; Shards > 1 yields a different — but fully deterministic —
-	// stream per (Seed, TargetRequests, Shards). All shards share one
-	// domain universe and user-agent pool, so aggregate structure
-	// (domain popularity, device mix) is unchanged.
-	Shards int
 	// Obs, if non-nil, receives generation metrics: every emitted record
 	// increments synth_records_generated_total and adds its body size to
 	// synth_bytes_generated_total, so a scrape of a running generator
 	// shows its record rate.
 	Obs *obs.Registry
-	// Span, if non-nil, is the parent tracing span of this generation.
-	// Sharded generation opens one child span per shard under it (with
-	// shard index and request-budget attributes), so a trace export shows
-	// where generation wall time went. Single-goroutine generation adds
-	// no children — the parent span's own tallies cover it.
-	Span *obs.Span
 }
 
 // Validate reports the first problem with the configuration, or nil.
@@ -138,8 +123,6 @@ func (c *Config) Validate() error {
 		return errors.New("synth: Config.UncacheableShare out of [0,1]")
 	case c.NonJSONShare < 0 || c.NonJSONShare >= 1:
 		return errors.New("synth: Config.NonJSONShare out of [0,1)")
-	case c.Shards < 0 || c.Shards > MaxShards:
-		return errors.New("synth: Config.Shards out of [0,1024]")
 	}
 	s := c.Mix.Sum()
 	if s < 0.95 || s > 1.05 {

@@ -42,17 +42,9 @@ var pollPeriods = []struct {
 // strict ordering sort per flow. The *logfmt.Record passed to emit is
 // reused across calls; emit must copy any fields it retains. Generate
 // stops early and returns emit's error if emit fails.
-//
-// With cfg.Shards > 1 the client population is split across that many
-// independent sub-generators running concurrently, and their streams are
-// merged by timestamp before reaching emit (see generateSharded); emit
-// itself is always called from a single goroutine.
 func Generate(cfg Config, emit func(*logfmt.Record) error) error {
 	if err := cfg.Validate(); err != nil {
 		return err
-	}
-	if cfg.Shards > 1 {
-		return generateSharded(cfg, emit)
 	}
 	g := newGenerator(cfg, emit)
 	g.buildPopulation()
@@ -84,10 +76,10 @@ type generator struct {
 	lastServed map[string]time.Time
 
 	// attackRNG is the adversarial overlay's dedicated random stream
-	// (derived from Seed, split per shard); attackServed is the attack
-	// actors' own serve map so their hit model never writes benign
-	// state; nextAttackID mints from the attack client-ID namespace.
-	// See attack.go for why the separation matters.
+	// (derived from Seed); attackServed is the attack actors' own serve
+	// map so their hit model never writes benign state; nextAttackID
+	// mints from the attack client-ID namespace. See attack.go for why
+	// the separation matters.
 	attackRNG    *stats.RNG
 	attackServed map[string]time.Time
 	nextAttackID uint64
@@ -99,12 +91,6 @@ type generator struct {
 
 	htmlSizes  stats.LogNormal
 	assetSizes stats.LogNormal
-
-	// idPrefix namespaces client IDs per shard ("" for the unsharded
-	// generator, preserving its historical ID stream); fleetBase offsets
-	// poll-fleet indices so sharded fleets never share a URL.
-	idPrefix  string
-	fleetBase int
 
 	// urls interns the per-domain asset/page/image URL strings so the
 	// hot emit paths do not rebuild an identical string per request.
@@ -202,11 +188,6 @@ func (g *generator) Universe() *Universe { return g.universe }
 
 func (g *generator) newClientID() uint64 {
 	g.nextClientID++
-	if g.idPrefix != "" {
-		// Sharded generators draw from a per-shard ID namespace so no
-		// two shards can mint the same client.
-		return logfmt.HashClientIP(g.idPrefix + itoa(int(g.nextClientID)) + "-client")
-	}
 	// Spread IDs as if hashed IPs.
 	return logfmt.HashClientIP(string(rune(g.nextClientID)) + "-client")
 }
@@ -311,7 +292,7 @@ func (g *generator) buildPollFleets(budget float64) {
 	if len(feasible) == 0 {
 		return
 	}
-	idx := g.fleetBase
+	idx := 0
 	for _, b := range feasible {
 		share := budget * b.w / totalW
 		perPoller := d / b.period.Seconds()

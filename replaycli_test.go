@@ -32,7 +32,7 @@ func TestReplayCLISLOGate(t *testing.T) {
 
 	data := filepath.Join(t.TempDir(), "stream.tsv.gz")
 	out, err := exec.Command(filepath.Join(bin, "jsongen"), "-preset", "short",
-		"-scale", "0.001", "-shards", "2", "-seed", "11", "-o", data).CombinedOutput()
+		"-scale", "0.001", "-seed", "11", "-o", data).CombinedOutput()
 	if err != nil {
 		t.Fatalf("jsongen: %v\n%s", err, out)
 	}

@@ -57,7 +57,7 @@ echo "chaos-check: building liveedge, jsonfleet, jsongen, jsonreplay"
 "$GO" build -o "$work/jsonreplay" ./cmd/jsonreplay
 
 echo "chaos-check: generating synthetic stream"
-"$work/jsongen" -preset short -scale 0.005 -shards 4 -q -o "$work/stream.tsv.gz"
+"$work/jsongen" -preset short -scale 0.005 -q -o "$work/stream.tsv.gz"
 
 # The disruption: one node hard-killed a fifth of the way in, respawned
 # on the same port at the midpoint, and a settled marker late enough

@@ -1,7 +1,7 @@
 #!/bin/sh
 # slo-check: end-to-end latency gate. Builds the liveedge server and the
 # load tools, starts the edge on a loopback port with fault injection
-# off, replays a sharded synthetic stream against it open-loop, and
+# off, replays a synthetic stream against it open-loop, and
 # fails the build if the intended-start (coordinated-omission-safe)
 # latency distribution or the error budget violates $SLO.
 #
@@ -10,7 +10,6 @@
 #   RATE     offered load in req/s    (default 400)
 #   DURATION total replay time        (default 6s)
 #   WARMUP   excluded leading window  (default 2s)
-#   SHARDS   jsongen generator shards (default 4)
 #   OUT      replay report path       (default out/replay-slo.json)
 set -eu
 
@@ -20,7 +19,6 @@ SLO="${SLO:-p99<250ms,err<1%}"
 RATE="${RATE:-400}"
 DURATION="${DURATION:-6s}"
 WARMUP="${WARMUP:-2s}"
-SHARDS="${SHARDS:-4}"
 OUT="${OUT:-out/replay-slo.json}"
 GO="${GO:-go}"
 
@@ -40,8 +38,8 @@ echo "slo-check: building liveedge, jsongen, jsonreplay"
 "$GO" build -o "$work/jsongen" ./cmd/jsongen
 "$GO" build -o "$work/jsonreplay" ./cmd/jsonreplay
 
-echo "slo-check: generating sharded synthetic stream ($SHARDS shards)"
-"$work/jsongen" -preset short -scale 0.005 -shards "$SHARDS" -q -o "$work/stream.tsv.gz"
+echo "slo-check: generating synthetic stream"
+"$work/jsongen" -preset short -scale 0.005 -q -o "$work/stream.tsv.gz"
 
 # Start the edge with faults off on dynamic loopback ports; it
 # publishes its URLs once ready. We wait on the handshake file with a
