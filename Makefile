@@ -59,11 +59,15 @@ bench:
 # loc prints the ROADMAP "Size" metric: Go lines outside bench/ that are
 # neither blank nor a whole-line comment, without test files and with
 # them — the second so that lines moved into _test.go do not count as a
-# reduction.
+# reduction. Then the binaries (package main directories outside bench/)
+# and the flag definitions under cmd/, on the default flag set or on a
+# subcommand's FlagSet, which the mains name fs.
 LOC = xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
 loc:
 	@echo "non-test: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | $(LOC))"
 	@echo "with tests: $$(find . -name '*.go' ! -path './bench/*' | $(LOC))"
+	@echo "binaries: $$(grep -rl --include='*.go' --exclude-dir=bench '^package main$$' . | xargs -n1 dirname | sort -u | wc -l)"
+	@echo "flags: $$(grep -rhoE --include='*.go' '\b(flag|fs)\.(String|Int|Int64|Uint64|Float64|Bool|Duration)\(' cmd | wc -l)"
 
 # slo-check is the end-to-end latency gate: spin up the liveedge server
 # (faults off), replay a synthetic stream against it open-loop, and fail

@@ -14,7 +14,8 @@
 //     serve-stale degradation
 //
 // The runnable entry points live in cmd/ (one directory per tool; the
-// README's tools table lists them) and examples/.
+// README's tools table lists them). The Example functions walk through
+// this API; go test runs them and checks their output.
 package cdnjson
 
 import (

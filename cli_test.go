@@ -3,6 +3,7 @@ package cdnjson
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -19,31 +20,41 @@ import (
 	"repro/internal/obs"
 )
 
-// TestCLIPipeline builds every command and drives the full workflow a
-// user would run: generate a dataset, characterize it, analyze
-// periodicity, evaluate prediction, simulate prefetching, and scan for
-// anomalies. It is an end-to-end check that the binaries compose through
-// their file formats.
+// TestCLIPipeline builds the three tools a user chains and drives the
+// workflow through their file formats: generate a dataset, then run the
+// §4 characterization and every jsonchar subcommand (periodicity,
+// prediction, prefetching, anomalies) over it. It then converts the
+// dataset to TSV, appends garbage lines, and checks that every analysis
+// quarantines them under the default error budget and fails on a budget
+// below their share.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI pipeline test builds binaries; skipped in -short")
 	}
-	bin := t.TempDir()
-	tools := []string{"jsongen", "jsonchar", "jsonperiod", "jsonpredict", "jsonprefetch", "jsonanomaly", "jsonconvert"}
-	for _, tool := range tools {
+	bin, work := t.TempDir(), t.TempDir()
+	for _, tool := range []string{"jsongen", "jsonchar", "jsonconvert"} {
 		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
 		}
 	}
-	run := func(tool string, args ...string) string {
-		t.Helper()
+	// Tools run in a scratch directory, so that the characterization's
+	// run manifest lands there.
+	exe := func(tool string, args ...string) (stdout, stderr string, err error) {
 		cmd := exec.Command(filepath.Join(bin, tool), args...)
-		out, err := cmd.CombinedOutput()
+		cmd.Dir = work
+		var o, e strings.Builder
+		cmd.Stdout, cmd.Stderr = &o, &e
+		err = cmd.Run()
+		return o.String(), e.String(), err
+	}
+	run := func(tool string, args ...string) (stdout, stderr string) {
+		t.Helper()
+		stdout, stderr, err := exe(tool, args...)
 		if err != nil {
-			t.Fatalf("%s %v: %v\n%s", tool, args, err, out)
+			t.Fatalf("%s %v: %v\n%s%s", tool, args, err, stdout, stderr)
 		}
-		return string(out)
+		return stdout, stderr
 	}
 
 	data := filepath.Join(t.TempDir(), "pattern.cdnb.gz")
@@ -53,39 +64,62 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("dataset not written: %v", err)
 	}
 
-	char := run("jsonchar", "-i", data)
-	for _, want := range []string{"Traffic source", "GET (download)", "Figure 4 heatmap", "Figure 2"} {
-		if !strings.Contains(char, want) {
-			t.Errorf("jsonchar output missing %q", want)
+	// Each analysis, and lines its report holds exactly once.
+	analyses := []struct {
+		args []string
+		want []string
+	}{
+		{nil, []string{"Traffic source", "GET (download)", "Figure 4 heatmap", "Figure 2"}},
+		{[]string{"period", "-x", "25", "-bin", "2s"}, []string{"periodic requests:"}},
+		{[]string{"predict", "-k", "1,5"}, []string{"Clustered URLs"}},
+		{[]string{"prefetch", "-k", "1,2"}, []string{"baseline", "prefetch K=1", "prefetch K=2"}},
+		{[]string{"anomaly", "-top", "3"}, []string{"scanned"}},
+	}
+	check := func(args []string, out string, want []string) {
+		t.Helper()
+		for _, w := range want {
+			if n := strings.Count(out, w); n != 1 {
+				t.Errorf("jsonchar %v: %q appears %d times, want once:\n%.600s", args, w, n, out)
+			}
 		}
 	}
-
-	period := run("jsonperiod", "-i", data, "-x", "25", "-bin", "2s")
-	if !strings.Contains(period, "periodic requests:") {
-		t.Errorf("jsonperiod output malformed:\n%.400s", period)
+	for _, a := range analyses {
+		args := append(append([]string{}, a.args...), "-i", data)
+		out, _ := run("jsonchar", args...)
+		check(args, out, a.want)
 	}
 
-	predict := run("jsonpredict", "-i", data, "-k", "1,5")
-	if !strings.Contains(predict, "Clustered URLs") {
-		t.Errorf("jsonpredict output malformed:\n%.400s", predict)
+	_, stderr, err := exe("jsonchar", "anomaly", "-i", data, "-top", "-1")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Contains(stderr, "panic:") || !strings.Contains(stderr, "-top must be >= 0") {
+		t.Errorf("jsonchar anomaly -top -1: %v, want a usage error (exit 2)\n%s", err, stderr)
 	}
 
-	pf := run("jsonprefetch", "-i", data, "-k", "1,2")
-	if strings.Count(pf, "baseline") != 1 || !strings.Contains(pf, "prefetch K=1") || !strings.Contains(pf, "prefetch K=2") {
-		t.Errorf("jsonprefetch output malformed (want one baseline row, then K=1 and K=2):\n%.600s", pf)
-	}
-
-	an := run("jsonanomaly", "-train", data, "-top", "3")
-	if !strings.Contains(an, "scanned") {
-		t.Errorf("jsonanomaly output malformed:\n%.400s", an)
-	}
-
-	// Transcode binary -> TSV with JSON filtering and re-analyze.
-	tsv := filepath.Join(t.TempDir(), "json.tsv.gz")
+	// Transcode binary -> TSV with JSON filtering, then corrupt the tail:
+	// five bad lines in ≈21 k records is 0.02 %.
+	tsv := filepath.Join(t.TempDir(), "json.tsv")
 	run("jsonconvert", "-i", data, "-o", tsv, "-json-only")
-	char2 := run("jsonchar", "-i", tsv)
-	if !strings.Contains(char2, "Traffic source") {
-		t.Errorf("converted file unreadable:\n%.300s", char2)
+	f, err := os.OpenFile(tsv, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(strings.Repeat("not\ta\tlog\tline\n", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range analyses {
+		args := append(append([]string{}, a.args...), "-i", tsv)
+		out, stderr := run("jsonchar", args...)
+		check(args, out, a.want)
+		if !strings.Contains(stderr, "records quarantined") || !strings.Contains(stderr, "quarantined=5 ") {
+			t.Errorf("jsonchar %v on corrupt input: no quarantine report on stderr:\n%s", args, stderr)
+		}
+		args = append(args, "-max-error-rate", "0.0001")
+		if _, stderr, err := exe("jsonchar", args...); err == nil || !strings.Contains(stderr, "corrupt-record budget exceeded") {
+			t.Errorf("jsonchar %v on corrupt input: %v, want the budget error\n%s", args, err, stderr)
+		}
 	}
 }
 

@@ -1,11 +1,17 @@
-// Command jsonchar runs the §4 characterization over a log file (or a
-// freshly generated dataset): traffic sources by device (Fig. 3),
-// browser vs non-browser shares, request methods, response sizes, and
-// the per-category cacheability heatmap (Fig. 4).
+// Command jsonchar runs the paper's analyses over one edge log. Bare, it
+// runs the §4 characterization of a log file (or a freshly generated
+// dataset): traffic sources by device (Fig. 3), browser vs non-browser
+// shares, request methods, response sizes, and the per-category
+// cacheability heatmap (Fig. 4). Its subcommands run the §5 analyses:
 //
-// Every run emits a run manifest (run-<id>.json) recording the
-// effective configuration, toolchain and VCS revision, dead-letter
-// counts, and a final metrics snapshot.
+//	period    §5.1 periodicity: the Fig. 5 period histogram, the Fig. 6 CDF
+//	predict   §5.2 backoff ngram prediction: Table 3's accuracy grid
+//	anomaly   §5.2 application: the requests the clustered model finds least likely
+//	prefetch  §5.2 implication: edge hit ratio with and without ngram prefetching
+//
+// Every characterization run emits a run manifest (run-<id>.json)
+// recording the effective configuration, toolchain and VCS revision,
+// dead-letter counts, and a final metrics snapshot.
 //
 // Usage:
 //
@@ -15,12 +21,17 @@
 //	jsonchar -i logs.tsv.gz -j 4      # cap text-format decode workers
 //	jsonchar -synth -trace -metrics-addr :9090
 //	jsonchar -i logs.tsv.gz -trace-out t.json   # Chrome trace of the ingest stages
+//	jsonchar period -i pattern.tsv.gz -x 100 -bin 1s -list
+//	jsonchar predict -i pattern.tsv.gz -n 5 -k 1,5,10,20 -test-frac 0.3
+//	jsonchar anomaly -i pattern.tsv.gz -scan live.tsv -threshold 1e-4 -top 20
+//	jsonchar prefetch -i pattern.tsv.gz -k 1,2,5 -cache-mb 128 -ttl 2m
 //
-// File input goes through the tolerant ingest path: malformed records
-// are quarantined (optionally to a -dead-letter JSONL file) and the
-// run survives as long as the corrupt fraction stays under
-// -max-error-rate. SIGINT/SIGTERM stops ingest early but still prints
-// the characterization of what was read.
+// File input, bare or under any subcommand, goes through the tolerant
+// ingest path and its flags (-i, -j, -max-error-rate, -dead-letter):
+// malformed records are quarantined (optionally to a -dead-letter JSONL
+// file) and the run survives as long as the corrupt fraction stays
+// under -max-error-rate. SIGINT/SIGTERM stops the characterization's
+// ingest early but still prints the characterization of what was read.
 package main
 
 import (
@@ -36,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/domaincat"
 	"repro/internal/ingest"
 	"repro/internal/logfmt"
@@ -48,16 +58,39 @@ import (
 	"repro/internal/uastring"
 )
 
+// analyses are the subcommands. Each registers its own flags on fs, next
+// to the input flags already there, and parses args with in.parse.
+var analyses = map[string]func(fs *flag.FlagSet, in *input, args []string) error{
+	"period":   runPeriod,
+	"predict":  runPredict,
+	"anomaly":  runAnomaly,
+	"prefetch": runPrefetch,
+}
+
 func main() {
+	if len(os.Args) > 1 {
+		if run, ok := analyses[os.Args[1]]; ok {
+			fs := flag.NewFlagSet("jsonchar "+os.Args[1], flag.ExitOnError)
+			in := addInput(fs)
+			in.log = obs.NewLogger(os.Stderr, obs.NewRunID(), 0, nil).Component(fs.Name())
+			if err := run(fs, in, os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
+				os.Exit(1)
+			}
+			return
+		}
+	}
+	characterize()
+}
+
+// characterize is the bare command: the §4 characterization.
+func characterize() {
+	in := addInput(flag.CommandLine)
 	var (
-		in          = flag.String("i", "", "input log file (.tsv/.jsonl/.cdnb[.gz])")
 		useSynth    = flag.Bool("synth", false, "characterize a freshly generated short-term dataset")
 		scale       = flag.Float64("scale", 0.002, "scale for -synth")
 		seed        = flag.Uint64("seed", 42, "seed for -synth")
-		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "decode workers for file ingest of the text formats")
 		topApps     = flag.Int("top-apps", 10, "how many applications to list")
-		maxErrRate  = flag.Float64("max-error-rate", 0.05, "abort file ingest when more than this fraction of records is corrupt")
-		deadLetter  = flag.String("dead-letter", "", "append quarantined record spans to this JSONL file")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")
 		trace       = flag.Bool("trace", false, "print a per-stage span table after the run")
 		traceOut    = flag.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON to this file")
@@ -65,10 +98,9 @@ func main() {
 		manifestDir = flag.String("manifest-dir", "out", "directory for the run-<id>.json manifest (empty disables)")
 		verbose     = flag.Bool("v", false, "log at debug level")
 	)
-	flag.Parse()
-	if *jobs < 1 {
-		fmt.Fprintln(os.Stderr, "jsonchar: -j must be >= 1")
-		os.Exit(2)
+	in.parse(os.Args[1:])
+	if !*useSynth && *in.path == "" {
+		usage(flag.CommandLine, "need -i FILE or -synth")
 	}
 
 	// SIGINT/SIGTERM cancels ingest between records; the report over the
@@ -83,12 +115,13 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, runID, *seed, level).Component("jsonchar")
 	reg := obs.NewRegistry()
+	in.log, in.reg = logger, reg
 	tr := obs.NewTrace()
 
 	man := obs.NewManifest("jsonchar", runID)
 	man.Config = map[string]any{
-		"input": *in, "synth": *useSynth, "scale": *scale, "seed": *seed,
-		"jobs": *jobs, "max_error_rate": *maxErrRate, "dead_letter": *deadLetter,
+		"input": *in.path, "synth": *useSynth, "scale": *scale, "seed": *seed,
+		"jobs": *in.jobs, "max_error_rate": *in.maxErrRate, "dead_letter": *in.deadLetter,
 	}
 	finish := func(outcome string) {
 		man.Finish(outcome)
@@ -124,43 +157,11 @@ func main() {
 	sp := tr.Start("ingest + characterize")
 	ctx = obs.ContextWithSpan(ctx, sp)
 
-	var src core.Source
-	var fileSrc *ingest.FileSource
-	switch {
-	case *useSynth:
-		cfg := synth.ShortTermConfig(*seed, *scale)
-		cfg.Obs = reg
-		src = core.SynthSource(cfg)
-	case *in != "":
-		opts := ingest.Options{
-			MaxErrorRate: *maxErrRate,
-			Metrics:      ingest.NewInstrumentation(reg),
-		}
-		if *deadLetter != "" {
-			dl, err := os.OpenFile(*deadLetter, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fail(err)
-			}
-			defer dl.Close()
-			opts.DeadLetter = ingest.NewDeadLetter(dl)
-			defer opts.DeadLetter.Flush()
-		}
-		fileSrc = &ingest.FileSource{Path: *in, Ctx: ctx,
-			Config: ingest.PipelineConfig{Workers: *jobs, Options: opts}}
-		src = fileSrc
-	default:
-		fmt.Fprintln(os.Stderr, "jsonchar: need -i FILE or -synth")
-		os.Exit(2)
-	}
-
 	char := taxonomy.NewCharacterization()
 	cacheability := taxonomy.NewDomainCacheability(domaincat.NewCatalog())
 	hourly := rollup.New(time.Hour)
 	fine := rollup.New(10 * time.Minute)
-	err := src.Each(func(r *logfmt.Record) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	observe := func(r *logfmt.Record) {
 		sp.AddRecords(1)
 		sp.AddBytes(r.Bytes)
 		char.ObserveAny(r)
@@ -169,29 +170,27 @@ func main() {
 		if r.IsJSON() {
 			cacheability.Observe(r)
 		}
-		return nil
-	})
+	}
+	var err error
+	if *useSynth {
+		cfg := synth.ShortTermConfig(*seed, *scale)
+		cfg.Obs = reg
+		err = synth.Generate(cfg, func(r *logfmt.Record) error {
+			observe(r)
+			return ctx.Err()
+		})
+	} else {
+		var st ingest.Stats
+		st, err = in.read(ctx, *in.path, observe)
+		man.DeadLetters = st.Quarantined
+	}
 	sp.End()
 	outcome := "completed"
 	if errors.Is(err, context.Canceled) {
 		outcome = "interrupted"
 		logger.Warn("interrupted: reporting partial results")
 	} else if err != nil {
-		if fileSrc != nil {
-			man.DeadLetters = fileSrc.LastStats.Quarantined
-		}
 		fail(err)
-	}
-	if fileSrc != nil {
-		st := fileSrc.LastStats
-		man.DeadLetters = st.Quarantined
-		if st.Quarantined > 0 {
-			logger.Warn("records quarantined",
-				"quarantined", st.Quarantined,
-				"total", st.Records+st.Quarantined,
-				"error_rate", fmt.Sprintf("%.2f%%", st.ErrorRate()*100),
-				"resyncs", st.Resyncs, "bytes_skipped", st.BytesSkipped)
-		}
 	}
 	if char.Total == 0 {
 		fail(errors.New("no application/json records in input"))
@@ -288,4 +287,80 @@ func writeExport(path string, write func(io.Writer) error, kind string, logger *
 		fail(fmt.Errorf("writing %s to %s: %w", kind, path, errors.Join(werr, cerr)))
 	}
 	logger.Info(kind+" written", "path", path)
+}
+
+// input is the log file an analysis reads and the flags that govern how:
+// the bare command and every subcommand register them once, on their
+// own flag set, and read through the one tolerant ingest path.
+type input struct {
+	fs               *flag.FlagSet
+	path, deadLetter *string
+	jobs             *int
+	maxErrRate       *float64
+	log              *obs.Logger   // receives the quarantine summary
+	reg              *obs.Registry // receives the ingest metrics; nil for none
+}
+
+// addInput registers the input flags on fs.
+func addInput(fs *flag.FlagSet) *input {
+	return &input{
+		fs:         fs,
+		path:       fs.String("i", "", "input log file (.tsv/.jsonl/.cdnb[.gz] or .cdnc)"),
+		jobs:       fs.Int("j", runtime.GOMAXPROCS(0), "decode workers for file ingest of the text formats"),
+		maxErrRate: fs.Float64("max-error-rate", 0.05, "abort file ingest when more than this fraction of records is corrupt"),
+		deadLetter: fs.String("dead-letter", "", "append quarantined record spans to this JSONL file"),
+	}
+}
+
+// parse parses args into the input's flag set and checks the input
+// flags.
+func (in *input) parse(args []string) {
+	in.fs.Parse(args)
+	if *in.jobs < 1 {
+		usage(in.fs, "-j must be >= 1")
+	}
+}
+
+// read streams the log file at path into fn. Malformed records are
+// quarantined, to the -dead-letter file when one is set, and summarized
+// on the input's logger; the read fails once they exceed
+// -max-error-rate. It returns the read's accounting even on error.
+func (in *input) read(ctx context.Context, path string, fn func(*logfmt.Record)) (ingest.Stats, error) {
+	if path == "" {
+		usage(in.fs, "need -i FILE")
+	}
+	opts := ingest.Options{MaxErrorRate: *in.maxErrRate, Metrics: ingest.NewInstrumentation(in.reg)}
+	var dl *os.File
+	if *in.deadLetter != "" {
+		var err error
+		if dl, err = os.OpenFile(*in.deadLetter, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			return ingest.Stats{}, err
+		}
+		opts.DeadLetter = ingest.NewDeadLetter(dl)
+	}
+	src := &ingest.FileSource{Path: path, Ctx: ctx,
+		Config: ingest.PipelineConfig{Workers: *in.jobs, Options: opts}}
+	err := src.Each(func(r *logfmt.Record) error {
+		fn(r)
+		return nil
+	})
+	if dl != nil {
+		err = errors.Join(err, opts.DeadLetter.Flush(), dl.Close())
+	}
+	if st := src.LastStats; st.Quarantined > 0 {
+		in.log.Warn("records quarantined", "path", path,
+			"quarantined", st.Quarantined,
+			"total", st.Records+st.Quarantined,
+			"error_rate", fmt.Sprintf("%.2f%%", st.ErrorRate()*100),
+			"resyncs", st.Resyncs, "bytes_skipped", st.BytesSkipped)
+	}
+	return src.LastStats, err
+}
+
+// usage reports a command-line mistake as the flag package reports a
+// bad flag: the message, the flags, and exit status 2.
+func usage(fs *flag.FlagSet, msg string) {
+	fmt.Fprintf(fs.Output(), "%s: %s\n", fs.Name(), msg)
+	fs.Usage()
+	os.Exit(2)
 }

@@ -3,7 +3,9 @@
 // recorded timeline (compressed by -speed) or a fixed -rate, latency
 // is measured from each request's intended start time (coordinated-
 // omission-safe), and the run can be gated on an SLO expression and
-// summarized into a machine-readable replay report.
+// summarized into a machine-readable replay report. The log is read
+// through the tolerant ingest path: malformed records are skipped and
+// counted, and loading fails once more than 5% of them are corrupt.
 //
 // Usage:
 //
@@ -26,8 +28,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/edge"
+	"repro/internal/ingest"
 	"repro/internal/logfmt"
 	"repro/internal/obs"
 	"repro/internal/replay"
@@ -35,7 +37,7 @@ import (
 
 func main() {
 	var (
-		in          = flag.String("i", "", "input log file (.tsv/.jsonl/.cdnb[.gz])")
+		in          = flag.String("i", "", "input log file (.tsv/.jsonl/.cdnb[.gz] or .cdnc)")
 		target      = flag.String("target", "", "base URL to replay against")
 		targetFile  = flag.String("target-file", "", "URL file written by a serving liveedge (-url-file); waits for it, reads the target, and probes readiness")
 		speed       = flag.Float64("speed", 60, "timing compression factor for the recorded timeline")
@@ -83,7 +85,8 @@ func main() {
 	}
 
 	var records []logfmt.Record
-	err = core.FileSource(*in).Each(func(r *logfmt.Record) error {
+	src := &ingest.FileSource{Path: *in, Ctx: ctx}
+	err = src.Each(func(r *logfmt.Record) error {
 		if *jsonOnly && !r.IsJSON() {
 			return nil
 		}
@@ -97,10 +100,12 @@ func main() {
 		fail("%v", err)
 	}
 	if *rate > 0 {
-		logger.Info("replaying open-loop", "records", len(records), "rate", *rate,
+		logger.Info("replaying open-loop", "records", len(records),
+			"quarantined", src.LastStats.Quarantined, "rate", *rate,
 			"duration", *duration, "warmup", *warmup, "target", *target)
 	} else {
-		logger.Info("replaying recorded timeline", "records", len(records), "speed", *speed,
+		logger.Info("replaying recorded timeline", "records", len(records),
+			"quarantined", src.LastStats.Quarantined, "speed", *speed,
 			"warmup", *warmup, "target", *target)
 	}
 

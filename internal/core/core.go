@@ -1,7 +1,7 @@
-// Package core abstracts where a log stream comes from — a file, memory,
-// or the synthetic generator — behind one Source interface, and
-// materializes a source into memory for analyses that need several
-// passes.
+// Package core abstracts where a log stream comes from behind one Source
+// interface, and materializes a source into memory for analyses that
+// need several passes. The synthetic generator is a Source here; log
+// files are read by ingest.FileSource.
 package core
 
 import (
@@ -14,34 +14,6 @@ import (
 // retained fields. Each returns the callback's first error.
 type Source interface {
 	Each(fn func(*logfmt.Record) error) error
-}
-
-// MemorySource serves records from a slice.
-type MemorySource []logfmt.Record
-
-// Each implements Source.
-func (m MemorySource) Each(fn func(*logfmt.Record) error) error {
-	for i := range m {
-		if err := fn(&m[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FileSource streams records from a log file (TSV or JSON Lines,
-// optionally gzipped, the format inferred from the extension; the
-// binary stream and chunk container are detected by magic bytes).
-type FileSource string
-
-// Each implements Source.
-func (f FileSource) Each(fn func(*logfmt.Record) error) error {
-	rd, closer, err := logfmt.OpenFile(string(f))
-	if err != nil {
-		return err
-	}
-	defer closer.Close()
-	return rd.ForEach(fn)
 }
 
 // SynthSource generates records on the fly from a synth.Config; no

@@ -1,96 +1,25 @@
 package core
 
 import (
-	"errors"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/logfmt"
 	"repro/internal/synth"
 )
 
-var t0 = time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
+// reused yields n records through one reused *logfmt.Record, as the
+// file readers do.
+type reused int
 
-func mem(n int) MemorySource {
-	recs := make(MemorySource, n)
-	for i := range recs {
-		recs[i] = logfmt.Record{
-			Time: t0.Add(time.Duration(i) * time.Second), ClientID: uint64(i % 7),
-			Method: "GET", URL: "https://x.com/a", UserAgent: "App/1 (iPhone)",
-			MIMEType: "application/json", Status: 200, Bytes: 100,
-			Cache: logfmt.CacheHit,
-		}
-	}
-	return recs
-}
-
-func TestMemorySource(t *testing.T) {
-	src := mem(10)
-	n := 0
-	if err := src.Each(func(*logfmt.Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 {
-		t.Errorf("saw %d records", n)
-	}
-}
-
-func TestMemorySourceStopsOnError(t *testing.T) {
-	src := mem(10)
-	wantErr := errors.New("stop")
-	n := 0
-	err := src.Each(func(*logfmt.Record) error {
-		n++
-		if n == 3 {
-			return wantErr
-		}
-		return nil
-	})
-	if err != wantErr || n != 3 {
-		t.Errorf("err=%v n=%d", err, n)
-	}
-}
-
-func TestFileSourceRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "logs.tsv.gz")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := logfmt.NewGzipWriter(f, logfmt.FormatTSV)
-	recs := mem(25)
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	n := 0
-	if err := FileSource(path).Each(func(r *logfmt.Record) error {
-		if err := r.Validate(); err != nil {
+func (n reused) Each(fn func(*logfmt.Record) error) error {
+	var r logfmt.Record
+	for i := 0; i < int(n); i++ {
+		r.Bytes = int64(i)
+		if err := fn(&r); err != nil {
 			return err
 		}
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
-	if n != 25 {
-		t.Errorf("read %d records", n)
-	}
-}
-
-func TestFileSourceMissing(t *testing.T) {
-	if err := FileSource("/nonexistent/x.tsv").Each(func(*logfmt.Record) error { return nil }); err == nil {
-		t.Error("missing file should error")
-	}
+	return nil
 }
 
 func TestSynthSource(t *testing.T) {
@@ -105,17 +34,17 @@ func TestSynthSource(t *testing.T) {
 }
 
 func TestCollect(t *testing.T) {
-	recs, err := Collect(mem(5))
+	recs, err := Collect(reused(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 5 {
-		t.Errorf("collected %d", len(recs))
+		t.Fatalf("collected %d", len(recs))
 	}
-	// Ensure copies, not aliases: mutate and re-check.
-	recs[0].Bytes = 999
-	recs2, _ := Collect(mem(5))
-	if recs2[0].Bytes == 999 {
-		t.Error("collect aliased records")
+	// The source reuses one record: Collect must copy, not alias.
+	for i, r := range recs {
+		if r.Bytes != int64(i) {
+			t.Errorf("record %d has Bytes %d: collect aliased the reused record", i, r.Bytes)
+		}
 	}
 }

@@ -154,4 +154,9 @@ func TestFileSourceTextAndBinary(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || n >= int64(len(recs)) {
 		t.Errorf("cancelled binary read: n=%d err=%v", n, err)
 	}
+
+	src = &FileSource{Path: filepath.Join(dir, "missing.tsv")}
+	if err := src.Each(func(*logfmt.Record) error { return nil }); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: err=%v, want os.ErrNotExist", err)
+	}
 }
