@@ -111,12 +111,11 @@ char-check:
 
 # fuzz gives each decode-path fuzzer a short budget (go only runs one
 # fuzz target per invocation). Raise FUZZTIME for a longer soak. The
-# ngram differential caps minimisation: the oracle ranges over maps, so
-# coverage flickers, inputs keep looking new, and the default minute of
-# minimising each would use up the whole budget.
+# ngram differential and the /charz merge cap minimisation: both range
+# over maps, so coverage flickers, inputs keep looking new, and the
+# default minute of minimising each would use up the whole budget.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseTSV -fuzztime=$(FUZZTIME) ./internal/logfmt
-	$(GO) test -run=^$$ -fuzz=FuzzBinaryReader -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzChunkReader -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalJSONLine -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzTolerantReader -fuzztime=$(FUZZTIME) ./internal/ingest
@@ -126,3 +125,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzClassify -fuzztime=$(FUZZTIME) ./internal/uastring
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalURL -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzModelAgainstOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/ngram
+	$(GO) test -run=^$$ -fuzz=FuzzMergeSnapshots -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/livechar

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/edge"
+	"repro/internal/logfmt"
 	"repro/internal/obs"
 )
 
@@ -57,7 +58,7 @@ func TestCLIPipeline(t *testing.T) {
 		return stdout, stderr
 	}
 
-	data := filepath.Join(t.TempDir(), "pattern.cdnb.gz")
+	data := filepath.Join(t.TempDir(), "pattern.cdnc")
 	run("jsongen", "-preset", "long", "-duration", "45m", "-target", "30000",
 		"-domains", "20", "-seed", "5", "-o", data)
 	if fi, err := os.Stat(data); err != nil || fi.Size() == 0 {
@@ -95,11 +96,37 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("jsonchar anomaly -top -1: %v, want a usage error (exit 2)\n%s", err, stderr)
 	}
 
+	// The retired binary stream is refused, naming its replacement:
+	// jsongen will not write one, and jsonchar will not read one even
+	// under a text name.
+	stream := filepath.Join(t.TempDir(), "old.tsv")
+	f, err := os.Create(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := logfmt.NewBinaryWriter(f)
+	rec := logfmt.Record{Time: time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC), Method: "GET",
+		URL: "https://api.example.com/v1", MIMEType: "application/json", Status: 200, Bytes: 512}
+	for i := 0; i < 100; i++ {
+		w.Write(&rec)
+	}
+	if err := errors.Join(w.Close(), f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][]string{
+		{"jsongen", "-target", "100", "-o", filepath.Join(t.TempDir(), "x.cdnb")},
+		{"jsonchar", "-i", stream},
+	} {
+		if _, stderr, err := exe(c[0], c[1:]...); err == nil || !strings.Contains(stderr, ".cdnc") {
+			t.Errorf("%v on the retired binary stream: %v, want a failure naming .cdnc\n%s", c, err, stderr)
+		}
+	}
+
 	// Transcode binary -> TSV with JSON filtering, then corrupt the tail:
 	// five bad lines in ≈21 k records is 0.02 %.
 	tsv := filepath.Join(t.TempDir(), "json.tsv")
 	run("jsonconvert", "-i", data, "-o", tsv, "-json-only")
-	f, err := os.OpenFile(tsv, os.O_APPEND|os.O_WRONLY, 0)
+	f, err = os.OpenFile(tsv, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,9 @@
 // Usage:
 //
 //	jsonchar -i logs.tsv.gz
-//	jsonchar -i logs.cdnb -max-error-rate 0.1 -dead-letter bad.jsonl
+//	jsonchar -i logs.cdnc -max-error-rate 0.1 -dead-letter bad.jsonl
 //	jsonchar -synth -scale 0.002
-//	jsonchar -i logs.tsv.gz -j 4      # cap text-format decode workers
+//	jsonchar -i logs.tsv.gz -j 4      # cap decode workers
 //	jsonchar -synth -trace -metrics-addr :9090
 //	jsonchar -i logs.tsv.gz -trace-out t.json   # Chrome trace of the ingest stages
 //	jsonchar period -i pattern.tsv.gz -x 100 -bin 1s -list
@@ -305,8 +305,8 @@ type input struct {
 func addInput(fs *flag.FlagSet) *input {
 	return &input{
 		fs:         fs,
-		path:       fs.String("i", "", "input log file (.tsv/.jsonl/.cdnb[.gz] or .cdnc)"),
-		jobs:       fs.Int("j", runtime.GOMAXPROCS(0), "decode workers for file ingest of the text formats"),
+		path:       fs.String("i", "", "input log file (.tsv/.jsonl[.gz] or .cdnc)"),
+		jobs:       fs.Int("j", runtime.GOMAXPROCS(0), "decode workers for file ingest"),
 		maxErrRate: fs.Float64("max-error-rate", 0.05, "abort file ingest when more than this fraction of records is corrupt"),
 		deadLetter: fs.String("dead-letter", "", "append quarantined record spans to this JSONL file"),
 	}

@@ -1,15 +1,16 @@
 // Command jsonconvert transcodes CDN log files between the supported
-// encodings (TSV, JSON Lines, binary, and the compressed chunk
-// container; the text and binary formats optionally gzipped), with
-// optional filtering. Container inputs are detected by magic bytes, so
-// a mislabeled file still decodes; the output encoding follows the -o
+// encodings (TSV and JSON Lines, optionally gzipped, and the chunk
+// container), with optional filtering. The input is read through the
+// tolerant ingest path every tool shares: the chunk container is
+// detected by magic bytes, so a mislabeled file still decodes, and
+// malformed records are quarantined and counted, failing the run once
+// more than 5% of them are corrupt. The output encoding follows the -o
 // extension (.cdnc selects the chunk container with its default codec,
 // raw: dictionary-encoded, uncompressed chunks).
 //
 // Usage:
 //
-//	jsonconvert -i logs.tsv.gz -o logs.cdnb.gz
-//	jsonconvert -i logs.tsv.gz -o logs.cdnc   # repack into raw chunks
+//	jsonconvert -i logs.tsv.gz -o logs.cdnc   # pack into raw chunks
 //	jsonconvert -i logs.cdnc -o - -json-only
 package main
 
@@ -19,13 +20,14 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/ingest"
 	"repro/internal/logfmt"
 )
 
 func main() {
 	var (
-		in       = flag.String("i", "", "input log file (.tsv/.jsonl/.cdnb[.gz] or .cdnc)")
-		out      = flag.String("o", "-", "output path or - for TSV on stdout")
+		in       = flag.String("i", "", "input log file (.tsv/.jsonl[.gz] or .cdnc)")
+		out      = flag.String("o", "-", "output path (.tsv/.jsonl[.gz] or .cdnc) or - for TSV on stdout")
 		jsonOnly = flag.Bool("json-only", false, "keep only application/json records")
 		host     = flag.String("host", "", "keep only records for this domain")
 		quiet    = flag.Bool("q", false, "suppress the summary line")
@@ -36,30 +38,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	rd, rcloser, err := logfmt.OpenFile(*in)
-	if err != nil {
-		fail(err)
-	}
-	defer rcloser.Close()
-
 	var w logfmt.RecordWriter
-	var finish func() error
 	if *out == "-" {
-		sw := logfmt.NewWriter(os.Stdout, logfmt.FormatTSV)
-		w, finish = sw, sw.Close
+		w = logfmt.NewWriter(os.Stdout, logfmt.FormatTSV)
 	} else {
-		fw, wcloser, err := logfmt.CreateFile(*out)
+		fw, err := logfmt.CreateFile(*out, logfmt.ChunkConfig{})
 		if err != nil {
 			fail(err)
 		}
 		w = fw
-		finish = func() error {
-			if err := fw.Close(); err != nil {
-				wcloser.Close()
-				return err
-			}
-			return wcloser.Close()
-		}
 	}
 
 	var filter logfmt.Filter = func(*logfmt.Record) bool { return true }
@@ -71,9 +58,9 @@ func main() {
 	}
 
 	start := time.Now()
-	var kept, seen int64
-	err = rd.ForEach(func(r *logfmt.Record) error {
-		seen++
+	var kept int64
+	src := &ingest.FileSource{Path: *in}
+	err := src.Each(func(r *logfmt.Record) error {
 		if !filter(r) {
 			return nil
 		}
@@ -83,12 +70,17 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if err := finish(); err != nil {
+	if err := w.Close(); err != nil {
 		fail(err)
+	}
+	st := src.LastStats
+	if st.Quarantined > 0 {
+		fmt.Fprintf(os.Stderr, "jsonconvert: %d of %d records quarantined (%.2f%%)\n",
+			st.Quarantined, st.Records+st.Quarantined, st.ErrorRate()*100)
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "jsonconvert: %d/%d records in %s\n",
-			kept, seen, time.Since(start).Round(time.Millisecond))
+			kept, st.Records, time.Since(start).Round(time.Millisecond))
 	}
 }
 

@@ -8,16 +8,15 @@
 //	jsongen -duration 2h -target 150000 -domains 40 -o pattern.tsv
 //	jsongen -preset short -o logs.cdnc -codec gzip -chunk-records 8192
 //
-// The output format is inferred from the file extension (.tsv, .jsonl,
-// .cdnb, or the .cdnc chunk container, with optional .gz on the text
-// and binary formats); "-" writes TSV to stdout. The -codec and
-// -chunk-records flags shape the chunk container only.
+// The output format is inferred from the file extension (.tsv or .jsonl,
+// optionally .gz, or the .cdnc chunk container); "-" writes TSV to
+// stdout. The -codec and -chunk-records flags shape the chunk container
+// only.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -30,7 +29,7 @@ func main() {
 		preset   = flag.String("preset", "short", `dataset preset: "short" (10 min, wide) or "long" (24 h, narrow)`)
 		scale    = flag.Float64("scale", 0.002, "scale factor relative to the paper's dataset sizes")
 		seed     = flag.Uint64("seed", 42, "generator seed; equal seeds give identical datasets")
-		out      = flag.String("o", "-", "output path (.tsv/.jsonl/.cdnb[.gz]) or - for stdout")
+		out      = flag.String("o", "-", "output path (.tsv/.jsonl[.gz] or .cdnc) or - for stdout")
 		duration = flag.Duration("duration", 0, "override capture window")
 		target   = flag.Int("target", 0, "override target record count")
 		domains  = flag.Int("domains", 0, "override domain count")
@@ -86,8 +85,10 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	w, closeFn, err := openOutput(*out, logfmt.ChunkConfig{Codec: chunkCodec, ChunkRecords: *chunkRecs})
-	if err != nil {
+	var w logfmt.RecordWriter
+	if *out == "-" {
+		w = logfmt.NewWriter(os.Stdout, logfmt.FormatTSV)
+	} else if w, err = logfmt.CreateFile(*out, logfmt.ChunkConfig{Codec: chunkCodec, ChunkRecords: *chunkRecs}); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -100,43 +101,12 @@ func main() {
 	if err != nil {
 		fatalf("generate: %v", err)
 	}
-	if err := closeFn(); err != nil {
+	if err := w.Close(); err != nil {
 		fatalf("close: %v", err)
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "%s (wrote in %s)\n", summary, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-func openOutput(path string, chunkCfg logfmt.ChunkConfig) (logfmt.RecordWriter, func() error, error) {
-	if path == "-" {
-		w := logfmt.NewWriter(os.Stdout, logfmt.FormatTSV)
-		return w, w.Close, nil
-	}
-	var w logfmt.RecordWriter
-	var closer io.Closer
-	var err error
-	if logfmt.IsChunkPath(path) {
-		// The chunk flags only apply here; CreateFile would use defaults.
-		f, ferr := os.Create(path)
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		w, closer = logfmt.NewChunkWriter(f, chunkCfg), f
-	} else {
-		w, closer, err = logfmt.CreateFile(path)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	closeFn := func() error {
-		if err := w.Close(); err != nil {
-			closer.Close()
-			return err
-		}
-		return closer.Close()
-	}
-	return w, closeFn, nil
 }
 
 func fatalf(format string, args ...interface{}) {

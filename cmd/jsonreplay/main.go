@@ -10,7 +10,7 @@
 // Usage:
 //
 //	jsonreplay -i pattern.tsv.gz -target http://127.0.0.1:8080 -speed 60
-//	jsonreplay -i logs.cdnb -target http://edge:8080 -rate 2000 -duration 30s \
+//	jsonreplay -i logs.cdnc -target http://edge:8080 -rate 2000 -duration 30s \
 //	    -warmup 5s -slo "p99<50ms,err<1%" -out replay-run.json
 //	jsonreplay -i stream.tsv -target-file /tmp/edge.url -rate 500 -duration 10s
 //
@@ -37,7 +37,7 @@ import (
 
 func main() {
 	var (
-		in          = flag.String("i", "", "input log file (.tsv/.jsonl/.cdnb[.gz] or .cdnc)")
+		in          = flag.String("i", "", "input log file (.tsv/.jsonl[.gz] or .cdnc)")
 		target      = flag.String("target", "", "base URL to replay against")
 		targetFile  = flag.String("target-file", "", "URL file written by a serving liveedge (-url-file); waits for it, reads the target, and probes readiness")
 		speed       = flag.Float64("speed", 60, "timing compression factor for the recorded timeline")

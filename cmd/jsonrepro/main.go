@@ -51,7 +51,7 @@ func main() {
 		faultRate   = flag.Float64("fault-rate", 0.05, "steady-state origin error rate of the resilience experiment")
 		faultSeed   = flag.Uint64("fault-seed", 0, "seed for fault injection and backoff jitter (0 derives it from -seed)")
 		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "worker count for dataset generation and the exhibit steps (output is byte-identical at every count)")
-		records     = flag.String("records", "", "load the §4 short-term dataset from this log file (.tsv/.jsonl/.cdnb[.gz]/.cdnc, container detected by magic) instead of synthesizing it")
+		records     = flag.String("records", "", "load the §4 short-term dataset from this log file (.tsv/.jsonl[.gz] or .cdnc, container detected by magic) instead of synthesizing it")
 		only        = flag.String("only", "", "comma-separated subset, run in paper order: "+strings.Join(experiments.Keys(), ","))
 		csvDir      = flag.String("csv", "", "also export each exhibit's data series as CSV into this directory (full runs only)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /readyz, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")

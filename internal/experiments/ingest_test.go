@@ -13,36 +13,31 @@ import (
 	"repro/internal/logfmt"
 )
 
-// encodeFrames writes recs in the binary format, returning the stream
-// and each frame's [start, end) offsets.
-func encodeFrames(t *testing.T, recs []logfmt.Record) ([]byte, [][2]int) {
+// corruptAndDecode writes recs one record per chunk, smashes every
+// strideth chunk's trailing byte (so its checksum fails and exactly its
+// one record is lost), and decodes the container tolerantly, returning
+// the surviving records.
+func corruptAndDecode(t *testing.T, recs []logfmt.Record, stride int) ([]logfmt.Record, ingest.Stats) {
 	t.Helper()
 	var buf bytes.Buffer
-	w := logfmt.NewBinaryWriter(&buf)
-	frames := make([][2]int, len(recs))
-	prev := 5 // binary magic
+	w := logfmt.NewChunkWriter(&buf, logfmt.ChunkConfig{ChunkRecords: 1})
 	for i := range recs {
 		if err := w.Write(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Close(); err != nil { // flush to observe the frame end
-			t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stream := bytes.Clone(buf.Bytes())
+	sc := logfmt.NewChunkScanner(&buf)
+	var rc logfmt.RawChunk
+	for i := 0; sc.Next(&rc) == nil; i++ {
+		if i%stride == stride-1 {
+			stream[rc.Offset+rc.FrameLen()-1] = 0xEE
 		}
-		frames[i] = [2]int{prev, buf.Len()}
-		prev = buf.Len()
 	}
-	return buf.Bytes(), frames
-}
-
-// corruptAndDecode smashes every strideth frame's trailing byte and
-// decodes the stream tolerantly, returning the surviving records.
-func corruptAndDecode(t *testing.T, recs []logfmt.Record, stride int) ([]logfmt.Record, ingest.Stats) {
-	t.Helper()
-	stream, frames := encodeFrames(t, recs)
-	for i := stride - 1; i < len(frames); i += stride {
-		stream[frames[i][1]-1] = 0xEE
-	}
-	tr := ingest.NewTolerantReader(logfmt.NewBinaryReader(bytes.NewReader(stream)),
+	tr := ingest.NewTolerantReader(logfmt.NewChunkReader(bytes.NewReader(stream)),
 		ingest.Options{MaxErrorRate: 0.05})
 	var out []logfmt.Record
 	if err := tr.ForEach(func(r *logfmt.Record) error {

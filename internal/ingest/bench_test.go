@@ -10,8 +10,8 @@ import (
 )
 
 // benchCorpus is the shared decode-benchmark input: one synthetic
-// stream encoded in each on-disk format, so records/sec and
-// bytes-per-record compare like for like. Large enough that sustained
+// stream encoded per codec, so records/sec and bytes-per-record compare
+// like for like. Large enough that sustained
 // per-record decode cost dominates per-file setup (interner, buffers),
 // matching the paper's multi-million-record workloads.
 func benchCorpus(b *testing.B) []logfmt.Record {
@@ -43,27 +43,6 @@ func encodeChunkedBench(b *testing.B, recs []logfmt.Record, codec logfmt.Codec) 
 func reportDecode(b *testing.B, diskBytes, records int) {
 	b.ReportMetric(float64(records*b.N)/b.Elapsed().Seconds(), "records/s")
 	b.ReportMetric(float64(diskBytes)/float64(records), "disk-B/rec")
-}
-
-// BenchmarkDecodeBinarySeq is the baseline the chunk container is
-// gated against: the sequential single-stream binary reader.
-func BenchmarkDecodeBinarySeq(b *testing.B) {
-	recs := benchCorpus(b)
-	stream, _ := encodeBinaryFrames(b, recs)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(stream)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd := logfmt.NewBinaryReader(bytes.NewReader(stream))
-		n := 0
-		if err := rd.ForEach(func(r *logfmt.Record) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n != len(recs) {
-			b.Fatalf("decoded %d of %d records", n, len(recs))
-		}
-	}
-	reportDecode(b, len(stream), len(recs))
 }
 
 // BenchmarkDecodeChunkSeq decodes the chunk container on one goroutine

@@ -14,7 +14,7 @@ import (
 // inspected (or replayed against a fixed decoder) later.
 type Quarantine struct {
 	// Format is the wire encoding of the stream ("tsv", "jsonl",
-	// "binary").
+	// "chunk").
 	Format string `json:"format"`
 	// Offset is the byte offset of the start of the bad span in the
 	// (decompressed) stream.

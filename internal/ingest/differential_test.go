@@ -35,15 +35,10 @@ func sequentialEntry(mk func(io.Reader) (logfmt.RecordReader, error)) entryPoint
 }
 
 // entryPoints lists every in-memory entry point that can read ext
-// ("tsv", "jsonl", "cdnb", "cdnc"), the sequential TolerantReader
-// first, then the pipeline at each worker count.
+// ("tsv", "jsonl", "cdnc"), the sequential TolerantReader first, then
+// the pipeline at each worker count.
 func entryPoints(ext string, workers ...int) []entryPoint {
-	switch ext {
-	case "cdnb":
-		return []entryPoint{sequentialEntry(func(r io.Reader) (logfmt.RecordReader, error) {
-			return logfmt.NewBinaryReader(r), nil
-		})}
-	case "cdnc":
+	if ext == "cdnc" {
 		eps := []entryPoint{sequentialEntry(func(r io.Reader) (logfmt.RecordReader, error) {
 			return logfmt.NewChunkReader(r), nil
 		})}
@@ -124,9 +119,9 @@ func readAll(t *testing.T, ep entryPoint, ext string, data []byte) outcome {
 		"ingest_records_total":     counter("ingest_records_total"),
 		"ingest_quarantined_total": counter("ingest_quarantined_total"),
 	}
-	// Only the formats that can lose stream position report the skip
-	// family, under their DecodeError format name.
-	if label := map[string]string{"cdnb": "binary", "cdnc": "chunk"}[ext]; label != "" {
+	// Only the chunk container can lose stream position, so only it
+	// reports the skip family, under its DecodeError format name.
+	if ext == "cdnc" {
 		for name, v := range map[string]int64{
 			"ingest_resyncs_total":         o.stats.Resyncs,
 			"ingest_skipped_bytes_total":   o.stats.BytesSkipped,
@@ -134,7 +129,7 @@ func readAll(t *testing.T, ep entryPoint, ext string, data []byte) outcome {
 			"ingest_dropped_records_total": o.stats.Quarantined,
 		} {
 			want[name] = v
-			got[name] = counter(name, "format", label)
+			got[name] = counter(name, "format", "chunk")
 		}
 	}
 	for name, v := range want {
@@ -165,7 +160,6 @@ func TestEntryPointsAgree(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	binary, _ := encodeBinaryFrames(t, recs)
 	for _, f := range []struct {
 		ext     string
 		clean   []byte
@@ -179,8 +173,6 @@ func TestEntryPointsAgree(t *testing.T) {
 			corrupt: resilience.CorruptingReader{Seed: 14, BitFlipRate: 2e-4}},
 		{ext: "jsonl", clean: jsonl(), cutTail: true,
 			corrupt: resilience.CorruptingReader{Seed: 14, BitFlipRate: 2e-4}},
-		{ext: "cdnb", clean: binary, resyncs: true,
-			corrupt: resilience.CorruptingReader{Seed: 14, GarbageRate: 3e-4, GarbageLen: 24, SkipBytes: 5}},
 		// Bit flips fail payload checksums (frame intact); garbage runs
 		// shift the framing and force header resyncs.
 		{ext: "cdnc", clean: encodeChunked(t, recs, logfmt.ChunkConfig{Codec: logfmt.CodecFlate, ChunkRecords: 50}), resyncs: true,

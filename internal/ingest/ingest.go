@@ -23,16 +23,15 @@ type Stats struct {
 	// Records is the number of records decoded successfully.
 	Records int64
 	// Quarantined is the number of records lost to quarantined spans.
-	// For the text and binary formats one span is one record; for the
-	// chunk container a quarantined chunk loses its whole claimed
-	// record count, so the error budget stays record-denominated
-	// across formats.
+	// For the text formats one span is one record; for the chunk
+	// container a quarantined chunk loses its whole claimed record
+	// count, so the error budget stays record-denominated across
+	// formats.
 	Quarantined int64
-	// FramesDropped is the number of bad spans (lines, binary frames,
-	// or chunks) sent to the dead letter.
+	// FramesDropped is the number of bad spans (lines or chunks) sent
+	// to the dead letter.
 	FramesDropped int64
-	// Resyncs is the number of stream resynchronization scans (binary
-	// frame or chunk granularity).
+	// Resyncs is the number of chunk-container resynchronization scans.
 	Resyncs int64
 	// BytesSkipped is the number of bytes discarded while resyncing.
 	BytesSkipped int64
@@ -48,10 +47,9 @@ func (s Stats) ErrorRate() float64 {
 	return float64(s.Quarantined) / float64(total)
 }
 
-// SkipMetrics is the structured resync/skip accounting shared by every
-// format that can lose stream position: the binary frame resync and the
-// chunk-container resync both report through one metric family,
-// labeled by format, instead of ad-hoc per-path counts.
+// SkipMetrics is the structured resync/skip accounting of the formats
+// that can lose stream position — today only the chunk container — as
+// one metric family labeled by format.
 type SkipMetrics struct {
 	// Resyncs counts resynchronization scans
 	// (ingest_resyncs_total{format=...}).
@@ -59,8 +57,8 @@ type SkipMetrics struct {
 	// SkippedBytes counts bytes discarded while resyncing
 	// (ingest_skipped_bytes_total{format=...}).
 	SkippedBytes *obs.Counter
-	// DroppedFrames counts bad spans — binary frames or chunks —
-	// quarantined (ingest_dropped_frames_total{format=...}).
+	// DroppedFrames counts bad chunks quarantined
+	// (ingest_dropped_frames_total{format=...}).
 	DroppedFrames *obs.Counter
 	// DroppedRecords counts records lost inside those spans
 	// (ingest_dropped_records_total{format=...}).
@@ -98,10 +96,9 @@ type Instrumentation struct {
 	// (ingest_decode_seconds).
 	DecodeSeconds *obs.HDRHistogram
 
-	// BinarySkips and ChunkSkips are the per-format views of the shared
-	// skip metric family.
-	BinarySkips *SkipMetrics
-	ChunkSkips  *SkipMetrics
+	// ChunkSkips is the chunk container's view of the skip metric
+	// family (format="chunk").
+	ChunkSkips *SkipMetrics
 }
 
 // decodeStart and decodeDone bracket the decode of one unit. The clock
@@ -120,18 +117,12 @@ func (i *Instrumentation) decodeDone(start time.Time) {
 }
 
 // Skips returns the skip metrics for a DecodeError format name
-// ("binary" or "chunk"; other formats have no resync path and get nil).
+// ("chunk"; other formats have no resync path and get nil).
 func (i *Instrumentation) Skips(format string) *SkipMetrics {
-	if i == nil {
+	if i == nil || format != "chunk" {
 		return nil
 	}
-	switch format {
-	case "binary":
-		return i.BinarySkips
-	case "chunk":
-		return i.ChunkSkips
-	}
-	return nil
+	return i.ChunkSkips
 }
 
 // newSkipMetrics resolves the skip family for one format label.
@@ -165,7 +156,6 @@ func NewInstrumentation(reg *obs.Registry) *Instrumentation {
 		Quarantined:   reg.Counter("ingest_quarantined_total"),
 		QueueDepth:    reg.Gauge("ingest_queue_depth"),
 		DecodeSeconds: reg.HDR("ingest_decode_seconds", obs.LatencyHDRConfig()),
-		BinarySkips:   newSkipMetrics(reg, "binary"),
 		ChunkSkips:    newSkipMetrics(reg, "chunk"),
 	}
 }

@@ -12,8 +12,7 @@ import (
 // fails fast instead of silently analyzing a remnant.
 var ErrBudgetExceeded = errors.New("ingest: corrupt-record budget exceeded")
 
-// maxResyncScan bounds how far a binary or chunk resynchronization scan
-// may look for the next boundary before the stream is given up on.
+// maxResyncScan bounds how far a chunk resynchronization scan may look for the next boundary before the stream is given up on.
 const maxResyncScan = 1 << 20
 
 // Options configures tolerant decoding.
@@ -79,12 +78,12 @@ func (l *ledger) deliver(recs []logfmt.Record, fn func(*logfmt.Record) error) er
 }
 
 // bad quarantines one bad span: lost records go against the budget
-// (one per text line or binary frame; a chunk loses its whole claimed
-// count, and a span whose framing was lost counts as one because the
-// records in it are unknown), the span goes to the dead letter, and the
-// budget is enforced. resynced marks the formats that can lose stream
-// position (binary, chunk), with skipped the bytes their scan for the
-// next boundary discarded. It returns ErrBudgetExceeded, wrapped with
+// (one per text line; a chunk loses its whole claimed count, and a span
+// whose framing was lost counts as one because the records in it are
+// unknown), the span goes to the dead letter, and the budget is
+// enforced. resynced marks the format that can lose stream position
+// (the chunk container), with skipped the bytes its scan for the next
+// boundary discarded. It returns ErrBudgetExceeded, wrapped with
 // the position that tripped it, once the stream is too corrupt.
 func (l *ledger) bad(de *logfmt.DecodeError, lost, skipped int64, resynced bool) error {
 	if lost <= 0 {

@@ -138,14 +138,15 @@ func Run(ctx context.Context, r io.Reader, format logfmt.Format, cfg PipelineCon
 }
 
 // FileSource streams a log file tolerantly, implementing core.Source.
-// The container formats are detected by magic bytes regardless of
-// extension: the chunk container decodes through RunChunks, text
-// formats through Run, and the single-stream binary format through a
-// sequential TolerantReader (its timestamps are delta-encoded across
-// the whole stream). After Each returns, LastStats holds the run's
-// accounting.
+// It is the one way every tool opens a log. The chunk container is
+// detected by its magic bytes regardless of extension and decodes
+// through RunChunks; anything else is a text format, named by the
+// extension (.jsonl or TSV, optionally gzipped), and decodes through
+// Run. A log in the retired binary stream format is refused with
+// logfmt.ErrBinaryStream rather than parsed as text. After Each
+// returns, LastStats holds the run's accounting.
 type FileSource struct {
-	// Path is the log file (.tsv/.jsonl/.cdnb[.gz] or .cdnc).
+	// Path is the log file (.tsv/.jsonl[.gz] or .cdnc).
 	Path string
 	// Ctx cancels the run between records; nil means Background.
 	Ctx context.Context
@@ -168,19 +169,12 @@ func (f *FileSource) Each(fn func(*logfmt.Record) error) error {
 	defer fh.Close()
 	br := bufio.NewReaderSize(fh, 1<<16)
 	magic, _ := br.Peek(5)
-	switch {
-	case logfmt.IsChunkMagic(magic):
+	if err := logfmt.CheckRetired(f.Path, magic); err != nil {
+		return err
+	}
+	if logfmt.IsChunkMagic(magic) {
 		f.LastStats, err = RunChunks(ctx, br, f.Config, fn)
-	case logfmt.IsBinaryMagic(magic) || logfmt.IsBinaryPath(f.Path):
-		tr := NewTolerantReader(logfmt.NewBinaryReader(br), f.Config.Options)
-		err = tr.ForEach(func(r *logfmt.Record) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return fn(r)
-		})
-		f.LastStats = tr.Stats()
-	default:
+	} else {
 		f.LastStats, err = Run(ctx, br, logfmt.FormatForPath(f.Path), f.Config, fn)
 	}
 	return err

@@ -106,6 +106,10 @@ func TestPipelineGzipInput(t *testing.T) {
 	}
 }
 
+// TestFileSourceTextAndBinary reads a text log and a binary one (the
+// chunk container) through FileSource, cancels a read part-way, and
+// checks that a log in the retired binary stream format and a missing
+// file are refused.
 func TestFileSourceTextAndBinary(t *testing.T) {
 	recs := synthRecords(t, 300)
 	dir := t.TempDir()
@@ -114,8 +118,8 @@ func TestFileSourceTextAndBinary(t *testing.T) {
 	if err := os.WriteFile(tsvPath, encodeTSV(recs), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	binPath := filepath.Join(dir, "logs.cdnb")
-	stream, frames := encodeBinaryFrames(t, recs)
+	binPath := filepath.Join(dir, "logs.cdnc")
+	stream, frames := encodeChunkFrames(t, recs)
 	stream[frames[7][1]-1] = 0xEE // one corrupt record
 	if err := os.WriteFile(binPath, stream, 0o644); err != nil {
 		t.Fatal(err)
@@ -136,11 +140,11 @@ func TestFileSourceTextAndBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != int64(len(recs)-1) || src.LastStats.Quarantined != 1 {
-		t.Errorf("binary: delivered %d, quarantined %d; want %d and 1",
+		t.Errorf("chunk: delivered %d, quarantined %d; want %d and 1",
 			n, src.LastStats.Quarantined, len(recs)-1)
 	}
 
-	// Cancellation cuts a binary read short with the context's error.
+	// Cancellation cuts a read short with the context's error.
 	ctx, cancel := context.WithCancel(context.Background())
 	src = &FileSource{Path: binPath, Ctx: ctx}
 	n = 0
@@ -152,7 +156,25 @@ func TestFileSourceTextAndBinary(t *testing.T) {
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) || n >= int64(len(recs)) {
-		t.Errorf("cancelled binary read: n=%d err=%v", n, err)
+		t.Errorf("cancelled read: n=%d err=%v", n, err)
+	}
+
+	// The retired binary stream is refused by its magic whatever the
+	// name, and by its name whatever the bytes, never parsed as TSV.
+	var cdnj bytes.Buffer
+	w := logfmt.NewBinaryWriter(&cdnj)
+	w.Write(&recs[0])
+	w.Close()
+	for name, data := range map[string][]byte{"old.tsv": cdnj.Bytes(), "old.cdnb.gz": encodeTSV(recs)} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src = &FileSource{Path: path}
+		err := src.Each(func(*logfmt.Record) error { return nil })
+		if !errors.Is(err, logfmt.ErrBinaryStream) || !strings.Contains(err.Error(), ".cdnc") {
+			t.Errorf("%s: err=%v, want logfmt.ErrBinaryStream naming .cdnc", name, err)
+		}
 	}
 
 	src = &FileSource{Path: filepath.Join(dir, "missing.tsv")}

@@ -6,15 +6,14 @@ import (
 	"repro/internal/logfmt"
 )
 
-// TolerantReader wraps a RecordReader (TSV, JSON Lines, binary, or
-// chunk container) and keeps decoding across malformed records: each
-// bad span is quarantined to the dead letter with its byte offset,
-// record index, and reason; binary and chunk streams are
-// resynchronized to the next plausible boundary; and a max-error-rate
-// budget converts "too corrupt" into a hard error. It is the sequential
-// framer over the same ledger the pipelines use, and the only tolerant
-// path for the single-stream binary format (whose timestamps are
-// delta-encoded across the whole stream). TolerantReader is itself a
+// TolerantReader wraps a RecordReader (TSV, JSON Lines, or chunk
+// container) and keeps decoding across malformed records: each bad span
+// is quarantined to the dead letter with its byte offset, record index,
+// and reason; chunk streams are resynchronized to the next valid chunk
+// boundary; and a max-error-rate budget converts "too corrupt" into a
+// hard error. It is the sequential framer over the same ledger the
+// pipelines use, and the reference they are tested against
+// (TestEntryPointsAgree). TolerantReader is itself a
 // logfmt.RecordReader, so it drops in anywhere a strict reader is used.
 // Not safe for concurrent use.
 type TolerantReader struct {
@@ -32,8 +31,8 @@ func (t *TolerantReader) Stats() Stats { return t.led.stats }
 
 // resyncer is implemented by readers that can lose stream position on a
 // decode error and scan forward to the next plausible boundary
-// (logfmt.BinaryReader at frame granularity, logfmt.ChunkReader at
-// chunk granularity). Text readers consume bad lines themselves.
+// (logfmt.ChunkReader, at chunk granularity). Text readers consume bad
+// lines themselves.
 type resyncer interface {
 	Resync(maxScan int64) (int64, error)
 }
@@ -65,10 +64,9 @@ func (t *TolerantReader) Read(r *logfmt.Record) error {
 			lost = cd.LastBadRecords()
 		}
 		// After a container decode error the stream position may be
-		// undefined; scan forward to the next plausible boundary (a
-		// record frame for the binary stream, a validated chunk header
-		// for the container — a no-op when framing survived) before
-		// booking the span, so the bytes it cost are part of its entry.
+		// undefined; scan forward to the next validated chunk header (a
+		// no-op when framing survived) before booking the span, so the
+		// bytes it cost are part of its entry.
 		rs, resynced := t.rd.(resyncer)
 		var skipped int64
 		var rerr error

@@ -36,29 +36,22 @@ func synthRecords(t testing.TB, n int) []logfmt.Record {
 	return recs[:n]
 }
 
-// encodeBinaryFrames encodes recs and returns the stream plus each
-// frame's [start, end) byte offsets.
-func encodeBinaryFrames(t testing.TB, recs []logfmt.Record) ([]byte, [][2]int) {
+// encodeChunkFrames encodes recs one record per raw chunk, so that one
+// corrupted payload loses exactly one record, and returns the container
+// plus each chunk frame's [start, end) byte offsets.
+func encodeChunkFrames(t testing.TB, recs []logfmt.Record) ([]byte, [][2]int) {
 	t.Helper()
-	var buf bytes.Buffer
-	w := logfmt.NewBinaryWriter(&buf)
-	var ends []int
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil { // Close only flushes
-			t.Fatal(err)
-		}
-		ends = append(ends, buf.Len())
+	data := encodeChunked(t, recs, logfmt.ChunkConfig{ChunkRecords: 1})
+	sc := logfmt.NewChunkScanner(bytes.NewReader(data))
+	var rc logfmt.RawChunk
+	var frames [][2]int
+	for sc.Next(&rc) == nil {
+		frames = append(frames, [2]int{int(rc.Offset), int(rc.Offset + rc.FrameLen())})
 	}
-	frames := make([][2]int, len(recs))
-	prev := 5 // len(binary magic)
-	for i, e := range ends {
-		frames[i] = [2]int{prev, e}
-		prev = e
+	if len(frames) != len(recs) {
+		t.Fatalf("%d chunks for %d records", len(frames), len(recs))
 	}
-	return buf.Bytes(), frames
+	return data, frames
 }
 
 func encodeTSV(recs []logfmt.Record) []byte {
@@ -121,11 +114,12 @@ func TestTolerantReaderTSV(t *testing.T) {
 	}
 }
 
-func TestTolerantReaderBinaryAccurateAccounting(t *testing.T) {
+func TestTolerantReaderChunkAccurateAccounting(t *testing.T) {
 	recs := synthRecords(t, 400)
-	stream, frames := encodeBinaryFrames(t, recs)
+	stream, frames := encodeChunkFrames(t, recs)
 	// Corrupt exactly 1.5% of records by smashing their cache-status
-	// byte: framing stays intact, so each injected fault quarantines
+	// byte, the last of each one-record payload: framing stays intact and
+	// the payload checksum fails, so each injected fault quarantines
 	// exactly one record.
 	var injected int64
 	for i := 3; i < len(frames); i += 67 {
@@ -137,7 +131,7 @@ func TestTolerantReaderBinaryAccurateAccounting(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	tr := NewTolerantReader(logfmt.NewBinaryReader(bytes.NewReader(stream)),
+	tr := NewTolerantReader(logfmt.NewChunkReader(bytes.NewReader(stream)),
 		Options{MaxErrorRate: 0.05, Metrics: NewInstrumentation(reg)})
 	var got int64
 	if err := tr.ForEach(func(*logfmt.Record) error { got++; return nil }); err != nil {
@@ -167,11 +161,11 @@ func TestTolerantReaderBinaryAccurateAccounting(t *testing.T) {
 
 func TestTolerantReaderBudgetFailsFastWithPosition(t *testing.T) {
 	recs := synthRecords(t, 200)
-	stream, frames := encodeBinaryFrames(t, recs)
+	stream, frames := encodeChunkFrames(t, recs)
 	for i := 0; i < len(frames); i += 5 { // 20% corrupt
 		stream[frames[i][1]-1] = 0xEE
 	}
-	tr := NewTolerantReader(logfmt.NewBinaryReader(bytes.NewReader(stream)),
+	tr := NewTolerantReader(logfmt.NewChunkReader(bytes.NewReader(stream)),
 		Options{MaxErrorRate: 0.05, MinRecords: 50})
 	var rec logfmt.Record
 	var err error
@@ -199,15 +193,15 @@ func TestTolerantReaderBudgetFailsFastWithPosition(t *testing.T) {
 
 func TestTolerantReaderChaosGarbageInsertion(t *testing.T) {
 	recs := synthRecords(t, 1000)
-	clean, _ := encodeBinaryFrames(t, recs)
+	clean := encodeChunked(t, recs, logfmt.ChunkConfig{ChunkRecords: 4})
 	cr := &resilience.CorruptingReader{
 		R:           bytes.NewReader(clean),
 		Seed:        99,
-		GarbageRate: 0.0003, // ~ a dozen garbage runs across the stream
+		GarbageRate: 0.0001, // ~ a dozen garbage runs across the stream
 		GarbageLen:  24,
-		SkipBytes:   5, // keep the magic intact
+		SkipBytes:   6, // keep the file header intact
 	}
-	tr := NewTolerantReader(logfmt.NewBinaryReader(cr), Options{MaxErrorRate: 0.25})
+	tr := NewTolerantReader(logfmt.NewChunkReader(cr), Options{MaxErrorRate: 0.25})
 	var got int64
 	err := tr.ForEach(func(r *logfmt.Record) error {
 		if verr := r.Validate(); verr != nil {
@@ -226,8 +220,8 @@ func TestTolerantReaderChaosGarbageInsertion(t *testing.T) {
 	if st.Quarantined == 0 {
 		t.Error("no quarantines despite injected garbage")
 	}
-	// Most of the stream must survive: each garbage run can take out a
-	// handful of adjacent records, never whole swaths.
+	// Most of the stream must survive: each garbage run can take out one
+	// four-record chunk, never whole swaths.
 	if got < int64(len(recs))*8/10 {
 		t.Errorf("recovered only %d of %d records", got, len(recs))
 	}
@@ -238,13 +232,13 @@ func TestTolerantReaderChaosGarbageInsertion(t *testing.T) {
 
 func TestTolerantReaderChaosTruncation(t *testing.T) {
 	recs := synthRecords(t, 100)
-	clean, _ := encodeBinaryFrames(t, recs)
+	clean, _ := encodeChunkFrames(t, recs)
 	cr := &resilience.CorruptingReader{
 		R:          bytes.NewReader(clean),
 		Seed:       5,
-		TruncateAt: int64(len(clean)) * 2 / 3, // mid-record EOF
+		TruncateAt: int64(len(clean)) * 2 / 3, // mid-chunk EOF
 	}
-	tr := NewTolerantReader(logfmt.NewBinaryReader(cr), Options{MaxErrorRate: 0.25})
+	tr := NewTolerantReader(logfmt.NewChunkReader(cr), Options{MaxErrorRate: 0.25})
 	var got int64
 	if err := tr.ForEach(func(*logfmt.Record) error { got++; return nil }); err != nil {
 		t.Fatalf("truncated stream should end cleanly, got %v", err)

@@ -191,7 +191,8 @@ func mergeBins(snaps []Snapshot, binSec float64) (time.Time, []int64) {
 	if !seen {
 		return time.Time{}, nil
 	}
-	if last-first+1 > maxMergedBins {
+	// Clocks far enough apart overflow the span itself; cap that too.
+	if n := last - first + 1; n <= 0 || n > maxMergedBins {
 		first = last - maxMergedBins + 1
 	}
 	out := make([]int64, last-first+1)

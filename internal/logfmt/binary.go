@@ -2,23 +2,40 @@ package logfmt
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"time"
+	"strings"
 )
 
-// The binary format is a compact, streaming encoding for large datasets:
-// a 5-byte magic header, then one length-delimited record after another.
-// Timestamps are delta-encoded against the previous record (the
-// generator emits nearly time-ordered streams, so deltas are tiny) and
-// common methods and MIME types are replaced by one-byte dictionary
-// indices. It encodes the same Record schema as TSV/JSONL at roughly a
-// third of the size before compression.
+// The binary stream is a retired encoding: a 5-byte magic header, then
+// one length-delimited record after another, with timestamps
+// delta-encoded across the whole stream and common methods and MIME
+// types replaced by one-byte dictionary indices. Nothing reads it; logs
+// are stored in the chunk container, and CheckRetired refuses old
+// files. BinaryWriter remains as a size yardstick. The dictionary
+// tables, string encoders and decoder below are the chunk container's.
 
 // binaryMagic identifies a binary log stream (format version 1).
 var binaryMagic = [5]byte{'C', 'D', 'N', 'J', '1'}
+
+// ErrBinaryStream reports a log in the retired .cdnb binary stream
+// format. CreateFile and ingest.FileSource return it (see CheckRetired)
+// instead of writing TSV under a binary name or parsing the stream as
+// TSV lines.
+var ErrBinaryStream = errors.New("the .cdnb binary stream format is retired; write or regenerate the log as a .cdnc chunk container")
+
+// CheckRetired returns an error wrapping ErrBinaryStream when path names
+// a .cdnb[.gz] file or head, the first bytes of a log, starts with the
+// binary stream magic; otherwise nil.
+func CheckRetired(path string, head []byte) error {
+	if strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".cdnb") ||
+		len(head) >= len(binaryMagic) && [5]byte(head[:5]) == binaryMagic {
+		return fmt.Errorf("logfmt: %s: %w", path, ErrBinaryStream)
+	}
+	return nil
+}
 
 // Dictionary tables; index 0 is reserved for "literal string follows".
 var (
@@ -36,11 +53,13 @@ func tableIndex(table []string, s string) byte {
 	return 0
 }
 
-// BinaryWriter streams records in the binary format. Close flushes.
-// BinaryWriter is not safe for concurrent use.
+// BinaryWriter streams records in the retired binary stream format. It
+// survives only as the size yardstick bench/archive.go measures the
+// chunk container against (logfmt.bytes_ratio_vs_binary), and goes with
+// the benchmark's next revision. BinaryWriter is not safe for
+// concurrent use.
 type BinaryWriter struct {
 	bw       *bufio.Writer
-	gz       *gzip.Writer
 	buf      []byte
 	prevNano int64
 	n        int64
@@ -50,15 +69,6 @@ type BinaryWriter struct {
 // NewBinaryWriter returns a writer emitting the binary format to w.
 func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return &BinaryWriter{bw: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// NewGzipBinaryWriter returns a writer that gzip-compresses the binary
-// format.
-func NewGzipBinaryWriter(w io.Writer) *BinaryWriter {
-	gz := gzip.NewWriter(w)
-	bw := NewBinaryWriter(gz)
-	bw.gz = gz
-	return bw
 }
 
 // Write encodes one record.
@@ -87,20 +97,11 @@ func (w *BinaryWriter) Write(r *Record) error {
 // Count returns the number of records written.
 func (w *BinaryWriter) Count() int64 { return w.n }
 
-// Close flushes buffered output and finalizes any compression layer.
-func (w *BinaryWriter) Close() error {
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	if w.gz != nil {
-		return w.gz.Close()
-	}
-	return nil
-}
+// Close flushes buffered output.
+func (w *BinaryWriter) Close() error { return w.bw.Flush() }
 
-// appendRecordBody appends the frame payload encoding of r — the shared
-// per-record body of the binary stream and the chunk container — and
-// advances *prevNano to r's timestamp for the delta chain.
+// appendRecordBody appends the binary stream's frame payload encoding
+// of r and advances *prevNano to r's timestamp for the delta chain.
 func appendRecordBody(buf []byte, r *Record, prevNano *int64) []byte {
 	nano := r.Time.UnixNano()
 	buf = binary.AppendVarint(buf, nano-*prevNano)
@@ -129,247 +130,7 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// maxBinaryRecord bounds one encoded record; larger length prefixes are
-// rejected as corrupt.
-const maxBinaryRecord = 1 << 24
-
-// BinaryReader streams records from the binary format. BinaryReader is
-// not safe for concurrent use.
-type BinaryReader struct {
-	br       *bufio.Reader
-	buf      []byte
-	prevNano int64
-	offset   int64
-	records  int64
-	started  bool
-	intern   *Interner
-}
-
-// NewBinaryReader returns a reader decoding the binary format from r,
-// transparently decompressing gzip input (detected by magic bytes).
-func NewBinaryReader(r io.Reader) *BinaryReader {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if magic, err := br.Peek(2); err == nil && len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
-		if gz, err := gzip.NewReader(br); err == nil {
-			br = bufio.NewReaderSize(gz, 1<<16)
-		}
-	}
-	return &BinaryReader{br: br, intern: NewInterner(0)}
-}
-
-// Read decodes the next record. It returns io.EOF at end of stream.
-// Corruption — a bad magic, an implausible length prefix, a truncated
-// frame, or a frame whose payload does not decode — is reported as a
-// *DecodeError carrying the byte offset and record index of the bad
-// span. After a DecodeError the stream position is undefined (the
-// length prefix itself may have been garbage); callers that want to
-// continue must call Resync first.
-func (rd *BinaryReader) Read(r *Record) error {
-	if !rd.started {
-		var magic [5]byte
-		n, err := io.ReadFull(rd.br, magic[:])
-		rd.offset += int64(n)
-		if err != nil {
-			if err == io.EOF {
-				return io.EOF
-			}
-			if err == io.ErrUnexpectedEOF {
-				rd.started = true
-				return &DecodeError{Format: "binary", Offset: 0, Record: 0, Span: int64(n),
-					Err: fmt.Errorf("truncated binary magic: %w", err)}
-			}
-			return fmt.Errorf("logfmt: reading binary magic: %w", err)
-		}
-		rd.started = true
-		if magic != binaryMagic {
-			return &DecodeError{Format: "binary", Offset: 0, Record: 0, Span: int64(n),
-				Err: fmt.Errorf("bad binary magic %q", magic[:])}
-		}
-	}
-	frameStart := rd.offset
-	idx := rd.records
-	size, err := rd.readUvarint()
-	if err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		rd.records++
-		return &DecodeError{Format: "binary", Offset: frameStart, Record: idx,
-			Span: rd.offset - frameStart, Err: fmt.Errorf("reading record length: %w", err)}
-	}
-	rd.records++
-	if size == 0 || size > maxBinaryRecord {
-		return &DecodeError{Format: "binary", Offset: frameStart, Record: idx,
-			Span: rd.offset - frameStart, Err: fmt.Errorf("implausible record length %d", size)}
-	}
-	if cap(rd.buf) < int(size) {
-		rd.buf = make([]byte, size)
-	}
-	buf := rd.buf[:size]
-	n, err := io.ReadFull(rd.br, buf)
-	rd.offset += int64(n)
-	if err != nil {
-		return &DecodeError{Format: "binary", Offset: frameStart, Record: idx,
-			Span: rd.offset - frameStart, Err: fmt.Errorf("reading binary record: %w", err)}
-	}
-	// Decode against a scratch timestamp and commit only on success, so
-	// a quarantined record cannot poison the delta chain for the records
-	// that follow it.
-	prev := rd.prevNano
-	if err := decodeRecord(buf, r, &prev); err != nil {
-		return &DecodeError{Format: "binary", Offset: frameStart, Record: idx,
-			Span: rd.offset - frameStart, Err: err}
-	}
-	rd.prevNano = prev
-	// Methods and MIME types come out of the dictionary already shared;
-	// URL and user agent are literals, interned here so repeated values
-	// share one copy across the decoded dataset.
-	r.URL = rd.intern.Intern(r.URL)
-	r.UserAgent = rd.intern.Intern(r.UserAgent)
-	return nil
-}
-
-// readUvarint reads a length prefix, charging consumed bytes to the
-// reader offset. A clean EOF before the first byte is io.EOF; EOF
-// mid-varint is io.ErrUnexpectedEOF.
-func (rd *BinaryReader) readUvarint() (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; ; i++ {
-		b, err := rd.br.ReadByte()
-		if err != nil {
-			if err == io.EOF && i > 0 {
-				return x, io.ErrUnexpectedEOF
-			}
-			return x, err
-		}
-		rd.offset++
-		if b < 0x80 {
-			if i > 9 || i == 9 && b > 1 {
-				return x, fmt.Errorf("length varint overflows uint64")
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-}
-
-// Offset returns the number of bytes of the (decompressed) stream
-// consumed so far.
-func (rd *BinaryReader) Offset() int64 { return rd.offset }
-
-// Resync scans forward after a DecodeError for the next plausible
-// record boundary: a position where a sane length prefix is followed by
-// a payload that fully decodes (dictionary indices in range, strings in
-// bounds, valid cache status, no trailing bytes). It returns the number
-// of bytes skipped. io.EOF means the stream ended with no further
-// boundary; the scan gives up with an error after maxScan bytes
-// (maxScan <= 0 means 1 MiB).
-//
-// Validation needs the whole candidate frame inside the read-ahead
-// buffer, so a genuine record larger than the buffer (64 KiB) may be
-// skipped; quarantine accounting absorbs the loss.
-func (rd *BinaryReader) Resync(maxScan int64) (int64, error) {
-	if maxScan <= 0 {
-		maxScan = 1 << 20
-	}
-	var skipped int64
-	for skipped < maxScan {
-		window, perr := rd.br.Peek(rd.br.Size())
-		if len(window) == 0 {
-			return skipped, io.EOF
-		}
-		for i := range window {
-			if skipped+int64(i) >= maxScan {
-				break
-			}
-			if plausibleFrame(window[i:], rd.prevNano) {
-				rd.discard(i)
-				return skipped + int64(i), nil
-			}
-		}
-		n := len(window)
-		if int64(n) > maxScan-skipped {
-			n = int(maxScan - skipped)
-		}
-		rd.discard(n)
-		skipped += int64(n)
-		if perr != nil { // stream exhausted, nothing matched
-			return skipped, io.EOF
-		}
-	}
-	return skipped, fmt.Errorf("logfmt: resync: no record boundary within %d bytes", maxScan)
-}
-
-func (rd *BinaryReader) discard(n int) {
-	d, _ := rd.br.Discard(n)
-	rd.offset += int64(d)
-}
-
-// plausibleFrame reports whether b starts with a complete, decodable
-// record frame.
-func plausibleFrame(b []byte, prevNano int64) bool {
-	size, n := binary.Uvarint(b)
-	if n <= 0 || size == 0 || size > maxBinaryRecord {
-		return false
-	}
-	if uint64(len(b)-n) < size {
-		return false // frame extends past the window; cannot validate
-	}
-	var rec Record
-	prev := prevNano
-	return decodeRecord(b[n:n+int(size)], &rec, &prev) == nil
-}
-
-// decodeRecord decodes one frame payload into r. The timestamp delta is
-// applied to *prevNano only as a scratch value; callers commit it on
-// success. A payload with trailing bytes is corrupt.
-func decodeRecord(buf []byte, r *Record, prevNano *int64) error {
-	d := decoder{buf: buf}
-	delta := d.varint()
-	r.ClientID = d.uvarint()
-	r.Method = d.dictString(methodTable)
-	r.URL = d.str()
-	r.UserAgent = d.str()
-	r.MIMEType = d.dictString(mimeTable)
-	r.Status = int(d.uvarint())
-	r.Bytes = int64(d.uvarint())
-	cacheByte := d.byte()
-	if d.err != nil {
-		return fmt.Errorf("logfmt: corrupt binary record: %w", d.err)
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("logfmt: corrupt binary record: %d trailing bytes", len(d.buf))
-	}
-	if cacheByte > byte(CacheMiss) {
-		return fmt.Errorf("logfmt: corrupt binary record: cache status %d", cacheByte)
-	}
-	*prevNano += delta
-	r.Time = time.Unix(0, *prevNano).UTC()
-	r.Cache = CacheStatus(cacheByte)
-	return nil
-}
-
-// ForEach reads every record and calls fn, stopping at EOF or on fn's
-// first error.
-func (rd *BinaryReader) ForEach(fn func(*Record) error) error {
-	var rec Record
-	for {
-		err := rd.Read(&rec)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(&rec); err != nil {
-			return err
-		}
-	}
-}
-
-// decoder is a cursor over one encoded record.
+// decoder is a cursor over one encoded chunk payload.
 type decoder struct {
 	buf []byte
 	err error
@@ -430,38 +191,9 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.buf)) < n {
-		d.err = errShortRecord
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) dictString(table []string) string {
-	i := d.byte()
-	if d.err != nil {
-		return ""
-	}
-	if i == 0 {
-		return d.str()
-	}
-	if int(i) >= len(table) {
-		d.err = fmt.Errorf("dictionary index %d out of range", i)
-		return ""
-	}
-	return table[i]
-}
-
-// strIntern is str without the throwaway allocation: the raw bytes go
-// straight through the interner, so repeated values cost one map
-// lookup and zero allocations.
+// strIntern decodes a length-prefixed string straight through the
+// interner, so repeated values cost one map lookup and zero
+// allocations.
 func (d *decoder) strIntern(in *Interner) string {
 	n := d.uvarint()
 	if d.err != nil {

@@ -2,16 +2,76 @@ package logfmt
 
 import (
 	"bytes"
-	"io"
-	"strings"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func TestBinaryRoundTrip(t *testing.T) {
+// decodeBinaryStream decodes BinaryWriter output with the chunk
+// container's field decoder. Nothing else reads the stream any more;
+// this lets the writer's tests check it still encodes every field of
+// every record, so the benchmark's size yardstick measures a faithful
+// encoding.
+func decodeBinaryStream(t testing.TB, data []byte) []Record {
+	t.Helper()
+	if len(data) == 0 {
+		return nil
+	}
+	if !bytes.HasPrefix(data, binaryMagic[:]) {
+		t.Fatalf("stream starts %q, want the binary magic", data[:min(len(data), 5)])
+	}
+	data = data[len(binaryMagic):]
+	in := NewInterner(0)
+	var prev int64
+	var out []Record
+	for len(data) > 0 {
+		size, n := binary.Uvarint(data)
+		if n <= 0 || uint64(len(data)-n) < size {
+			t.Fatalf("record %d: bad length prefix", len(out))
+		}
+		d := decoder{buf: data[n : n+int(size)]}
+		data = data[n+int(size):]
+		prev += d.varint()
+		r := Record{Time: time.Unix(0, prev).UTC(), ClientID: d.uvarint()}
+		r.Method = d.dictStringIntern(methodTable, in)
+		r.URL = d.strIntern(in)
+		r.UserAgent = d.strIntern(in)
+		r.MIMEType = d.dictStringIntern(mimeTable, in)
+		r.Status = int(d.uvarint())
+		r.Bytes = int64(d.uvarint())
+		r.Cache = CacheStatus(d.byte())
+		if d.err != nil || len(d.buf) != 0 {
+			t.Fatalf("record %d: %v with %d bytes left", len(out), d.err, len(d.buf))
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// writeBinary encodes recs with a BinaryWriter.
+func writeBinary(t testing.TB, recs []Record) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w := NewBinaryWriter(&buf)
+	for i := range recs {
+		if err := w.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Count() != int64(len(recs)) {
+		t.Errorf("count = %d, want %d", w.Count(), len(recs))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestBinaryRoundTrip(t *testing.T) {
 	var want []Record
 	base := time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 200; i++ {
@@ -28,108 +88,53 @@ func TestBinaryRoundTrip(t *testing.T) {
 			r.UserAgent = ""
 		}
 		want = append(want, r)
-		if err := w.Write(&r); err != nil {
-			t.Fatal(err)
+	}
+	got := decodeBinaryStream(t, writeBinary(t, want))
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
-	}
-	if w.Count() != 200 {
-		t.Errorf("count = %d", w.Count())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rd := NewBinaryReader(&buf)
-	i := 0
-	err := rd.ForEach(func(r *Record) error {
-		if !r.Time.Equal(want[i].Time) {
-			t.Fatalf("record %d time %v != %v", i, r.Time, want[i].Time)
-		}
-		got := *r
-		got.Time = want[i].Time
-		if got != want[i] {
-			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got, want[i])
-		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != 200 {
-		t.Errorf("read %d records", i)
 	}
 }
 
+// TestBinaryOutOfOrderTimes checks the delta encoding handles negative
+// deltas (slightly out-of-order streams).
 func TestBinaryOutOfOrderTimes(t *testing.T) {
-	// Delta encoding must handle negative deltas (slightly out-of-order
-	// streams).
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
 	base := time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
 	times := []time.Time{base.Add(time.Second), base, base.Add(3 * time.Second)}
-	for _, at := range times {
-		r := sampleRecord()
-		r.Time = at
-		if err := w.Write(&r); err != nil {
-			t.Fatal(err)
-		}
+	recs := make([]Record, len(times))
+	for i, at := range times {
+		recs[i] = sampleRecord()
+		recs[i].Time = at
 	}
-	w.Close()
-	rd := NewBinaryReader(&buf)
-	i := 0
-	rd.ForEach(func(r *Record) error {
+	for i, r := range decodeBinaryStream(t, writeBinary(t, recs)) {
 		if !r.Time.Equal(times[i]) {
 			t.Errorf("record %d time %v != %v", i, r.Time, times[i])
 		}
-		i++
-		return nil
-	})
-}
-
-func TestBinaryEmptyStream(t *testing.T) {
-	rd := NewBinaryReader(bytes.NewReader(nil))
-	var r Record
-	if err := rd.Read(&r); err != io.EOF {
-		t.Errorf("empty stream: %v", err)
 	}
 }
 
-func TestBinaryBadMagic(t *testing.T) {
-	rd := NewBinaryReader(strings.NewReader("NOTCDNJ"))
-	var r Record
-	if err := rd.Read(&r); err == nil || err == io.EOF {
-		t.Errorf("bad magic accepted: %v", err)
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	r := sampleRecord()
-	w.Write(&r)
-	w.Close()
-	full := buf.Bytes()
-	// Cut mid-record.
-	rd := NewBinaryReader(bytes.NewReader(full[:len(full)-3]))
-	var out Record
-	if err := rd.Read(&out); err == nil {
-		t.Error("truncated record accepted")
-	}
-}
-
-func TestBinaryCorruptCacheStatus(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	r := sampleRecord()
-	w.Write(&r)
-	w.Close()
-	data := buf.Bytes()
-	data[len(data)-1] = 99 // cache byte is last
-	rd := NewBinaryReader(bytes.NewReader(data))
-	var out Record
-	if err := rd.Read(&out); err == nil {
-		t.Error("corrupt cache status accepted")
+func TestBinaryPropertyRoundTrip(t *testing.T) {
+	err := quick.Check(func(id uint64, status uint16, size uint32, url, ua string) bool {
+		r := Record{
+			Time:      time.Date(2019, 5, 1, 0, 0, 0, int(id%1e9), time.UTC),
+			ClientID:  id,
+			Method:    "WEIRD-METHOD",
+			URL:       url,
+			UserAgent: ua,
+			MIMEType:  "application/x-custom",
+			Status:    int(status),
+			Bytes:     int64(size),
+			Cache:     CacheStatus(id % 3),
+		}
+		got := decodeBinaryStream(t, writeBinary(t, []Record{r}))
+		return len(got) == 1 && got[0] == r
+	}, nil)
+	if err != nil {
+		t.Error(err)
 	}
 }
 
@@ -151,36 +156,40 @@ func TestBinarySmallerThanTSV(t *testing.T) {
 	}
 }
 
-func TestBinaryPropertyRoundTrip(t *testing.T) {
-	err := quick.Check(func(id uint64, status uint16, size uint32, url, ua string) bool {
-		r := Record{
-			Time:      time.Date(2019, 5, 1, 0, 0, 0, int(id%1e9), time.UTC),
-			ClientID:  id,
-			Method:    "WEIRD-METHOD",
-			URL:       url,
-			UserAgent: ua,
-			MIMEType:  "application/x-custom",
-			Status:    int(status),
-			Bytes:     int64(size),
-			Cache:     CacheStatus(id % 3),
+// TestCheckRetired checks the retired binary stream is recognised by
+// name and by magic, and that CreateFile refuses the name before it
+// creates anything.
+func TestCheckRetired(t *testing.T) {
+	var stream bytes.Buffer
+	w := NewBinaryWriter(&stream)
+	r := sampleRecord()
+	w.Write(&r)
+	w.Close()
+	cases := []struct {
+		path    string
+		head    []byte
+		retired bool
+	}{
+		{"a.cdnb", nil, true},
+		{"a.cdnb.gz", nil, true},
+		{"a.tsv", stream.Bytes(), true},
+		{"a.tsv", nil, false},
+		{"a.tsv.gz", []byte("CDNC1\x00"), false},
+		{"cdnb.tsv", []byte("CDNJ"), false},
+	}
+	for _, c := range cases {
+		err := CheckRetired(c.path, c.head)
+		if got := errors.Is(err, ErrBinaryStream); got != c.retired {
+			t.Errorf("CheckRetired(%q, %q) = %v, want retired %v", c.path, c.head, err, c.retired)
 		}
-		var buf bytes.Buffer
-		w := NewBinaryWriter(&buf)
-		if err := w.Write(&r); err != nil {
-			return false
-		}
-		w.Close()
-		var got Record
-		if err := NewBinaryReader(&buf).Read(&got); err != nil {
-			return false
-		}
-		return got.Time.Equal(r.Time) && got.ClientID == r.ClientID &&
-			got.Method == r.Method && got.URL == r.URL &&
-			got.UserAgent == r.UserAgent && got.MIMEType == r.MIMEType &&
-			got.Status == r.Status && got.Bytes == r.Bytes && got.Cache == r.Cache
-	}, nil)
-	if err != nil {
-		t.Error(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "logs.cdnb")
+	if _, err := CreateFile(path, ChunkConfig{}); !errors.Is(err, ErrBinaryStream) {
+		t.Errorf("CreateFile(%q) = %v, want ErrBinaryStream", path, err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("CreateFile left %s behind: %v", path, err)
 	}
 }
 
@@ -196,28 +205,6 @@ func BenchmarkBinaryWrite(b *testing.B) {
 		}
 		if buf.Len() > 1<<24 {
 			buf.Reset()
-		}
-	}
-}
-
-func BenchmarkBinaryRead(b *testing.B) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	r := sampleRecord()
-	for i := 0; i < 10000; i++ {
-		w.Write(&r)
-	}
-	w.Close()
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	rd := NewBinaryReader(bytes.NewReader(data))
-	var out Record
-	for i := 0; i < b.N; i++ {
-		if err := rd.Read(&out); err == io.EOF {
-			rd = NewBinaryReader(bytes.NewReader(data))
-		} else if err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -9,13 +9,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strings"
 	"time"
 )
 
-// The chunk container is the large-scale on-disk format: instead of one
-// length-delimited record after another (the binary stream), records
-// are grouped into self-contained chunks that are individually
+// The chunk container is the one binary on-disk format: records are
+// grouped into self-contained chunks that are individually
 // compressed and checksummed. Each chunk resets the timestamp delta
 // chain and carries its own record count, uncompressed size, and
 // CRC32C, so chunks decode independently — which is what lets ingest
@@ -47,12 +45,12 @@ import (
 // repeat a small set of URLs and user agents many times, so this both
 // shrinks the payload and lets the decoder intern each distinct string
 // once per chunk instead of hashing per record. Methods and MIME types
-// use the binary stream's fixed dictionary byte (0 = literal string
-// follows inline). The delta-timestamp base resets to zero per chunk,
+// use a fixed dictionary byte (methodTable, mimeTable; 0 = literal
+// string follows inline). The delta-timestamp base resets to zero per chunk,
 // so chunks decode independently.
 
 // chunkFileMagic identifies a chunk container (format version 1). It is
-// distinct from binaryMagic ("CDNJ1"), so readers sniff the two apart.
+// distinct from the retired binary stream's "CDNJ1" (binaryMagic).
 var chunkFileMagic = [5]byte{'C', 'D', 'N', 'C', '1'}
 
 // chunkMarker precedes every chunk header. 0xF5 is not valid UTF-8, so
@@ -736,7 +734,7 @@ func (d *ChunkDecoder) decompress(rc *RawChunk) ([]byte, error) {
 
 // ChunkReader streams records sequentially from a chunk container,
 // verifying each chunk's checksums. It implements RecordReader, so it
-// drops in anywhere the binary or text readers do, and Resync, so a
+// drops in anywhere the text Reader does, and Resync, so a
 // tolerant caller (package ingest) can skip corrupt regions at chunk
 // granularity. Not safe for concurrent use.
 type ChunkReader struct {
@@ -832,14 +830,4 @@ func (rd *ChunkReader) ForEach(fn func(*Record) error) error {
 // IsChunkMagic reports whether b begins with the chunk container magic.
 func IsChunkMagic(b []byte) bool {
 	return len(b) >= len(chunkFileMagic) && [5]byte(b[:5]) == chunkFileMagic
-}
-
-// IsBinaryMagic reports whether b begins with the binary stream magic.
-func IsBinaryMagic(b []byte) bool {
-	return len(b) >= len(binaryMagic) && [5]byte(b[:5]) == binaryMagic
-}
-
-// IsChunkPath reports whether path names a chunk-container (.cdnc) log.
-func IsChunkPath(path string) bool {
-	return strings.HasSuffix(path, ".cdnc")
 }

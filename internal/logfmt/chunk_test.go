@@ -310,42 +310,13 @@ func TestChunkInterningSharesAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestOpenFileDetectsChunkByMagic writes a chunk container under a
-// misleading extension and checks OpenFile still decodes it.
-func TestOpenFileDetectsChunkByMagic(t *testing.T) {
-	recs := chunkCorpus(32)
-	data := encodeChunks(t, recs, ChunkConfig{})
-	path := t.TempDir() + "/mislabeled.tsv"
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rd, closer, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	if _, ok := rd.(*ChunkReader); !ok {
-		t.Fatalf("OpenFile returned %T, want *ChunkReader", rd)
-	}
-	n := 0
-	if err := rd.ForEach(func(*Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 32 {
-		t.Fatalf("decoded %d records, want 32", n)
-	}
-}
-
 // TestCreateFileChunkExtension checks the .cdnc extension creates a
-// chunk container that OpenFile reads back.
+// chunk container shaped by the ChunkConfig CreateFile was given.
 func TestCreateFileChunkExtension(t *testing.T) {
 	path := t.TempDir() + "/logs.cdnc"
-	w, closer, err := CreateFile(path)
+	w, err := CreateFile(path, ChunkConfig{Codec: CodecFlate, ChunkRecords: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := w.(*ChunkWriter); !ok {
-		t.Fatalf("CreateFile returned %T, want *ChunkWriter", w)
 	}
 	recs := chunkCorpus(10)
 	for i := range recs {
@@ -356,19 +327,19 @@ func TestCreateFileChunkExtension(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := closer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rd, rcloser, err := OpenFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rcloser.Close()
-	n := 0
-	if err := rd.ForEach(func(*Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
+	sc := NewChunkScanner(bytes.NewReader(data))
+	var rc RawChunk
+	chunks := 0
+	for ; sc.Next(&rc) == nil; chunks++ {
 	}
-	if n != 10 {
+	if sc.Codec() != CodecFlate || chunks != 3 {
+		t.Fatalf("codec %s with %d chunks, want flate with 3 (10 records by 4)", sc.Codec(), chunks)
+	}
+	if n := len(readAllChunks(t, data)); n != 10 {
 		t.Fatalf("decoded %d records, want 10", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -427,7 +428,8 @@ func (rd *Reader) ForEach(fn func(*Record) error) error {
 	}
 }
 
-// RecordReader is implemented by every log decoder (text and binary).
+// RecordReader is implemented by every log decoder: the text Reader and
+// the ChunkReader.
 type RecordReader interface {
 	// Read decodes the next record, returning io.EOF at end of stream.
 	Read(*Record) error
@@ -445,63 +447,41 @@ type RecordWriter interface {
 	Close() error
 }
 
-// OpenFile opens path and returns a reader for it. The container
-// formats are detected by magic bytes — "CDNC1" → chunk container,
-// "CDNJ1" → binary stream — regardless of extension; everything else
-// falls back to the extension: .jsonl → JSON Lines, .cdnb → binary,
-// anything else → TSV; a .gz suffix is stripped first (decompression is
-// automatic for the text formats and the plain binary stream).
-func OpenFile(path string) (RecordReader, io.Closer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
+// CreateFile creates path and returns a writer in the format its
+// extension names: .cdnc → the chunk container shaped by cfg (the zero
+// ChunkConfig writes raw chunks), .jsonl → JSON Lines, anything else →
+// TSV, with a .gz suffix gzip-compressing the text formats. A .cdnb[.gz]
+// path is refused with ErrBinaryStream before anything is created.
+// Closing the returned writer flushes it and closes the file. Package
+// ingest's FileSource is the reading side.
+func CreateFile(path string, cfg ChunkConfig) (RecordWriter, error) {
+	if err := CheckRetired(path, nil); err != nil {
+		return nil, err
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	magic, _ := br.Peek(5)
-	switch {
-	case IsChunkMagic(magic):
-		return NewChunkReader(br), f, nil
-	case IsBinaryMagic(magic) || IsBinaryPath(path):
-		return NewBinaryReader(br), f, nil
-	}
-	rd, err := NewReader(br, FormatForPath(path))
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return rd, f, nil
-}
-
-// CreateFile creates path and returns a writer in the inferred format
-// (see OpenFile), gzip-compressing text formats with a .gz suffix. A
-// .cdnc extension selects the chunk container with its default
-// configuration (raw codec); use NewChunkWriter directly for other
-// codecs or chunk sizes. Closing the returned writer flushes; the
-// caller must also close the returned io.Closer (the file).
-func CreateFile(path string) (RecordWriter, io.Closer, error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if IsChunkPath(path) {
-		return NewChunkWriter(f, ChunkConfig{}), f, nil
+	var w RecordWriter
+	switch {
+	case strings.HasSuffix(path, ".cdnc"):
+		w = NewChunkWriter(f, cfg)
+	case strings.HasSuffix(path, ".gz"):
+		w = NewGzipWriter(f, FormatForPath(path))
+	default:
+		w = NewWriter(f, FormatForPath(path))
 	}
-	if IsBinaryPath(path) {
-		if strings.HasSuffix(path, ".gz") {
-			return NewGzipBinaryWriter(f), f, nil
-		}
-		return NewBinaryWriter(f), f, nil
-	}
-	format := FormatForPath(path)
-	if strings.HasSuffix(path, ".gz") {
-		return NewGzipWriter(f, format), f, nil
-	}
-	return NewWriter(f, format), f, nil
+	return fileWriter{w, f}, nil
 }
 
-// IsBinaryPath reports whether path names a binary-format (.cdnb) log.
-func IsBinaryPath(path string) bool {
-	return strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".cdnb")
+// fileWriter is a RecordWriter over a file it closes after flushing.
+type fileWriter struct {
+	RecordWriter
+	f *os.File
+}
+
+func (w fileWriter) Close() error {
+	return errors.Join(w.RecordWriter.Close(), w.f.Close())
 }
 
 // FormatForPath infers the text encoding format from a file name.

@@ -1,12 +1,9 @@
 package logfmt
 
 import (
-	"bytes"
-	"errors"
 	"io"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestReaderDecodeErrorPosition(t *testing.T) {
@@ -52,162 +49,5 @@ func TestReaderDecodeErrorKeepsLineNumber(t *testing.T) {
 	rd.Read(&rec)
 	if err := rd.Read(&rec); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("error should mention line 2, got %v", err)
-	}
-}
-
-// binStream encodes records and returns the stream plus each frame's
-// [start, end) offsets (frame = length prefix + payload).
-func binStream(t *testing.T, recs []Record) ([]byte, [][2]int) {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	var ends []int
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-		w.bw.Flush()
-		ends = append(ends, buf.Len())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	frames := make([][2]int, len(recs))
-	prev := len(binaryMagic)
-	for i, e := range ends {
-		frames[i] = [2]int{prev, e}
-		prev = e
-	}
-	return buf.Bytes(), frames
-}
-
-func testRecords(n int) []Record {
-	base := sampleRecord()
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i] = base
-		recs[i].Time = base.Time.Add(time.Duration(i) * time.Second)
-		recs[i].ClientID = uint64(i)
-	}
-	return recs
-}
-
-func TestBinaryDecodeErrorPositionAndResync(t *testing.T) {
-	stream, frames := binStream(t, testRecords(3))
-	// Corrupt record 1's cache-status byte (last byte of its payload):
-	// framing stays intact, the payload fails to decode.
-	stream[frames[1][1]-1] = 0xFF
-	rd := NewBinaryReader(bytes.NewReader(stream))
-	var rec Record
-	if err := rd.Read(&rec); err != nil {
-		t.Fatalf("record 0: %v", err)
-	}
-	err := rd.Read(&rec)
-	de := AsDecodeError(err)
-	if de == nil {
-		t.Fatalf("want *DecodeError, got %v", err)
-	}
-	if de.Format != "binary" || de.Record != 1 {
-		t.Errorf("DecodeError = %+v, want format binary record 1", de)
-	}
-	if de.Offset != int64(frames[1][0]) || de.Offset+de.Span != int64(frames[1][1]) {
-		t.Errorf("bad span [%d,+%d), want [%d,%d)", de.Offset, de.Span, frames[1][0], frames[1][1])
-	}
-	// The frame was fully consumed, so resync finds the next boundary
-	// without skipping anything.
-	skipped, err := rd.Resync(0)
-	if err != nil || skipped != 0 {
-		t.Fatalf("Resync = %d, %v; want 0, nil", skipped, err)
-	}
-	if err := rd.Read(&rec); err != nil {
-		t.Fatalf("record 2 after resync: %v", err)
-	}
-	if rec.ClientID != 2 {
-		t.Errorf("resumed at client %d, want 2", rec.ClientID)
-	}
-}
-
-func TestBinaryResyncSkipsGarbage(t *testing.T) {
-	stream, frames := binStream(t, testRecords(3))
-	garbage := bytes.Repeat([]byte{0x81}, 37) // continuation bytes: an unterminated varint
-	var corrupted []byte
-	corrupted = append(corrupted, stream[:frames[1][0]]...)
-	corrupted = append(corrupted, garbage...)
-	corrupted = append(corrupted, stream[frames[1][0]:]...)
-
-	rd := NewBinaryReader(bytes.NewReader(corrupted))
-	var rec Record
-	if err := rd.Read(&rec); err != nil {
-		t.Fatalf("record 0: %v", err)
-	}
-	if err := rd.Read(&rec); AsDecodeError(err) == nil {
-		t.Fatalf("want DecodeError reading into garbage, got %v", err)
-	}
-	if _, err := rd.Resync(0); err != nil {
-		t.Fatalf("Resync: %v", err)
-	}
-	// Resync lands on the next plausible boundary past the garbage; the
-	// stream then drains without I/O errors, recovering at least one of
-	// the two remaining records.
-	var tail int
-	for {
-		err := rd.Read(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if AsDecodeError(err) == nil {
-				t.Fatalf("non-decode error draining stream: %v", err)
-			}
-			if _, err := rd.Resync(0); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("Resync: %v", err)
-			}
-			continue
-		}
-		tail++
-	}
-	if tail < 1 {
-		t.Errorf("recovered %d trailing records, want >= 1", tail)
-	}
-}
-
-func TestBinaryTruncatedMidRecord(t *testing.T) {
-	stream, frames := binStream(t, testRecords(2))
-	cut := frames[1][0] + (frames[1][1]-frames[1][0])/2
-	rd := NewBinaryReader(bytes.NewReader(stream[:cut]))
-	var rec Record
-	if err := rd.Read(&rec); err != nil {
-		t.Fatalf("record 0: %v", err)
-	}
-	err := rd.Read(&rec)
-	de := AsDecodeError(err)
-	if de == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("want DecodeError wrapping ErrUnexpectedEOF, got %v", err)
-	}
-	if _, err := rd.Resync(0); err != io.EOF {
-		t.Errorf("Resync on truncated tail = %v, want io.EOF", err)
-	}
-}
-
-func TestBinaryQuarantineDoesNotPoisonDeltaChain(t *testing.T) {
-	recs := testRecords(3)
-	stream, frames := binStream(t, recs)
-	stream[frames[1][1]-1] = 0xFF
-	rd := NewBinaryReader(bytes.NewReader(stream))
-	var rec Record
-	rd.Read(&rec)
-	rd.Read(&rec) // quarantined
-	rd.Resync(0)
-	if err := rd.Read(&rec); err != nil {
-		t.Fatal(err)
-	}
-	// Record 2's delta was written against record 1's time; with record
-	// 1 quarantined the absolute time shifts by exactly that lost delta,
-	// never by garbage.
-	want := recs[0].Time.Add(recs[2].Time.Sub(recs[1].Time))
-	if !rec.Time.Equal(want) {
-		t.Errorf("time after quarantine = %v, want %v", rec.Time, want)
 	}
 }

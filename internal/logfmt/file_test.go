@@ -1,20 +1,42 @@
 package logfmt
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
+// readFile decodes the log at path the way ingest.FileSource routes it:
+// the chunk container by magic, the text formats by extension.
+func readFile(t *testing.T, path string) []Record {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rd RecordReader = NewChunkReader(bytes.NewReader(data))
+	if !IsChunkMagic(data) {
+		if rd, err = NewReader(bytes.NewReader(data), FormatForPath(path)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out []Record
+	if err := rd.ForEach(func(r *Record) error { out = append(out, *r); return nil }); err != nil {
+		t.Fatalf("%s: read: %v", path, err)
+	}
+	return out
+}
+
 func TestCreateOpenFileRoundTrips(t *testing.T) {
 	dir := t.TempDir()
 	base := time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
 	for _, name := range []string{
-		"logs.tsv", "logs.tsv.gz", "logs.jsonl", "logs.jsonl.gz",
-		"logs.cdnb", "logs.cdnb.gz", "logs.log",
+		"logs.tsv", "logs.tsv.gz", "logs.jsonl", "logs.jsonl.gz", "logs.cdnc", "logs.log",
 	} {
 		path := filepath.Join(dir, name)
-		w, closer, err := CreateFile(path)
+		w, err := CreateFile(path, ChunkConfig{ChunkRecords: 16})
 		if err != nil {
 			t.Fatalf("%s: create: %v", name, err)
 		}
@@ -31,57 +53,26 @@ func TestCreateOpenFileRoundTrips(t *testing.T) {
 			t.Errorf("%s: count = %d", name, w.Count())
 		}
 		if err := w.Close(); err != nil {
-			t.Fatalf("%s: close writer: %v", name, err)
-		}
-		if err := closer.Close(); err != nil {
-			t.Fatalf("%s: close file: %v", name, err)
+			t.Fatalf("%s: close: %v", name, err)
 		}
 
-		rd, rcloser, err := OpenFile(path)
-		if err != nil {
-			t.Fatalf("%s: open: %v", name, err)
+		recs := readFile(t, path)
+		if len(recs) != n {
+			t.Errorf("%s: read %d records", name, len(recs))
 		}
-		count := int64(0)
-		err = rd.ForEach(func(r *Record) error {
-			if r.Bytes != count {
-				t.Fatalf("%s: record %d has Bytes %d", name, count, r.Bytes)
+		for i := range recs {
+			if recs[i].Bytes != int64(i) {
+				t.Fatalf("%s: record %d has Bytes %d", name, i, recs[i].Bytes)
 			}
-			count++
-			return r.Validate()
-		})
-		if err != nil {
-			t.Fatalf("%s: read: %v", name, err)
+			if err := recs[i].Validate(); err != nil {
+				t.Fatalf("%s: record %d: %v", name, i, err)
+			}
 		}
-		if count != n {
-			t.Errorf("%s: read %d records", name, count)
-		}
-		rcloser.Close()
-	}
-}
-
-func TestOpenFileMissing(t *testing.T) {
-	if _, _, err := OpenFile("/nonexistent/nope.tsv"); err == nil {
-		t.Error("missing file opened")
 	}
 }
 
 func TestCreateFileBadDir(t *testing.T) {
-	if _, _, err := CreateFile("/nonexistent-dir/x.tsv"); err == nil {
+	if _, err := CreateFile("/nonexistent-dir/x.tsv", ChunkConfig{}); err == nil {
 		t.Error("bad directory accepted")
-	}
-}
-
-func TestIsBinaryPath(t *testing.T) {
-	cases := map[string]bool{
-		"a.cdnb":    true,
-		"a.cdnb.gz": true,
-		"a.tsv":     false,
-		"a.tsv.gz":  false,
-		"cdnb.tsv":  false,
-	}
-	for path, want := range cases {
-		if got := IsBinaryPath(path); got != want {
-			t.Errorf("IsBinaryPath(%q) = %v", path, got)
-		}
 	}
 }

@@ -31,29 +31,6 @@ func FuzzParseTSV(f *testing.F) {
 	})
 }
 
-// FuzzBinaryReader checks the binary decoder never panics on corrupt
-// streams.
-func FuzzBinaryReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	r := sampleRecord()
-	w.Write(&r)
-	w.Write(&r)
-	w.Close()
-	f.Add(buf.Bytes())
-	f.Add([]byte("CDNJ1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rd := NewBinaryReader(bytes.NewReader(data))
-		var rec Record
-		for i := 0; i < 100; i++ {
-			if err := rd.Read(&rec); err != nil {
-				return
-			}
-		}
-	})
-}
-
 // FuzzChunkReader checks the chunk-container decoder never panics on
 // corrupt containers, and that the tolerant read-resync loop always
 // terminates.

@@ -4,10 +4,13 @@
 // The schema mirrors the fields the paper collects from Akamai edge
 // servers (§3.1): request time, anonymized (hashed) client IP, select HTTP
 // request/response headers (user agent, MIME type, method, URL), response
-// size, and object caching information. Two encodings are provided: a
+// size, and object caching information. Three encodings are provided: a
 // compact tab-separated line format (the native format of the tools in
-// cmd/) and JSON Lines for interchange. Both stream: readers and writers
-// never hold more than one record in memory.
+// cmd/), JSON Lines for interchange, and the chunk container, the one
+// binary format, for large datasets. All stream: text readers and
+// writers hold one record in memory, the chunk container one chunk.
+// CreateFile is the one way to create a log file; package ingest's
+// FileSource is the one way to read one.
 package logfmt
 
 import (

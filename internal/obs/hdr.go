@@ -44,6 +44,29 @@ func (c HDRConfig) withDefaults() HDRConfig {
 	return c
 }
 
+// validate checks a defaulted configuration: SigFigs within 1..5,
+// Highest at least 2*Lowest, and Lowest small enough that the first
+// bucket's span fits in an int64.
+func (c HDRConfig) validate() error {
+	if c.SigFigs > 5 {
+		return fmt.Errorf("obs: HDR SigFigs %d out of range 1..5", c.SigFigs)
+	}
+	if c.Lowest > math.MaxInt64/2 || c.Highest < 2*c.Lowest {
+		return fmt.Errorf("obs: HDR Highest %d must be >= 2*Lowest (%d)", c.Highest, c.Lowest)
+	}
+	if bits.Len64(uint64(c.Lowest))-1+subBucketMagnitude(c.SigFigs) > 62 {
+		return fmt.Errorf("obs: HDR Lowest %d too large for %d significant figures", c.Lowest, c.SigFigs)
+	}
+	return nil
+}
+
+// subBucketMagnitude is log2 of the linear sub-bucket count: enough
+// sub-buckets that a single unit is resolvable up to 2*10^sigFigs, i.e.
+// relative error < 10^-sigFigs.
+func subBucketMagnitude(sigFigs int) int {
+	return bits.Len64(uint64(2*int64(math.Pow10(sigFigs)) - 1))
+}
+
 // LatencyHDRConfig is the configuration the load harness uses for
 // request latencies: nanosecond values discernible from 1µs up to ten
 // minutes, exposed to Prometheus in seconds.
@@ -83,25 +106,17 @@ type HDRHistogram struct {
 
 // NewHDRHistogram builds a histogram for cfg (zero fields take the
 // HDRConfig defaults). Panics on an invalid configuration (SigFigs
-// outside 1..5 or Highest <= 2*Lowest).
+// outside 1..5, Highest below 2*Lowest, or a Lowest too large for
+// SigFigs); FromHDRSnapshot returns the same check as an error.
 func NewHDRHistogram(cfg HDRConfig) *HDRHistogram {
 	cfg = cfg.withDefaults()
-	if cfg.SigFigs > 5 {
-		panic(fmt.Sprintf("obs: HDR SigFigs %d out of range 1..5", cfg.SigFigs))
-	}
-	if cfg.Highest < 2*cfg.Lowest {
-		panic(fmt.Sprintf("obs: HDR Highest %d must be >= 2*Lowest (%d)", cfg.Highest, cfg.Lowest))
+	if err := cfg.validate(); err != nil {
+		panic(err.Error())
 	}
 	h := &HDRHistogram{cfg: cfg}
 
-	// Enough linear sub-buckets that a single unit is resolvable up to
-	// 2*10^sigfigs, i.e. relative error < 10^-sigfigs.
-	largestSingleUnit := 2 * int64(math.Pow10(cfg.SigFigs))
 	h.unitMagnitude = 63 - bits.LeadingZeros64(uint64(cfg.Lowest))
-	subBucketCountMagnitude := bits.Len64(uint64(largestSingleUnit - 1))
-	if subBucketCountMagnitude < 1 {
-		subBucketCountMagnitude = 1
-	}
+	subBucketCountMagnitude := subBucketMagnitude(cfg.SigFigs)
 	h.subBucketHalfCountMagnitude = subBucketCountMagnitude - 1
 	h.subBucketCount = 1 << subBucketCountMagnitude
 	h.subBucketHalfCount = h.subBucketCount / 2
@@ -375,15 +390,23 @@ func (h *HDRHistogram) Snapshot() HDRSnapshot {
 }
 
 // FromHDRSnapshot rebuilds a live histogram from a snapshot, e.g. one
-// decoded from a replay report. The Unit of the result defaults to 1.
+// decoded from a replay report or another process's /charz. Snapshots
+// are foreign bytes, so a configuration NewHDRHistogram would panic on,
+// or a bucket outside the histogram, is an error. A bucket listed twice
+// counts twice, keeping Count equal to the bucket total. The Unit of
+// the result defaults to 1.
 func FromHDRSnapshot(s HDRSnapshot) (*HDRHistogram, error) {
-	h := NewHDRHistogram(HDRConfig{Lowest: s.Lowest, Highest: s.Highest, SigFigs: s.SigFigs})
+	cfg := HDRConfig{Lowest: s.Lowest, Highest: s.Highest, SigFigs: s.SigFigs}.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	h := NewHDRHistogram(cfg)
 	for _, b := range s.Buckets {
 		idx, n := b[0], b[1]
 		if idx < 0 || idx >= int64(len(h.counts)) || n < 0 {
 			return nil, fmt.Errorf("obs: HDR snapshot bucket [%d %d] out of range (len %d)", idx, n, len(h.counts))
 		}
-		h.counts[idx].Store(n)
+		h.counts[idx].Add(n)
 		h.total.Add(n)
 	}
 	h.sum.Store(s.Sum)

@@ -32,7 +32,7 @@ type CorruptingReader struct {
 	// bytes — cutting whatever record is in flight mid-frame.
 	TruncateAt int64
 	// SkipBytes protects the first N stream bytes from all corruption
-	// (e.g. the binary magic or a header line), so tests can aim faults
+	// (e.g. a container's file header or a header line), so tests can aim faults
 	// at record bodies rather than the stream preamble.
 	SkipBytes int64
 
