@@ -39,10 +39,12 @@ test:
 # fleet front over a stub transport, the replay pacer's lateness, and
 # predict-then-train on a cache-busting stream in the ngram model and in
 # livechar's consumer) run one iteration each, so that they keep
-# compiling and running.
+# compiling and running; so do the root ablations over edge.Pool and the
+# prefetch simulator whose numbers EXPERIMENTS.md "Ablations" cites.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Front|Pacer|PredictOnline|PredictorObserve' -benchtime 1x ./internal/fleet ./internal/replay ./internal/ngram ./internal/livechar
+	$(GO) test -run '^$$' -bench 'PrefetchK|TTLSweep|RoutingAblation|AdmissionAblation' -benchtime 1x .
 
 # race runs the whole tree under the race detector (about 3 minutes on
 # two cores, most of it internal/experiments).

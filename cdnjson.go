@@ -183,7 +183,11 @@ type (
 	HTTPEdge = edge.HTTPEdge
 	// PrefetchConfig parameterizes the prefetch simulation.
 	PrefetchConfig = prefetch.Config
-	// PrefetchComparison is a baseline-vs-prefetch outcome pair.
+	// PrefetchPredictor is what the prefetch simulation predicts with: a
+	// PredictionModel or a TimedPredictionModel.
+	PrefetchPredictor = prefetch.Predictor
+	// PrefetchComparison is a baseline-vs-prefetch outcome pair; its
+	// Prefetch.Push accounts server push of the same predictions.
 	PrefetchComparison = prefetch.Comparison
 )
 
@@ -205,9 +209,10 @@ type (
 )
 
 // ComparePrefetch replays records through identical edges with and
-// without ngram prefetching.
-func ComparePrefetch(model *PredictionModel, cfg PrefetchConfig, records func(func(*Record))) PrefetchComparison {
-	return prefetch.Compare(model, cfg, records)
+// without ngram prefetching. A TimedPredictionModel skips predictions
+// expected to arrive after the cache TTL.
+func ComparePrefetch(pred PrefetchPredictor, cfg PrefetchConfig, records func(func(*Record))) PrefetchComparison {
+	return prefetch.Compare(pred, cfg, records)
 }
 
 // Anomaly detection.
@@ -254,29 +259,15 @@ func CompareScheduling(reqs []SchedRequest, workers int) (fifo, prio SchedResult
 // Timed prediction (the paper's interarrival future work).
 type (
 	// TimedPredictionModel augments the ngram model with per-transition
-	// interarrival estimates.
+	// interarrival estimates; ComparePrefetch over one prefetches only
+	// predictions expected to arrive within the cache TTL.
 	TimedPredictionModel = ngram.TimedModel
-	// TimedPrefetchSimulator prefetches only predictions expected to
-	// arrive within the cache TTL.
-	TimedPrefetchSimulator = prefetch.TimedSimulator
 	// TimedStep is one (URL, time) request in a timed client flow.
 	TimedStep = ngram.Step
 )
 
 // NewTimedPredictionModel returns a timed model of the given order.
 func NewTimedPredictionModel(order int) *TimedPredictionModel { return ngram.NewTimedModel(order) }
-
-// NewTimedPrefetchSimulator wraps a trained timed model.
-func NewTimedPrefetchSimulator(tm *TimedPredictionModel, cfg PrefetchConfig) *TimedPrefetchSimulator {
-	return prefetch.NewTimedSimulator(tm, cfg)
-}
-
-// PushSimulator models HTTP server push driven by the prediction model
-// (§5.2): correct predictions eliminate the client's next request.
-type PushSimulator = prefetch.PushSimulator
-
-// NewPushSimulator wraps a trained model with push defaults.
-func NewPushSimulator(m *PredictionModel) *PushSimulator { return prefetch.NewPushSimulator(m) }
 
 // Experiments.
 type (

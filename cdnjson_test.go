@@ -133,26 +133,35 @@ func TestSchedulingSurface(t *testing.T) {
 }
 
 func TestTimedAndPushSurface(t *testing.T) {
-	tm := NewTimedPredictionModel(1)
 	now := time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
-	tm.TrainTimed([]TimedStep{
-		{URL: "https://x.com/a", Time: now},
-		{URL: "https://x.com/b", Time: now.Add(5 * time.Second)},
-	})
-	if gap, ok := tm.ExpectedGap("https://x.com/a", "https://x.com/b"); !ok || gap <= 0 {
+	timed := func(gap time.Duration) *TimedPredictionModel {
+		tm := NewTimedPredictionModel(1)
+		tm.TrainTimed([]TimedStep{
+			{URL: "https://x.com/a", Time: now},
+			{URL: "https://x.com/b", Time: now.Add(gap)},
+		})
+		return tm
+	}
+	quick := timed(5 * time.Second)
+	if gap, ok := quick.ExpectedGap("https://x.com/a", "https://x.com/b"); !ok || gap <= 0 {
 		t.Errorf("gap = %v ok=%v", gap, ok)
 	}
-	ts := NewTimedPrefetchSimulator(tm, PrefetchConfig{K: 1})
-	r := Record{
-		Time: now, ClientID: 1, Method: "GET", URL: "https://x.com/a",
-		MIMEType: "application/json", Status: 200, Bytes: 10, Cache: CacheMiss,
+	replay := func(fn func(*Record)) {
+		for i, u := range []string{"https://x.com/a", "https://x.com/b"} {
+			fn(&Record{
+				Time: now.Add(time.Duration(i) * 5 * time.Second), ClientID: 1, Method: "GET", URL: u,
+				MIMEType: "application/json", Status: 200, Bytes: 10, Cache: CacheMiss,
+			})
+		}
 	}
-	ts.Observe(&r)
-
-	ps := NewPushSimulator(tm.Model)
-	ps.Observe(&r)
-	if ps.Result().Requests != 1 {
-		t.Error("push simulator did not count the request")
+	cmp := ComparePrefetch(quick, PrefetchConfig{K: 1}, replay)
+	if cmp.Prefetch.PrefetchedHits != 1 || cmp.Prefetch.Push.Requests != 2 || cmp.Prefetch.Push.Eliminated != 1 {
+		t.Errorf("a -> b in 5 s: prefetch and push did not both deliver b: %+v", cmp.Prefetch)
+	}
+	// b usually follows a only after ten minutes, past the one-minute TTL:
+	// the gap filter skips it.
+	if got := ComparePrefetch(timed(10*time.Minute), PrefetchConfig{K: 1, TTL: time.Minute}, replay).Prefetch; got.PrefetchesIssued != 0 || got.Push.Pushes != 0 {
+		t.Errorf("slow transition was still delivered: %+v", got)
 	}
 }
 

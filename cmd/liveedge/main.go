@@ -75,8 +75,10 @@ type edgeStack struct {
 	char     *livechar.LiveChar
 	reg      *obs.Registry
 	health   *obs.Health
-	mu       sync.Mutex
-	logs     []cdnjson.Record
+	// logs is the self-driven demo's copy of the edge's request log, which
+	// it characterizes at the end; a -serve edge keeps none.
+	mu   sync.Mutex
+	logs []cdnjson.Record
 }
 
 func main() {
@@ -153,13 +155,14 @@ type serveConfig struct {
 // buildEdgeStack wires the cache, the faulty origin, and the full
 // resilience path, instrumented into one registry. In serve mode the
 // origin answers every path (WildcardOrigin), so replayed synthetic
-// streams see the real hit/miss mix instead of 404s. With defended set
-// the detect-and-defend admission loop fronts the cache, keying client
-// state on the X-Client-Id header jsonreplay forwards.
-func buildEdgeStack(faultRate float64, faultSeed uint64, wildcard, defended bool) *edgeStack {
+// streams see the real hit/miss mix instead of 404s, and no request log
+// is kept: a long-lived server must not grow with every request. With
+// defended set the detect-and-defend admission loop fronts the cache,
+// keying client state on the X-Client-Id header jsonreplay forwards.
+func buildEdgeStack(faultRate float64, faultSeed uint64, serve, defended bool) *edgeStack {
 	st := &edgeStack{}
 	var inner edge.Origin = &edge.JSONOrigin{Articles: 40, Latency: 2 * time.Millisecond}
-	if wildcard {
+	if serve {
 		inner = &edge.WildcardOrigin{Inner: inner, Latency: 2 * time.Millisecond}
 	}
 	st.faulty = &resilience.FaultyOrigin{
@@ -180,11 +183,13 @@ func buildEdgeStack(faultRate float64, faultSeed uint64, wildcard, defended bool
 		Origin:     st.origin,
 		ServeStale: true,
 		Degraded:   st.origin.Degraded,
-		Log: func(r *cdnjson.Record) {
+	}
+	if !serve {
+		st.edge.Log = func(r *cdnjson.Record) {
 			st.mu.Lock()
 			st.logs = append(st.logs, *r)
 			st.mu.Unlock()
-		},
+		}
 	}
 	st.reg = obs.NewRegistry()
 	st.edge.Instrument(st.reg)
@@ -200,6 +205,13 @@ func buildEdgeStack(faultRate float64, faultSeed uint64, wildcard, defended bool
 	resilience.RegisterBreaker(st.reg, st.breaker)
 	st.health = &obs.Health{}
 	return st
+}
+
+// served is how many requests the edge has answered, from its request
+// counters.
+func (st *edgeStack) served() int64 {
+	o := st.edge.Obs
+	return o.GETRequests.Value() + o.POSTRequests.Value() + o.HEADRequests.Value() + o.OtherRequests.Value()
 }
 
 // runServe is the harness-facing mode: bind real listeners, publish
@@ -362,10 +374,7 @@ func runServe(st *edgeStack, cfg serveConfig) {
 		}
 	}
 
-	st.mu.Lock()
-	served := len(st.logs)
-	st.mu.Unlock()
-	logger.Info("edge stopped", "requests_served", served,
+	logger.Info("edge stopped", "requests_served", st.served(),
 		"origin_faults", st.faulty.Faults(), "breaker_opens", st.breaker.Opens())
 }
 

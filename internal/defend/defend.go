@@ -63,11 +63,9 @@ type Config struct {
 	CollapseTTL  time.Duration
 	// NegErrors is how many 404/5xx outcomes a full key accumulates
 	// inside BustWindow before it is negative-cached for NegTTL
-	// (defaults 3 and 30s). NegCapacity bounds the negative cache
-	// substrate in bytes (default 1 MiB).
-	NegErrors   int
-	NegTTL      time.Duration
-	NegCapacity int64
+	// (defaults 3 and 30s).
+	NegErrors int
+	NegTTL    time.Duration
 	// FanOutHosts is how many distinct hosts a client may touch inside
 	// BustWindow before it looks bot-like (default 4; application
 	// clients talk to one API host, browsers to a handful).
@@ -130,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NegTTL <= 0 {
 		c.NegTTL = 30 * time.Second
-	}
-	if c.NegCapacity <= 0 {
-		c.NegCapacity = 1 << 20
 	}
 	if c.FanOutHosts <= 0 {
 		c.FanOutHosts = 4
@@ -240,6 +235,9 @@ type Defender struct {
 	pdets   map[string]*anomaly.PeriodDetector
 }
 
+// negCapacity bounds the negative cache substrate in bytes.
+const negCapacity = 1 << 20
+
 // New returns a Defender with cfg's zero fields defaulted.
 func New(cfg Config) *Defender {
 	cfg = cfg.withDefaults()
@@ -247,7 +245,7 @@ func New(cfg Config) *Defender {
 		cfg:     cfg,
 		clients: make(map[flows.ClientKey]*clientState),
 		bases:   make(map[string]*baseState),
-		neg:     edge.NewCache(cfg.NegCapacity, cfg.NegTTL, 4),
+		neg:     edge.NewCache(negCapacity, cfg.NegTTL, 4),
 		errs:    make(map[string]*keyErr),
 		pdets:   make(map[string]*anomaly.PeriodDetector),
 	}

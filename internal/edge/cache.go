@@ -27,8 +27,6 @@ type CacheMetrics struct {
 	// PrefetchedHits counts hits whose entry was inserted by a prefetch
 	// rather than on demand.
 	PrefetchedHits int64
-	// StaleServes counts Outage reads answered from an expired entry.
-	StaleServes int64
 }
 
 // HitRatio returns Hits / (Hits + Misses), or 0 when empty.
@@ -62,13 +60,9 @@ type Use uint8
 const (
 	// Probe only looks: no counter moves, recency is untouched.
 	Probe Use = iota
-	// Demand answers a request the origin can still serve: a Fresh entry
-	// is a hit and becomes most recent; Expired and Absent are misses.
+	// Demand answers a request: a Fresh entry is a hit and becomes most
+	// recent; Expired and Absent are misses.
 	Demand
-	// Outage answers a request while the origin is unavailable: Fresh as
-	// under Demand, but an Expired entry is the answer — counted in
-	// StaleServes, not Misses, and made most recent.
-	Outage
 )
 
 // Entry is the result of one Read.
@@ -172,9 +166,6 @@ func (c *Cache) Read(key string, now time.Time, use Use) Entry {
 		if e.prefetched {
 			s.metrics.PrefetchedHits++
 		}
-	case use == Outage:
-		s.lru.MoveToFront(e.elem)
-		s.metrics.StaleServes++
 	default:
 		s.metrics.Misses++
 		s.metrics.Expired++
@@ -277,7 +268,6 @@ func (c *Cache) Metrics() CacheMetrics {
 		m.Evictions += s.metrics.Evictions
 		m.Expired += s.metrics.Expired
 		m.PrefetchedHits += s.metrics.PrefetchedHits
-		m.StaleServes += s.metrics.StaleServes
 		s.mu.Unlock()
 	}
 	return m

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestCacheNegativeChurnRace hammers outage reads, inserts and demand reads from
+// TestCacheNegativeChurnRace hammers probes, inserts and demand reads from
 // many goroutines over a small shared key set with TTLs expiring
 // mid-run — the access pattern of a negative cache absorbing a
 // hammered-miss storm while the serving path reads the same shards.
@@ -33,7 +33,7 @@ func TestCacheNegativeChurnRace(t *testing.T) {
 				case 0:
 					c.Insert(k, int64(100+i%500), now, false)
 				case 1:
-					c.Read(k, now, Outage)
+					c.Read(k, now, Probe)
 				default:
 					c.Lookup(k, now)
 				}
@@ -92,7 +92,7 @@ func TestCachePayloadConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				now := base.Add(time.Duration(i%40) * time.Millisecond)
 				k := keys[(i+r)%len(keys)]
-				got := c.Read(k, now, Use(1+i%2)) // Demand, Outage
+				got := c.Read(k, now, Use(i%2)) // Probe, Demand
 				if got.State == Absent {
 					continue
 				}
@@ -108,8 +108,8 @@ func TestCachePayloadConcurrent(t *testing.T) {
 	wg.Wait()
 
 	m := c.Metrics()
-	if got := m.Hits + m.Misses + m.StaleServes; got != readers*iters {
-		t.Errorf("hits+misses+stale = %d, want %d reads", got, readers*iters)
+	if got := m.Hits + m.Misses; got != readers*iters/2 {
+		t.Errorf("hits+misses = %d, want %d demand reads", got, readers*iters/2)
 	}
 	if b := c.Bytes(); b < 0 || b > capBytes {
 		t.Errorf("bytes = %d, capacity %d", b, capBytes)

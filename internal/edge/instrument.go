@@ -102,19 +102,6 @@ func RegisterCacheMetrics(reg *obs.Registry, c *Cache, labels ...string) {
 	reg.CounterFunc("edge_cache_evictions_total", func() int64 { return c.Metrics().Evictions }, labels...)
 	reg.CounterFunc("edge_cache_expired_total", func() int64 { return c.Metrics().Expired }, labels...)
 	reg.CounterFunc("edge_cache_prefetched_hits_total", func() int64 { return c.Metrics().PrefetchedHits }, labels...)
-	reg.CounterFunc("edge_cache_stale_serves_total", func() int64 { return c.Metrics().StaleServes }, labels...)
 	reg.GaugeFunc("edge_cache_entries", func() float64 { return float64(c.Len()) }, labels...)
 	reg.GaugeFunc("edge_cache_bytes", func() float64 { return float64(c.Bytes()) }, labels...)
-}
-
-// RegisterPoolMetrics registers every server in p: its routed-request
-// counter as edge_server_requests_total{server=...} and its cache via
-// RegisterCacheMetrics with the same server label.
-func RegisterPoolMetrics(reg *obs.Registry, p *Pool) {
-	for _, s := range p.Servers() {
-		s := s
-		reg.CounterFunc("edge_server_requests_total", func() int64 { return s.Requests.Load() },
-			"server", s.Name)
-		RegisterCacheMetrics(reg, s.Cache, "server", s.Name)
-	}
 }

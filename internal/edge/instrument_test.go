@@ -14,12 +14,16 @@ import (
 
 // TestHTTPEdgeInstrumented drives an instrumented edge through a
 // scripted request sequence and checks the exact counter values each
-// step implies.
+// step implies, then serves one stale answer and checks the scrape.
 func TestHTTPEdgeInstrumented(t *testing.T) {
 	reg := obs.NewRegistry()
+	now := time.Unix(1_700_000_000, 0)
+	origin := &failableOrigin{inner: JSONOrigin{Articles: 50}}
 	e := &HTTPEdge{
-		Cache:  NewCache(1<<20, time.Minute, 2),
-		Origin: &JSONOrigin{Articles: 50},
+		Cache:      NewCache(1<<20, time.Minute, 2),
+		Origin:     origin,
+		Now:        func() time.Time { return now },
+		ServeStale: true,
 	}
 	e.Instrument(reg)
 	srv := httptest.NewServer(e)
@@ -94,7 +98,16 @@ func TestHTTPEdgeInstrumented(t *testing.T) {
 		}
 	}
 
-	// The cache metrics surface through the registry's exposition.
+	// 7. Past the TTL with the origin down: the expired copy is served.
+	now = now.Add(2 * time.Minute)
+	origin.down = true
+	if resp, _ := do("GET", "/stories", nil); resp.Header.Get("X-Cache") != "STALE" {
+		t.Fatalf("outage fetch = %d %s, want STALE", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+
+	// The edge's and the cache's metrics surface through the registry's
+	// exposition; the stale serve is the edge's, so the cache has no
+	// stale series of its own.
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -102,16 +115,20 @@ func TestHTTPEdgeInstrumented(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"edge_cache_hits_total 2",
-		"edge_cache_misses_total 2",
-		`edge_requests_total{method="get"} 4`,
+		"edge_cache_misses_total 3", // step 7 read an expired entry
+		`edge_requests_total{method="get"} 5`,
 		"# TYPE edge_origin_fetch_seconds summary",
 		`edge_origin_fetch_seconds{quantile="0.99"} `,
 		"edge_origin_fetch_seconds_sum ",
-		"edge_origin_fetch_seconds_count 4",
+		"edge_origin_fetch_seconds_count 5",
+		"edge_stale_serves_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "edge_cache_stale_serves_total") {
+		t.Errorf("scrape has an edge_cache_stale_serves_total series:\n%s", out)
 	}
 }
 

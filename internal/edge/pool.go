@@ -2,7 +2,6 @@ package edge
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,45 +37,17 @@ type Pool struct {
 	// Admission optionally gates cache insertion on miss: when non-nil
 	// and false for a URL, the response is served from origin but not
 	// cached. CDNs use this to keep one-hit wonders from churning the
-	// cache. Concurrent Replay requires a concurrency-safe filter: use
-	// ConcurrentSecondHitFilter, not SecondHitFilter.
+	// cache.
 	Admission func(url string) bool
-
-	// OriginUp, if non-nil, models origin availability at a record's
-	// timestamp during Replay. While the origin is down the pool
-	// degrades the way the HTTPEdge does: live cache hits still serve,
-	// expired entries are served stale (ReplayResult.StaleServes),
-	// uncacheable tunnels are shed (Shed), and uncached misses fail
-	// (Failed). Nil means always up.
-	OriginUp func(t time.Time) bool
 }
 
 // SecondHitFilter returns an admission filter implementing the classic
 // "cache on second hit" policy: a URL is admitted only once it has been
 // requested before, so objects fetched exactly once never displace
-// recurring ones. The filter is not safe for concurrent use; replays
-// that shard records across goroutines need ConcurrentSecondHitFilter.
+// recurring ones. The filter is not safe for concurrent use.
 func SecondHitFilter() func(url string) bool {
 	seen := make(map[string]struct{})
 	return func(url string) bool {
-		if _, ok := seen[url]; ok {
-			return true
-		}
-		seen[url] = struct{}{}
-		return false
-	}
-}
-
-// ConcurrentSecondHitFilter is SecondHitFilter behind a mutex, safe for
-// concurrent Replay. The lock serializes only the admission check — a
-// handful of map operations — so contention stays far below the cache
-// shard locks the same replay already takes.
-func ConcurrentSecondHitFilter() func(url string) bool {
-	var mu sync.Mutex
-	seen := make(map[string]struct{})
-	return func(url string) bool {
-		mu.Lock()
-		defer mu.Unlock()
 		if _, ok := seen[url]; ok {
 			return true
 		}
@@ -131,7 +102,6 @@ func (p *Pool) Metrics() CacheMetrics {
 		m.Evictions += sm.Evictions
 		m.Expired += sm.Expired
 		m.PrefetchedHits += sm.PrefetchedHits
-		m.StaleServes += sm.StaleServes
 	}
 	return m
 }
@@ -148,17 +118,8 @@ type ReplayResult struct {
 	// OriginBytes is the traffic fetched from origin (misses and
 	// uncacheable tunnels).
 	OriginBytes int64
-	// ServedBytes is the total response traffic actually delivered
-	// (shed and failed requests deliver nothing).
+	// ServedBytes is the total response traffic delivered.
 	ServedBytes int64
-	// StaleServes counts expired cache entries served while the origin
-	// was down (see Pool.OriginUp).
-	StaleServes int64
-	// Shed counts uncacheable tunnels refused while the origin was down.
-	Shed int64
-	// Failed counts requests with no usable response: origin down and
-	// nothing — live or stale — in cache.
-	Failed int64
 }
 
 // HitRatio returns hits over cacheable requests.
@@ -169,60 +130,31 @@ func (r ReplayResult) HitRatio() float64 {
 	return float64(r.Hits) / float64(r.Cacheable)
 }
 
-// Availability returns the fraction of requests answered with a usable
-// response (anything not shed or failed).
-func (r ReplayResult) Availability() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.Requests-r.Shed-r.Failed) / float64(r.Requests)
-}
-
 // Replay streams one record through the pool: uncacheable requests
 // tunnel to origin; cacheable GETs consult the responsible server's
 // cache and insert on miss. The record's own Cache field is ignored —
 // the simulation recomputes hits from its cache state — except that
-// CacheUncacheable marks the object uncacheable. With OriginUp set,
-// records arriving while the origin is down take the degraded path
-// (stale serves, sheds, failures) instead of fetching.
+// CacheUncacheable marks the object uncacheable. The origin is always
+// reachable here; serving through an origin outage is HTTPEdge's job.
 func (p *Pool) Replay(r *logfmt.Record, res *ReplayResult) {
 	res.Requests++
 	srv := p.Route(r.URL)
 	srv.Requests.Add(1)
-	up := p.OriginUp == nil || p.OriginUp(r.Time)
+	res.ServedBytes += r.Bytes
 	if r.Cache == logfmt.CacheUncacheable || r.Method != "GET" {
-		if !up {
-			res.Shed++
-			return
-		}
 		res.Uncacheable++
 		res.OriginBytes += r.Bytes
-		res.ServedBytes += r.Bytes
 		return
 	}
 	res.Cacheable++
-	use := Demand
-	if !up {
-		use = Outage
-	}
-	switch got := srv.Cache.Read(r.URL, r.Time, use); {
-	case got.State == Fresh:
+	if got := srv.Cache.Read(r.URL, r.Time, Demand); got.State == Fresh {
 		res.Hits++
 		if got.Prefetched {
 			res.PrefetchedHits++
 		}
-		res.ServedBytes += r.Bytes
-		return
-	case !up && got.State == Expired:
-		res.StaleServes++
-		res.ServedBytes += r.Bytes
-		return
-	case !up:
-		res.Failed++
 		return
 	}
 	res.OriginBytes += r.Bytes
-	res.ServedBytes += r.Bytes
 	if p.Admission != nil && !p.Admission(r.URL) {
 		return
 	}

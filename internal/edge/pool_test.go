@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -328,98 +327,5 @@ func TestHTTPEdgeConditionalRequests(t *testing.T) {
 	defer resp3.Body.Close()
 	if resp3.StatusCode != http.StatusOK {
 		t.Errorf("stale validator status = %d", resp3.StatusCode)
-	}
-}
-
-// TestConcurrentSecondHitFilterReplay shards a record stream across
-// goroutines replaying into one pool gated by
-// ConcurrentSecondHitFilter — the workload that races on the plain
-// SecondHitFilter's map. Run under -race (make race) it proves the
-// guarded filter is safe; the merged results must still show every
-// repeated URL admitted at most once before caching.
-func TestConcurrentSecondHitFilterReplay(t *testing.T) {
-	p := NewPool(4, 8<<20, time.Hour)
-	p.Admission = ConcurrentSecondHitFilter()
-	base := time.Unix(1_700_000_000, 0)
-
-	const workers = 8
-	const perWorker = 2000
-	results := make([]ReplayResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				// 200 distinct URLs shared across workers: plenty of
-				// admission-map collisions.
-				rec := replayRec(fmt.Sprintf("https://x.com/obj/%d", i%200),
-					logfmt.CacheMiss, base.Add(time.Duration(i)*time.Millisecond))
-				p.Replay(&rec, &results[w])
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	var total ReplayResult
-	for _, r := range results {
-		total.Requests += r.Requests
-		total.Cacheable += r.Cacheable
-		total.Hits += r.Hits
-	}
-	if total.Requests != workers*perWorker {
-		t.Fatalf("requests = %d, want %d", total.Requests, workers*perWorker)
-	}
-	// Each of the 200 URLs misses at least twice (first sight + the
-	// admission-denied second sight) before hits begin; everything else
-	// should hit.
-	misses := total.Cacheable - total.Hits
-	if misses < 400 || misses > 800 {
-		t.Errorf("misses = %d, want a few hundred (2-3 per distinct URL)", misses)
-	}
-}
-
-// TestReplayDegradedOrigin scripts an outage window over the replay:
-// during it, expired entries serve stale, uncached objects fail, and
-// uncacheable tunnels are shed.
-func TestReplayDegradedOrigin(t *testing.T) {
-	p := NewPool(1, 1<<20, time.Minute)
-	base := time.Unix(1_700_000_000, 0)
-	downFrom, downTo := base.Add(2*time.Minute), base.Add(4*time.Minute)
-	p.OriginUp = func(at time.Time) bool {
-		return at.Before(downFrom) || !at.Before(downTo)
-	}
-	var res ReplayResult
-
-	// Warm: cached at t=0 (expires t=1m).
-	rec := replayRec("https://x.com/a", logfmt.CacheMiss, base)
-	p.Replay(&rec, &res)
-	// t=2m30s, origin down, entry expired → stale serve.
-	rec = replayRec("https://x.com/a", logfmt.CacheMiss, base.Add(150*time.Second))
-	p.Replay(&rec, &res)
-	if res.StaleServes != 1 {
-		t.Fatalf("stale serves = %d, want 1", res.StaleServes)
-	}
-	// t=3m, origin down, never-seen object → failed.
-	rec = replayRec("https://x.com/b", logfmt.CacheMiss, base.Add(3*time.Minute))
-	p.Replay(&rec, &res)
-	if res.Failed != 1 {
-		t.Fatalf("failed = %d, want 1", res.Failed)
-	}
-	// t=3m, origin down, uncacheable tunnel → shed.
-	rec = replayRec("https://x.com/t", logfmt.CacheUncacheable, base.Add(3*time.Minute))
-	p.Replay(&rec, &res)
-	if res.Shed != 1 {
-		t.Fatalf("shed = %d, want 1", res.Shed)
-	}
-	// t=5m, origin back: the stale entry is still expired → normal miss,
-	// refetched and recached.
-	rec = replayRec("https://x.com/a", logfmt.CacheMiss, base.Add(5*time.Minute))
-	p.Replay(&rec, &res)
-	if got := res.Availability(); got != 3.0/5.0 {
-		t.Errorf("availability = %.2f, want 0.60 (3 of 5 served)", got)
-	}
-	if cm := p.Metrics(); cm.StaleServes != 1 {
-		t.Errorf("pool cache stale serves = %d, want 1", cm.StaleServes)
 	}
 }

@@ -24,7 +24,8 @@ type PrefetchResult struct {
 	// KSweep maps prefetch fan-out K to (hit ratio, waste).
 	KSweep map[int][2]float64
 	// Push is the server-push alternative (§5.2 mentions HTTP Server
-	// Push explicitly): the share of requests a correct push eliminates.
+	// Push explicitly), booked from the K=1 replay's predictions: the
+	// share of requests a correct push eliminates.
 	Push prefetch.PushResult
 }
 
@@ -54,7 +55,7 @@ func (r *Runner) Prefetch(w io.Writer) (PrefetchResult, error) {
 	}
 
 	// This is the only baseline replay: the K sweep below runs the
-	// prefetching side alone.
+	// prefetching side alone, and push rides the K=1 replay.
 	cfg := prefetch.DefaultConfig()
 	cmp := prefetch.Compare(model, cfg, replayJSON)
 	res := PrefetchResult{
@@ -63,6 +64,7 @@ func (r *Runner) Prefetch(w io.Writer) (PrefetchResult, error) {
 		PrefetchHitRatio: cmp.Prefetch.HitRatio(),
 		Waste:            cmp.Prefetch.WasteRatio(),
 		KSweep:           map[int][2]float64{},
+		Push:             cmp.Prefetch.Push,
 	}
 
 	fmt.Fprintln(w, "Prefetching (§5.2 implication): edge hit ratio with ngram prefetch")
@@ -83,9 +85,6 @@ func (r *Runner) Prefetch(w io.Writer) (PrefetchResult, error) {
 		fmt.Sprintf("+%.1f points", (res.PrefetchHitRatio-res.BaselineHitRatio)*100))
 
 	// Server push: the client-side variant of the same prediction.
-	push := prefetch.NewPushSimulator(model)
-	replayJSON(func(r *logfmt.Record) { push.Observe(r) })
-	res.Push = push.Result()
 	compareRow(w, "server push eliminates requests", "qualitative",
 		fmt.Sprintf("%s of GETs (%d pushes, %.0f%% of pushed bytes used)",
 			pct(res.Push.EliminationRate()), res.Push.Pushes,

@@ -138,11 +138,9 @@ type Config struct {
 	// attempt outlives the hedge delay, a second copy goes to the next
 	// ring replica and the first response wins.
 	Hedge bool
-	// HedgeQuantile is the observed-latency quantile the hedge delay
-	// tracks (default 0.99); HedgeMin floors it (default 10ms) so a
-	// warm cache does not hedge every request.
-	HedgeQuantile float64
-	HedgeMin      time.Duration
+	// HedgeMin floors the hedge delay (default 10ms) so a warm cache
+	// does not hedge every request.
+	HedgeMin time.Duration
 	// Timeout bounds one proxied attempt (default 5s).
 	Timeout time.Duration
 	// Transport optionally overrides the proxy transport.
@@ -173,9 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFailover < 0 {
 		c.MaxFailover = 0
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.99
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 10 * time.Millisecond
@@ -288,10 +283,13 @@ func (f *Fleet) Drain() {
 	}
 }
 
-// HedgeDelay returns the current hedge trigger: the configured
-// quantile of observed proxied latency, floored at HedgeMin.
+// hedgeQuantile is the observed-latency quantile the hedge delay tracks.
+const hedgeQuantile = 0.99
+
+// HedgeDelay returns the current hedge trigger: the hedgeQuantile of
+// observed proxied latency, floored at HedgeMin.
 func (f *Fleet) HedgeDelay() time.Duration {
-	d := time.Duration(f.lat.Quantile(f.cfg.HedgeQuantile))
+	d := time.Duration(f.lat.Quantile(hedgeQuantile))
 	if d < f.cfg.HedgeMin {
 		d = f.cfg.HedgeMin
 	}

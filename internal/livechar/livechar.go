@@ -60,9 +60,6 @@ type Config struct {
 	Bins int
 	// TopK is how many heavy hitters snapshots publish. Default 10.
 	TopK int
-	// Capacity is the Space-Saving counter budget per sketch; the sketch
-	// error bound is window-events/Capacity. Default max(256, 8×TopK).
-	Capacity int
 	// Buffer is the async tap's channel capacity; overflow is dropped
 	// and counted. Default 8192.
 	Buffer int
@@ -71,9 +68,6 @@ type Config struct {
 	// PredictK is the guess-set size for the live hit-rate gauge
 	// (Table 3's K). Default 5.
 	PredictK int
-	// MaxVocab bounds the ngram model's interned vocabulary; further
-	// transitions stop training (predictions continue). Default 65536.
-	MaxVocab int
 	// MaxClients bounds the per-client history table. Default 16384.
 	MaxClients int
 	// Seed drives the period detector's permutation RNG. Default 1.
@@ -95,12 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.TopK <= 0 {
 		c.TopK = 10
 	}
-	if c.Capacity <= 0 {
-		c.Capacity = 8 * c.TopK
-		if c.Capacity < 256 {
-			c.Capacity = 256
-		}
-	}
 	if c.Buffer <= 0 {
 		c.Buffer = 8192
 	}
@@ -109,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PredictK <= 0 {
 		c.PredictK = 5
-	}
-	if c.MaxVocab <= 0 {
-		c.MaxVocab = 1 << 16
 	}
 	if c.MaxClients <= 0 {
 		c.MaxClients = 1 << 14
@@ -182,19 +167,26 @@ type LiveChar struct {
 	periodsVer int64 // ring version the cached periods were computed at
 }
 
-// New returns a plane for cfg (zero fields take defaults).
+// maxVocab bounds the ngram model's interned vocabulary; further
+// transitions stop training (predictions continue).
+const maxVocab = 1 << 16
+
+// New returns a plane for cfg (zero fields take defaults). Each
+// Space-Saving sketch gets max(256, 8×TopK) counters, so its error bound
+// is window-events/that.
 func New(cfg Config) *LiveChar {
 	cfg = cfg.withDefaults()
+	capacity := max(256, 8*cfg.TopK)
 	lc := &LiveChar{
 		cfg:        cfg,
 		cumSize:    obs.NewHDRHistogram(sizeHDRConfig()),
 		cumInter:   obs.NewHDRHistogram(interHDRConfig()),
 		curSize:    obs.NewHDRHistogram(sizeHDRConfig()),
 		curInter:   obs.NewHDRHistogram(interHDRConfig()),
-		curObjects: NewSpaceSaving(cfg.Capacity),
-		curDomains: NewSpaceSaving(cfg.Capacity),
+		curObjects: NewSpaceSaving(capacity),
+		curDomains: NewSpaceSaving(capacity),
 		ring:       newBinRing(cfg.Bin, cfg.Bins),
-		pred:       newPredictor(cfg.NgramOrder, cfg.PredictK, cfg.MaxVocab, cfg.MaxClients),
+		pred:       newPredictor(cfg.NgramOrder, cfg.PredictK, maxVocab, cfg.MaxClients),
 		winStartNS: -1,
 		lastTNS:    -1,
 		periods:    []Period{},

@@ -12,12 +12,12 @@ import (
 // cache-busting stream — the stream of internal/ngram's
 // BenchmarkPredictOnline: 64 clients, 30 % of requests to a URL never
 // seen before (until 60 000 such URLs exist, then drawn again at random
-// so the vocabulary stays under MaxVocab), the rest Zipf over 5 000
+// so the vocabulary stays under maxVocab), the rest Zipf over 5 000
 // objects. livechar.observe_ns in the ladder times the tap's enqueue
 // only; this is the cost behind it.
 func BenchmarkPredictorObserve(b *testing.B) {
 	cfg := Config{}.withDefaults()
-	p := newPredictor(cfg.NgramOrder, cfg.PredictK, cfg.MaxVocab, cfg.MaxClients)
+	p := newPredictor(cfg.NgramOrder, cfg.PredictK, maxVocab, cfg.MaxClients)
 	rng, zipf, fresh := stats.NewRNG(20), stats.NewZipf(5000, 1.1), 0
 	step := func() {
 		client := uint64(rng.Intn(64))
@@ -41,6 +41,6 @@ func BenchmarkPredictorObserve(b *testing.B) {
 	}
 	b.StopTimer()
 	if p.vocabDrops > 0 {
-		b.Fatalf("%d transitions dropped: the stream outgrew MaxVocab", p.vocabDrops)
+		b.Fatalf("%d transitions dropped: the stream outgrew maxVocab", p.vocabDrops)
 	}
 }

@@ -89,7 +89,7 @@ func BenchmarkEvaluate(b *testing.B) {
 // input under a cache-busting attack: 64 clients, 30 % of requests to a
 // URL never seen before (until 60 000 such URLs exist; then they are
 // drawn again at random, which keeps the vocabulary under livechar's
-// MaxVocab), the rest Zipf over 5 000 objects.
+// maxVocab), the rest Zipf over 5 000 objects.
 // internal/livechar's BenchmarkPredictorObserve draws the same stream.
 type hostileStream struct {
 	rng   *stats.RNG

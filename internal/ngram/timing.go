@@ -103,36 +103,6 @@ func (tm *TimedModel) ExpectedGap(prev, next string) (time.Duration, bool) {
 	return g.typical(), true
 }
 
-// TimedPrediction is one predicted next request with its expected delay.
-type TimedPrediction struct {
-	URL string
-	// Gap is the typical delay until the request; 0 when unknown.
-	Gap time.Duration
-}
-
-// PredictTimed returns the top-K next URLs annotated with expected gaps
-// from the most recent history element.
-func (tm *TimedModel) PredictTimed(history []string, k int) []TimedPrediction {
-	urls := tm.PredictTopK(history, k)
-	if len(urls) == 0 {
-		return nil
-	}
-	out := make([]TimedPrediction, len(urls))
-	var prev string
-	if len(history) > 0 {
-		prev = history[len(history)-1]
-	}
-	for i, u := range urls {
-		out[i] = TimedPrediction{URL: u}
-		if prev != "" {
-			if gap, ok := tm.ExpectedGap(prev, u); ok {
-				out[i].Gap = gap
-			}
-		}
-	}
-	return out
-}
-
 // SplitFlows is the timed analogue of Split: per-client (URL, time)
 // flows in time order, partitioned into train and test sets by the same
 // deterministic client hash. Clients with fewer than two requests are

@@ -57,27 +57,6 @@ func TestTimedModelGeometricMeanRobustToOutliers(t *testing.T) {
 	}
 }
 
-func TestPredictTimed(t *testing.T) {
-	tm := NewTimedModel(1)
-	for i := 0; i < 10; i++ {
-		tm.TrainTimed(stepFlow(t0, []time.Duration{5 * time.Second, 30 * time.Second},
-			[]string{"a", "b", "c"}))
-	}
-	preds := tm.PredictTimed([]string{"a"}, 2)
-	if len(preds) == 0 || preds[0].URL != "b" {
-		t.Fatalf("preds = %+v", preds)
-	}
-	if preds[0].Gap < 4*time.Second || preds[0].Gap > 6*time.Second {
-		t.Errorf("gap = %v, want ~5s", preds[0].Gap)
-	}
-	if got := tm.PredictTimed(nil, 1); len(got) != 1 || got[0].Gap != 0 {
-		t.Errorf("no-history prediction = %+v", got)
-	}
-	if tm.PredictTimed([]string{"a"}, 0) != nil {
-		t.Error("k=0 should be nil")
-	}
-}
-
 func TestTimedModelShortFlowIgnored(t *testing.T) {
 	tm := NewTimedModel(1)
 	tm.TrainTimed([]Step{{URL: "only", Time: t0}})

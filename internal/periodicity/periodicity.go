@@ -30,11 +30,6 @@ type Config struct {
 	// SampleBin is the signal sampling interval; the paper uses 1 s
 	// because sub-second periods are unreliable under network jitter.
 	SampleBin time.Duration
-	// MaxBins caps signal length per flow to bound memory (0 = no cap).
-	MaxBins int
-	// MatchTolerance is the relative tolerance when matching a client
-	// period against its object period (e.g. 0.15 accepts ±15%).
-	MatchTolerance float64
 	// Seed drives the permutation RNG.
 	Seed uint64
 }
@@ -42,13 +37,19 @@ type Config struct {
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
 	return Config{
-		Detector:       dsp.DefaultDetectorConfig(),
-		SampleBin:      time.Second,
-		MaxBins:        1 << 17, // ~36 h at 1 s
-		MatchTolerance: 0.15,
-		Seed:           1,
+		Detector:  dsp.DefaultDetectorConfig(),
+		SampleBin: time.Second,
+		Seed:      1,
 	}
 }
+
+const (
+	// maxBins caps signal length per flow to bound memory (~36 h at 1 s).
+	maxBins = 1 << 17
+	// matchTolerance is the relative tolerance when matching a client
+	// period against its object period (0.15 accepts ±15%).
+	matchTolerance = 0.15
+)
 
 // ObjectResult is the per-object outcome.
 type ObjectResult struct {
@@ -236,7 +237,7 @@ func analyzeObject(det *dsp.Detector, of *flows.ObjectFlow, cfg Config, rng *sta
 	out.ObjectPeriod = objPeriod
 	for _, cf := range of.Clients {
 		cliPeriod, ok := detectPeriod(det, cf.Requests, cfg, rng)
-		if !ok || !periodsMatch(objPeriod, cliPeriod, cfg.MatchTolerance) {
+		if !ok || !periodsMatch(objPeriod, cliPeriod, matchTolerance) {
 			continue
 		}
 		out.PeriodicClients++
@@ -256,7 +257,7 @@ func analyzeObject(det *dsp.Detector, of *flows.ObjectFlow, cfg Config, rng *sta
 // detectPeriod bins a request sequence and runs the dsp detector,
 // translating the lag back into wall-clock duration.
 func detectPeriod(det *dsp.Detector, reqs []flows.Request, cfg Config, rng *stats.RNG) (time.Duration, bool) {
-	signal := flows.BinCounts(reqs, cfg.SampleBin, cfg.MaxBins)
+	signal := flows.BinCounts(reqs, cfg.SampleBin, maxBins)
 	if signal == nil {
 		return 0, false
 	}

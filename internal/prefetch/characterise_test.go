@@ -10,13 +10,16 @@ import (
 	"repro/internal/synth"
 )
 
-// TestCompareCharacterisation pins Compare and CompareTimed over the
-// seeded stream internal/edge's TestReplayCharacterisation replays (its
-// JSON records, as the prefetch exhibit filters them), on caches small
-// enough to evict. The constants were taken while Simulator kept its own
-// copy of Pool.Replay and diffed Cache.Metrics() per record (PrefetchedHits
-// was then a field of Result, not of the embedded ReplayResult); they are
-// what "same numbers" means for any later change to either package.
+// TestCompareCharacterisation pins Compare, and Simulate over the timed
+// model, over the seeded stream internal/edge's TestReplayCharacterisation
+// replays (its JSON records, as the prefetch exhibit filters them), on
+// caches small enough to evict. The constants were taken while Simulator
+// kept its own copy of Pool.Replay and diffed Cache.Metrics() per record
+// (PrefetchedHits was then a field of Result, not of the embedded
+// ReplayResult), and the timed ones while a separate timed simulator
+// wrapped it; they are what "same numbers" means for any later change to
+// either package. The push accounting on the same replay must match the
+// standalone push oracle.
 func TestCompareCharacterisation(t *testing.T) {
 	cfg := synth.LongTermConfig(15, 0.001)
 	cfg.Duration = 16 * time.Hour
@@ -48,7 +51,7 @@ func TestCompareCharacterisation(t *testing.T) {
 		t.Fatalf("stream has %d JSON records, want 13218: the generator changed, not the simulation", len(recs))
 	}
 
-	pc := Config{K: 2, HistoryLen: 1, Servers: 4, CacheBytes: 512 << 10, TTL: 5 * time.Minute, DefaultObjectSize: 1024}
+	pc := Config{K: 2, Servers: 4, CacheBytes: 512 << 10, TTL: 5 * time.Minute}
 	baseline := edge.ReplayResult{Requests: 13218, Cacheable: 9675, Uncacheable: 3543, Hits: 3183,
 		OriginBytes: 42005825, ServedBytes: 55877290}
 	untimed := Result{
@@ -56,21 +59,25 @@ func TestCompareCharacterisation(t *testing.T) {
 			OriginBytes: 18885670, ServedBytes: 55877290, PrefetchedHits: 6832},
 		PrefetchesIssued: 6887, PrefetchedBytes: 30325917,
 	}
-	if got, want := Compare(tm.Model, pc, replay), (Comparison{Baseline: baseline, Prefetch: untimed}); got != want {
+	got := Compare(tm.Model, pc, replay)
+	oracle := newPushOracle(tm.Model, pc.K)
+	replay(oracle.Observe)
+	if got.Prefetch.Push != oracle.res {
+		t.Errorf("Compare push\n got %+v\nwant %+v", got.Prefetch.Push, oracle.res)
+	}
+	got.Prefetch.Push = PushResult{}
+	if want := (Comparison{Baseline: baseline, Prefetch: untimed}); got != want {
 		t.Errorf("Compare\n got %+v\nwant %+v", got, want)
 	}
-	wantTimed := TimedComparison{
-		Baseline: baseline,
-		Untimed:  untimed,
-		Timed: Result{
-			ReplayResult: edge.ReplayResult{Requests: 13218, Cacheable: 9675, Uncacheable: 3543, Hits: 7779,
-				OriginBytes: 18968574, ServedBytes: 55877290, PrefetchedHits: 6802},
-			PrefetchesIssued: 6806, PrefetchedBytes: 29917875,
-		},
-		Skipped: 242,
+	wantTimed := Result{
+		ReplayResult: edge.ReplayResult{Requests: 13218, Cacheable: 9675, Uncacheable: 3543, Hits: 7779,
+			OriginBytes: 18968574, ServedBytes: 55877290, PrefetchedHits: 6802},
+		PrefetchesIssued: 6806, PrefetchedBytes: 29917875,
 	}
-	if got := CompareTimed(tm, pc, replay); got != wantTimed {
-		t.Errorf("CompareTimed\n got %+v\nwant %+v", got, wantTimed)
+	timed := Simulate(tm, pc, replay)
+	timed.Push = PushResult{}
+	if timed != wantTimed {
+		t.Errorf("Simulate(timed)\n got %+v\nwant %+v", timed, wantTimed)
 	}
 	// The simulator's own pool: an error-free stream, so these are also the
 	// cache counters a payload-carrying cache must reproduce.

@@ -1,10 +1,12 @@
 // Package prefetch closes the loop on the paper's §5.2 implication:
-// given the ngram request-prediction model, a CDN can prefetch the
-// predicted next objects into the edge cache to convert misses into
-// hits. The Simulator replays a log stream through an edge pool twice —
-// once plain, once with prediction-driven prefetching — and reports the
-// hit-ratio improvement and the wasted prefetch traffic, the trade-off a
-// CDN operator would evaluate.
+// given the ngram request-prediction model, a CDN can put the predicted
+// next objects where the client will find them. The Simulator replays a
+// log stream through an edge pool and, from one prediction per record,
+// books both delivery mechanisms: prefetching into the edge cache, which
+// converts misses into hits, and HTTP server push to the client, which
+// removes the next request altogether. Compare adds a plain replay as
+// the baseline, so a CDN operator can weigh the hit-ratio improvement
+// against the wasted speculative traffic.
 package prefetch
 
 import (
@@ -13,44 +15,56 @@ import (
 	"repro/internal/edge"
 	"repro/internal/flows"
 	"repro/internal/logfmt"
-	"repro/internal/ngram"
+)
+
+// Predictor supplies the next-object predictions: an *ngram.Model, or
+// an *ngram.TimedModel, whose ExpectedGap also filters them. Order is
+// how much per-client history feeds each prediction.
+type Predictor interface {
+	PredictTopK(history []string, k int) []string
+	Order() int
+}
+
+// gapPredictor is a Predictor that knows the typical interarrival gap of
+// a transition (the paper's §5.2 future work).
+type gapPredictor interface {
+	ExpectedGap(prev, next string) (time.Duration, bool)
+}
+
+const (
+	// defaultObjectSize is assumed for predicted objects never seen
+	// before (bytes).
+	defaultObjectSize = 1024
+	// pushLifetime is how long a pushed response stays usable at the
+	// client; clients evict pushed data quickly.
+	pushLifetime = 30 * time.Second
 )
 
 // Config parameterizes the prefetching simulation.
 type Config struct {
-	// K is how many predicted next objects to prefetch per request.
+	// K is how many predicted next objects to prefetch and push per
+	// request.
 	K int
-	// HistoryLen is how much per-client history feeds each prediction
-	// (bounded by the model order).
-	HistoryLen int
 	// Servers, CacheBytes, and TTL shape the edge pool.
 	Servers    int
 	CacheBytes int64
 	TTL        time.Duration
-	// DefaultObjectSize is assumed for predicted objects never seen
-	// before (bytes).
-	DefaultObjectSize int64
 }
 
 // DefaultConfig returns a modest edge: 4 servers, 64 MiB each, 60 s TTL,
 // prefetching the single most likely next object.
 func DefaultConfig() Config {
 	return Config{
-		K:                 1,
-		HistoryLen:        1,
-		Servers:           4,
-		CacheBytes:        64 << 20,
-		TTL:               time.Minute,
-		DefaultObjectSize: 1024,
+		K:          1,
+		Servers:    4,
+		CacheBytes: 64 << 20,
+		TTL:        time.Minute,
 	}
 }
 
 func (c *Config) sanitize() {
 	if c.K < 1 {
 		c.K = 1
-	}
-	if c.HistoryLen < 1 {
-		c.HistoryLen = 1
 	}
 	if c.Servers < 1 {
 		c.Servers = 1
@@ -60,9 +74,6 @@ func (c *Config) sanitize() {
 	}
 	if c.TTL <= 0 {
 		c.TTL = time.Minute
-	}
-	if c.DefaultObjectSize <= 0 {
-		c.DefaultObjectSize = 1024
 	}
 }
 
@@ -74,6 +85,8 @@ type Result struct {
 	// embedded ReplayResult's PrefetchedHits.
 	PrefetchesIssued int64
 	PrefetchedBytes  int64
+	// Push accounts server push of the same predictions.
+	Push PushResult
 }
 
 // WasteRatio estimates the share of prefetches that never served a hit.
@@ -90,61 +103,118 @@ func (r Result) WasteRatio() float64 {
 	return w
 }
 
-// Simulator replays records with prediction-driven prefetching. Records
-// must arrive in (approximately) time order, as they do from the
-// generator or a log file. Simulator is not safe for concurrent use.
+// PushResult accounts server push: the simulator tracks each client's
+// pushed-object set and counts how many requests a previously pushed
+// response satisfied versus how many pushed bytes went unused.
+type PushResult struct {
+	// Requests is the number of replayed GET requests.
+	Requests int64
+	// Eliminated counts requests satisfied by a pushed response: the
+	// client never had to ask.
+	Eliminated int64
+	// Pushes and PushedBytes count push transmissions.
+	Pushes      int64
+	PushedBytes int64
+	// UsedBytes is the pushed traffic that satisfied a request.
+	UsedBytes int64
+}
+
+// EliminationRate returns the share of requests removed by push.
+func (r PushResult) EliminationRate() float64 {
+	if r.Requests == 0 {
+		return 0
+	}
+	return float64(r.Eliminated) / float64(r.Requests)
+}
+
+// WastedBytes returns pushed bytes that never satisfied a request.
+func (r PushResult) WastedBytes() int64 { return r.PushedBytes - r.UsedBytes }
+
+// Simulator replays records with prediction-driven prefetching and
+// push. Records must arrive in (approximately) time order, as they do
+// from the generator or a log file. Simulator is not safe for concurrent
+// use.
 type Simulator struct {
-	cfg   Config
-	model *ngram.Model
-	pool  *edge.Pool
-	res   Result
+	cfg  Config
+	pred Predictor
+	gaps gapPredictor // pred's gap estimates; nil when it has none
+	pool *edge.Pool
+	res  Result
 
 	history map[flows.ClientKey][]string
+	pushed  map[flows.ClientKey]map[string]time.Time // URL → expiry at the client
 	sizes   map[string]int64
 }
 
-// NewSimulator builds a simulator around a trained model.
-func NewSimulator(model *ngram.Model, cfg Config) *Simulator {
+// NewSimulator builds a simulator around a trained predictor.
+func NewSimulator(pred Predictor, cfg Config) *Simulator {
 	cfg.sanitize()
-	return &Simulator{
+	s := &Simulator{
 		cfg:     cfg,
-		model:   model,
+		pred:    pred,
 		pool:    edge.NewPool(cfg.Servers, cfg.CacheBytes, cfg.TTL),
 		history: make(map[flows.ClientKey][]string),
+		pushed:  make(map[flows.ClientKey]map[string]time.Time),
 		sizes:   make(map[string]int64),
 	}
+	s.gaps, _ = pred.(gapPredictor)
+	return s
 }
 
 // Pool exposes the underlying edge pool (for metric inspection).
 func (s *Simulator) Pool() *edge.Pool { return s.pool }
 
-// Observe replays one record and then prefetches the predicted next
-// objects for the record's client. Prefetching assumes instantaneous
-// origin fetches (an upper bound on the benefit; the paper frames it the
-// same way).
+// Observe replays one record under its canonical URL, settles it against
+// what was pushed to its client, and then predicts the client's next
+// objects once: each is prefetched into the edge and pushed to the
+// client. A prediction whose known gap from this URL exceeds the cache
+// TTL is skipped, since neither copy would still be there. Prefetching
+// assumes instantaneous origin fetches (an upper bound on the benefit;
+// the paper frames it the same way). Only GETs can be satisfied by a
+// push; other methods still advance the client's history.
 func (s *Simulator) Observe(r *logfmt.Record) {
-	for _, pred := range s.model.PredictTopK(s.observe(r), s.cfg.K) {
-		s.prefetch(pred, r.Time)
+	url := logfmt.CanonicalURL(r.URL)
+	rr := *r
+	rr.URL = url
+	s.pool.Replay(&rr, &s.res.ReplayResult)
+	if r.Bytes > 0 {
+		s.sizes[url] = r.Bytes
+	}
+	key := flows.ClientKeyFor(r)
+	if r.Method == "GET" {
+		s.res.Push.Requests++
+		if exp, ok := s.pushed[key][url]; ok {
+			delete(s.pushed[key], url)
+			if r.Time.Before(exp) {
+				s.res.Push.Eliminated++
+				s.res.Push.UsedBytes += s.size(url)
+			}
+		}
+	}
+	h := append(s.history[key], url)
+	if n := s.pred.Order(); len(h) > n {
+		h = h[len(h)-n:]
+	}
+	s.history[key] = h
+
+	for _, next := range s.pred.PredictTopK(h, s.cfg.K) {
+		if s.gaps != nil {
+			if gap, ok := s.gaps.ExpectedGap(url, next); ok && gap > s.cfg.TTL {
+				continue
+			}
+		}
+		s.prefetch(next, r.Time)
+		if next != url {
+			s.push(key, next, r.Time)
+		}
 	}
 }
 
-// observe replays r through the pool under its canonical URL and returns
-// the client's history with it appended — what the next prediction is
-// made from.
-func (s *Simulator) observe(r *logfmt.Record) (history []string) {
-	rr := *r
-	rr.URL = logfmt.CanonicalURL(r.URL)
-	s.pool.Replay(&rr, &s.res.ReplayResult)
-	if r.Bytes > 0 {
-		s.sizes[rr.URL] = r.Bytes
+func (s *Simulator) size(url string) int64 {
+	if size, ok := s.sizes[url]; ok {
+		return size
 	}
-	key := flows.ClientKeyFor(r)
-	h := append(s.history[key], rr.URL)
-	if len(h) > s.cfg.HistoryLen {
-		h = h[len(h)-s.cfg.HistoryLen:]
-	}
-	s.history[key] = h
-	return h
+	return defaultObjectSize
 }
 
 func (s *Simulator) prefetch(url string, now time.Time) {
@@ -152,13 +222,24 @@ func (s *Simulator) prefetch(url string, now time.Time) {
 	if srv.Cache.Read(url, now, edge.Probe).State == edge.Fresh {
 		return // already there: no duplicate speculative insert
 	}
-	size, ok := s.sizes[url]
-	if !ok {
-		size = s.cfg.DefaultObjectSize
-	}
+	size := s.size(url)
 	srv.Cache.Insert(url, size, now, true)
 	s.res.PrefetchesIssued++
 	s.res.PrefetchedBytes += size
+}
+
+func (s *Simulator) push(key flows.ClientKey, url string, now time.Time) {
+	pm := s.pushed[key]
+	if exp, ok := pm[url]; ok && now.Before(exp) {
+		return // already fresh at the client
+	}
+	if pm == nil {
+		pm = make(map[string]time.Time)
+		s.pushed[key] = pm
+	}
+	pm[url] = now.Add(pushLifetime)
+	s.res.Push.Pushes++
+	s.res.Push.PushedBytes += s.size(url)
 }
 
 // Result returns the accumulated simulation result.
@@ -175,19 +256,18 @@ func (c Comparison) HitRatioDelta() float64 {
 	return c.Prefetch.HitRatio() - c.Baseline.HitRatio()
 }
 
-// Simulate replays records through a prefetching simulator around model:
-// the prefetching half of Compare, for a sweep that needs the baseline
-// once.
-func Simulate(model *ngram.Model, cfg Config, records func(func(*logfmt.Record))) Result {
-	sim := NewSimulator(model, cfg)
-	records(func(r *logfmt.Record) { sim.Observe(r) })
+// Simulate replays records through a simulator around pred: the
+// prefetching half of Compare, for a sweep that needs the baseline once.
+func Simulate(pred Predictor, cfg Config, records func(func(*logfmt.Record))) Result {
+	sim := NewSimulator(pred, cfg)
+	records(sim.Observe)
 	return sim.Result()
 }
 
-// Compare replays records through a plain pool and through a prefetching
-// simulator with identical cache shape, returning both outcomes.
-// records is iterated twice via the replay function.
-func Compare(model *ngram.Model, cfg Config, records func(func(*logfmt.Record))) Comparison {
+// Compare replays records through a plain pool and through a simulator
+// with identical cache shape, returning both outcomes. records is
+// iterated twice via the replay function.
+func Compare(pred Predictor, cfg Config, records func(func(*logfmt.Record))) Comparison {
 	cfg.sanitize()
 	var cmp Comparison
 	base := edge.NewPool(cfg.Servers, cfg.CacheBytes, cfg.TTL)
@@ -196,6 +276,6 @@ func Compare(model *ngram.Model, cfg Config, records func(func(*logfmt.Record)))
 		rr.URL = logfmt.CanonicalURL(rr.URL)
 		base.Replay(&rr, &cmp.Baseline)
 	})
-	cmp.Prefetch = Simulate(model, cfg, records)
+	cmp.Prefetch = Simulate(pred, cfg, records)
 	return cmp
 }

@@ -162,8 +162,7 @@ func TestWasteRatioBounds(t *testing.T) {
 func TestConfigSanitize(t *testing.T) {
 	c := Config{}
 	c.sanitize()
-	if c.K != 1 || c.Servers != 1 || c.TTL <= 0 || c.CacheBytes <= 0 ||
-		c.HistoryLen != 1 || c.DefaultObjectSize <= 0 {
+	if c.K != 1 || c.Servers != 1 || c.TTL <= 0 || c.CacheBytes <= 0 {
 		t.Errorf("sanitized = %+v", c)
 	}
 }

@@ -8,8 +8,8 @@
 // production edge must retry transient faults, stop hammering a downed
 // origin, and degrade gracefully (serve stale, shed low-priority load)
 // rather than amplify the outage. internal/edge implements the
-// degradation half (HTTPEdge.ServeStale, HTTPEdge.Degraded,
-// Pool.OriginUp); this package supplies the failure model and the
+// degradation half (HTTPEdge.ServeStale, HTTPEdge.Degraded); this
+// package supplies the failure model and the
 // recovery policies, both reproducible under a seed so every failure
 // mode is testable.
 package resilience
