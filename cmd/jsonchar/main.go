@@ -39,7 +39,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -94,7 +93,6 @@ func characterize() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")
 		trace       = flag.Bool("trace", false, "print a per-stage span table after the run")
 		traceOut    = flag.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON to this file")
-		spanLog     = flag.String("span-log", "", "write the run's span tree as JSONL to this file")
 		manifestDir = flag.String("manifest-dir", "out", "directory for the run-<id>.json manifest (empty disables)")
 		verbose     = flag.Bool("v", false, "log at debug level")
 	)
@@ -267,26 +265,23 @@ func characterize() {
 		tr.WriteTable(os.Stdout)
 	}
 	if *traceOut != "" {
-		writeExport(*traceOut, tr.WriteChromeTrace, "chrome trace", logger, fail)
-	}
-	if *spanLog != "" {
-		writeExport(*spanLog, tr.WriteSpanLog, "span log", logger, fail)
+		writeChromeTrace(*traceOut, tr, logger, fail)
 	}
 	finish(outcome)
 }
 
-// writeExport writes one trace export file.
-func writeExport(path string, write func(io.Writer) error, kind string, logger *obs.Logger, fail func(error)) {
+// writeChromeTrace writes the -trace-out file.
+func writeChromeTrace(path string, tr *obs.Trace, logger *obs.Logger, fail func(error)) {
 	f, err := os.Create(path)
 	if err != nil {
-		fail(fmt.Errorf("creating %s: %w", kind, err))
+		fail(fmt.Errorf("creating chrome trace: %w", err))
 	}
-	werr := write(f)
+	werr := tr.WriteChromeTrace(f)
 	cerr := f.Close()
 	if werr != nil || cerr != nil {
-		fail(fmt.Errorf("writing %s to %s: %w", kind, path, errors.Join(werr, cerr)))
+		fail(fmt.Errorf("writing chrome trace to %s: %w", path, errors.Join(werr, cerr)))
 	}
-	logger.Info(kind+" written", "path", path)
+	logger.Info("chrome trace written", "path", path)
 }
 
 // input is the log file an analysis reads and the flags that govern how:

@@ -23,11 +23,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -42,9 +42,8 @@ import (
 	"repro/internal/fleet/chaos"
 	"repro/internal/livechar"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
-
-var logger *obs.Logger
 
 func main() {
 	var (
@@ -70,7 +69,7 @@ func main() {
 		charWindow = flag.Duration("char-window", time.Minute, "livechar tumbling window passed through to the nodes")
 	)
 	flag.Parse()
-	logger = obs.NewLogger(os.Stderr, obs.NewRunID(), uint64(*chaosSeed), nil).Component("jsonfleet")
+	logger := obs.NewLogger(os.Stderr, obs.NewRunID(), uint64(*chaosSeed), nil).Component("jsonfleet")
 
 	if *nodeBin == "" {
 		logger.Error("-node-bin is required")
@@ -92,9 +91,15 @@ func main() {
 	}
 
 	sup := &supervisor{bin: *nodeBin, dir: dir, faultRate: *faultRate,
-		livechar: *charOn, charWindow: *charWindow}
+		livechar: *charOn, charWindow: *charWindow, children: map[string]*child{}}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// fatal reaps the nodes before it exits 1.
+	fatal := func(msg string, args ...any) {
+		logger.Error(msg, args...)
+		sup.killAll()
+		os.Exit(1)
+	}
 
 	// Spawn the fleet and wait for every node's handshake.
 	var members []*fleet.Member
@@ -102,9 +107,7 @@ func main() {
 		name := fmt.Sprintf("edge-%02d", i)
 		c, err := sup.spawn(ctx, name, "127.0.0.1:0")
 		if err != nil {
-			logger.Error("spawning node", "node", name, "err", err)
-			sup.killAll()
-			os.Exit(1)
+			fatal("spawning node", "node", name, "err", err)
 		}
 		members = append(members, &fleet.Member{
 			Name: name, URL: c.edgeURL, HealthURL: c.edgeURL + "/healthz",
@@ -123,21 +126,10 @@ func main() {
 	sup.fleet = f
 	reg := obs.NewRegistry()
 	inst := f.Instrument(reg)
-	stopHealth := f.StartHealth()
-	defer stopHealth()
+	defer f.StartHealth()()
 
-	// Front listener + admin mux (metrics, readyz, and /fleetz with the
-	// live membership snapshot).
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		logger.Error("front listen failed", "addr", *listen, "err", err)
-		sup.killAll()
-		os.Exit(1)
-	}
-	frontURL := "http://" + ln.Addr().String()
-	frontSrv := &http.Server{Handler: f}
-	go frontSrv.Serve(ln)
-
+	// The admin mux: metrics, readyz, and /fleetz with the live
+	// membership snapshot.
 	health := &obs.Health{}
 	adminMux := obs.AdminMux(reg, health)
 	adminMux.HandleFunc("/fleetz", func(w http.ResponseWriter, r *http.Request) {
@@ -166,45 +158,36 @@ func main() {
 			enc.Encode(merged)
 		})
 	}
-	aln, err := net.Listen("tcp", *adminAddr)
+	// The front proxies every path; stopping it drains the fleet first
+	// (new requests 503, the prober stops) inside a 2 s window.
+	srv, err := serve.Lifecycle{
+		Listen:     *listen,
+		Admin:      *adminAddr,
+		URLFile:    *urlFile,
+		DrainGrace: 2 * time.Second,
+		Handler:    f,
+		AdminMux:   adminMux,
+		Health:     health,
+		Drain:      f.Drain,
+		Log:        logger,
+	}.Start()
 	if err != nil {
-		logger.Error("admin listen failed", "addr", *adminAddr, "err", err)
-		sup.killAll()
-		os.Exit(1)
+		fatal("starting front", "err", err)
 	}
-	adminURL := "http://" + aln.Addr().String()
-	adminSrv := &http.Server{Handler: adminMux}
-	go adminSrv.Serve(aln)
-
-	health.SetReady(true)
-	if *urlFile != "" {
-		if err := edge.WriteURLFile(*urlFile, frontURL, adminURL); err != nil {
-			logger.Error("publishing URL file", "path", *urlFile, "err", err)
-			sup.killAll()
-			os.Exit(1)
-		}
-	}
-	logger.Info("fleet serving", "front", frontURL, "admin", adminURL,
-		"nodes", *nodes, "failover", *failover, "hedge", *hedge)
+	logger.Info("fleet serving", "nodes", *nodes, "failover", *failover, "hedge", *hedge)
 
 	// Chaos: load or generate the timeline and run it concurrently with
 	// the traffic the harness replays through the front.
-	rec := &recorder{inst: inst, fleet: f, start: time.Now()}
+	rec := fleet.NewRecorder(f)
 	var timeline []chaos.Event
 	switch {
 	case *chaosFile != "":
-		fh, err := os.Open(*chaosFile)
-		if err != nil {
-			logger.Error("opening timeline", "path", *chaosFile, "err", err)
-			sup.killAll()
-			os.Exit(1)
+		data, err := os.ReadFile(*chaosFile)
+		if err == nil {
+			timeline, err = chaos.ParseTimeline(bytes.NewReader(data))
 		}
-		timeline, err = chaos.ParseTimeline(fh)
-		fh.Close()
 		if err != nil {
-			logger.Error("parsing timeline", "path", *chaosFile, "err", err)
-			sup.killAll()
-			os.Exit(1)
+			fatal("loading timeline", "path", *chaosFile, "err", err)
 		}
 	case *chaosN > 0:
 		names := make([]string, *nodes)
@@ -216,34 +199,27 @@ func main() {
 			logger.Info("generated chaos event", "event", ev.String())
 		}
 	}
-	chaosErr := make(chan error, 1)
-	if len(timeline) > 0 {
-		ctl := &chaos.Controller{
-			Target:  sup,
-			OnEvent: rec.observe,
-			Log:     func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
-		}
-		go func() { chaosErr <- ctl.Run(ctx, timeline) }()
-	} else {
-		chaosErr <- nil
+	ctl := &chaos.Controller{
+		Target:  sup,
+		OnEvent: rec.Observe,
+		Log:     func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
 	}
+	chaosErr := make(chan error, 1)
+	go func() { chaosErr <- ctl.Run(ctx, timeline) }()
 
 	<-ctx.Done()
-	stop()
-
-	// Shutdown: drain the front (stops the prober), settle, tear down.
-	f.Drain()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	frontSrv.Shutdown(shutCtx)
-	adminSrv.Close()
-	sup.killAll()
+	stop() // a second signal kills the process mid-drain
+	srv.Stop()
 	if err := <-chaosErr; err != nil && ctx.Err() == nil {
-		logger.Error("chaos timeline failed", "err", err)
-		os.Exit(1)
+		fatal("chaos timeline failed", "err", err)
 	}
+	sup.killAll()
 
-	rep := rec.report(*nodes, *failover, *hedge, timeline, *recoverTol)
+	rep := chaosReport{
+		Schema: "repro/fleet-chaos-report/v1",
+		Nodes:  *nodes, Failover: *failover, Hedge: *hedge, Timeline: timeline,
+		RecoveryReport: rec.Report(*recoverTol),
+	}
 	if *reportPath != "" {
 		data, _ := json.MarshalIndent(rep, "", "  ")
 		if err := os.WriteFile(*reportPath, append(data, '\n'), 0o644); err != nil {
@@ -255,22 +231,31 @@ func main() {
 		"hits", inst.Hits.Value(), "misses", inst.Misses.Value(),
 		"failovers", inst.Failovers.Value(), "exhausted", inst.Exhausted.Value(),
 		"hedges", inst.Hedges.Value(), "hedges_won", inst.HedgesWon.Value())
-	if rep.Recovery != nil {
+	if rc := rep.Recovery; rc != nil {
 		logger.Info("recovery gate",
-			"pre_ratio", fmt.Sprintf("%.3f", rep.Recovery.PreRatio),
-			"settled_ratio", fmt.Sprintf("%.3f", rep.Recovery.SettledRatio),
-			"tolerance", fmt.Sprintf("%.3f", rep.Recovery.Tolerance),
-			"pass", rep.Recovery.Pass)
-		if !rep.Recovery.Pass {
+			"pre_ratio", fmt.Sprintf("%.3f", rc.PreRatio),
+			"settled_ratio", fmt.Sprintf("%.3f", rc.SettledRatio),
+			"tolerance", fmt.Sprintf("%.3f", rc.Tolerance),
+			"pass", rc.Pass)
+		if !rc.Pass {
 			os.Exit(4)
 		}
 	}
 }
 
+// chaosReport is the machine-readable run summary `make chaos-check`
+// asserts on: the run's shape, then the Recorder's windows and verdict.
+type chaosReport struct {
+	Schema   string        `json:"schema"`
+	Nodes    int           `json:"nodes"`
+	Failover int           `json:"failover"`
+	Hedge    bool          `json:"hedge"`
+	Timeline []chaos.Event `json:"timeline,omitempty"`
+	fleet.RecoveryReport
+}
+
 // child is one supervised liveedge process.
 type child struct {
-	name     string
-	urlFile  string
 	edgeAddr string // host:port, pinned after first start so restarts keep identity
 	cmd      *exec.Cmd
 	edgeURL  string
@@ -324,23 +309,17 @@ func (s *supervisor) spawn(ctx context.Context, name, addr string) (*child, erro
 		return nil, err
 	}
 	urls, err := edge.AwaitURLFile(ctx, uf, 15*time.Second)
+	if err == nil && len(urls) < 3 {
+		err = fmt.Errorf("node %s published %d URLs, want edge+admin+chaos", name, len(urls))
+	}
 	if err != nil {
 		cmd.Process.Kill()
 		cmd.Wait()
 		return nil, err
 	}
-	if len(urls) < 3 {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("node %s published %d URLs, want edge+admin+chaos", name, len(urls))
-	}
-	c := &child{name: name, urlFile: uf, cmd: cmd,
-		edgeURL: urls[0], adminURL: urls[1], chaosURL: urls[2]}
+	c := &child{cmd: cmd, edgeURL: urls[0], adminURL: urls[1], chaosURL: urls[2]}
 	c.edgeAddr = c.edgeURL[len("http://"):]
 	s.mu.Lock()
-	if s.children == nil {
-		s.children = make(map[string]*child)
-	}
 	s.children[name] = c
 	s.mu.Unlock()
 	return c, nil
@@ -388,10 +367,7 @@ func (s *supervisor) Restart(name string) error {
 	if err != nil {
 		return err
 	}
-	if s.fleet != nil {
-		return s.fleet.UpdateMemberURL(name, nc.edgeURL, nc.edgeURL+"/healthz")
-	}
-	return nil
+	return s.fleet.UpdateMemberURL(name, nc.edgeURL, nc.edgeURL+"/healthz")
 }
 
 // Inject posts a fault mode to the node's chaos control endpoint.
@@ -431,35 +407,36 @@ func (s *supervisor) gatherCharz(ctx context.Context) ([]livechar.Snapshot, []er
 		wg.Add(1)
 		go func(name, url string) {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-			if err != nil {
-				outMu.Lock()
-				errs = append(errs, fmt.Errorf("%s: %w", name, err))
-				outMu.Unlock()
-				return
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				outMu.Lock()
-				errs = append(errs, fmt.Errorf("%s: %w", name, err))
-				outMu.Unlock()
-				return
-			}
-			defer resp.Body.Close()
-			var snap livechar.Snapshot
-			if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-				outMu.Lock()
-				errs = append(errs, fmt.Errorf("%s: decoding /charz: %w", name, err))
-				outMu.Unlock()
-				return
-			}
+			snap, err := fetchCharz(ctx, url)
 			outMu.Lock()
+			defer outMu.Unlock()
+			if err != nil {
+				errs = append(errs, fmt.Errorf("%s: %w", name, err))
+				return
+			}
 			out = append(out, snap)
-			outMu.Unlock()
 		}(name, url)
 	}
 	wg.Wait()
 	return out, errs
+}
+
+// fetchCharz reads one node's /charz snapshot.
+func fetchCharz(ctx context.Context, url string) (livechar.Snapshot, error) {
+	var snap livechar.Snapshot
+	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
+	if err != nil {
+		return snap, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return snap, err
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		return snap, fmt.Errorf("decoding /charz: %w", err)
+	}
+	return snap, nil
 }
 
 // killAll tears the fleet down (shutdown path).
@@ -473,146 +450,4 @@ func (s *supervisor) killAll() {
 			c.cmd = nil
 		}
 	}
-}
-
-// snapshot is the front's counter state at one timeline instant.
-type snapshot struct {
-	AtMs      int64  `json:"at_ms"`
-	Verb      string `json:"verb"`
-	Node      string `json:"node"`
-	Hits      int64  `json:"hits"`
-	Misses    int64  `json:"misses"`
-	Failovers int64  `json:"failovers"`
-	Exhausted int64  `json:"exhausted"`
-	Live      int    `json:"live"`
-}
-
-// recorder snapshots fleet counters at each chaos event; the report
-// derives per-window hit ratios from the deltas.
-type recorder struct {
-	inst  *fleet.Instrumentation
-	fleet *fleet.Fleet
-	start time.Time
-
-	mu    sync.Mutex
-	snaps []snapshot
-}
-
-func (r *recorder) observe(ev chaos.Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.snaps = append(r.snaps, snapshot{
-		AtMs:      time.Since(r.start).Milliseconds(),
-		Verb:      ev.Verb,
-		Node:      ev.Node,
-		Hits:      r.inst.Hits.Value(),
-		Misses:    r.inst.Misses.Value(),
-		Failovers: r.inst.Failovers.Value(),
-		Exhausted: r.inst.Exhausted.Value(),
-		Live:      r.fleet.Live(),
-	})
-}
-
-// window is a hit-ratio measurement between two snapshots.
-type window struct {
-	Hits   int64   `json:"hits"`
-	Misses int64   `json:"misses"`
-	Ratio  float64 `json:"ratio"`
-}
-
-func windowBetween(from, to snapshot) window {
-	w := window{Hits: to.Hits - from.Hits, Misses: to.Misses - from.Misses}
-	if n := w.Hits + w.Misses; n > 0 {
-		w.Ratio = float64(w.Hits) / float64(n)
-	}
-	return w
-}
-
-// recovery is the gate verdict: did the settled hit ratio come back to
-// within Tolerance of the pre-fault ratio?
-type recovery struct {
-	PreRatio     float64 `json:"pre_ratio"`
-	SettledRatio float64 `json:"settled_ratio"`
-	Tolerance    float64 `json:"tolerance"`
-	Pass         bool    `json:"pass"`
-}
-
-// chaosReport is the machine-readable run summary `make chaos-check`
-// asserts on.
-type chaosReport struct {
-	Schema    string        `json:"schema"`
-	Nodes     int           `json:"nodes"`
-	Failover  int           `json:"failover"`
-	Hedge     bool          `json:"hedge"`
-	Timeline  []chaos.Event `json:"timeline,omitempty"`
-	Snapshots []snapshot    `json:"snapshots,omitempty"`
-	PreFault  *window       `json:"pre_fault,omitempty"`
-	Settled   *window       `json:"settled,omitempty"`
-	Totals    snapshot      `json:"totals"`
-	Recovery  *recovery     `json:"recovery,omitempty"`
-}
-
-func isDisruptive(verb string) bool {
-	switch verb {
-	case "kill", "pause", "partition", "dead":
-		return true
-	}
-	return false
-}
-
-func isRepair(verb string) bool {
-	switch verb {
-	case "restart", "heal", "mark":
-		return true
-	}
-	return false
-}
-
-// report closes the books: a final snapshot, the pre-fault and settled
-// windows, and the recovery verdict when a tolerance is set.
-func (r *recorder) report(nodes, failover int, hedge bool, timeline []chaos.Event, tol float64) *chaosReport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	final := snapshot{
-		AtMs:      time.Since(r.start).Milliseconds(),
-		Verb:      "end",
-		Hits:      r.inst.Hits.Value(),
-		Misses:    r.inst.Misses.Value(),
-		Failovers: r.inst.Failovers.Value(),
-		Exhausted: r.inst.Exhausted.Value(),
-		Live:      r.fleet.Live(),
-	}
-	rep := &chaosReport{
-		Schema: "repro/fleet-chaos-report/v1",
-		Nodes:  nodes, Failover: failover, Hedge: hedge,
-		Timeline: timeline, Snapshots: r.snaps, Totals: final,
-	}
-	// Pre-fault window: run start to the first disruption. Settled
-	// window: the last repair event to the end of the run.
-	var first, lastRepair *snapshot
-	for i := range r.snaps {
-		if first == nil && isDisruptive(r.snaps[i].Verb) {
-			first = &r.snaps[i]
-		}
-		if isRepair(r.snaps[i].Verb) {
-			lastRepair = &r.snaps[i]
-		}
-	}
-	if first != nil {
-		w := windowBetween(snapshot{}, *first)
-		rep.PreFault = &w
-	}
-	if lastRepair != nil {
-		w := windowBetween(*lastRepair, final)
-		rep.Settled = &w
-	}
-	if tol > 0 && rep.PreFault != nil && rep.Settled != nil {
-		rep.Recovery = &recovery{
-			PreRatio:     rep.PreFault.Ratio,
-			SettledRatio: rep.Settled.Ratio,
-			Tolerance:    tol,
-			Pass:         rep.Settled.Ratio >= rep.PreFault.Ratio-tol,
-		}
-	}
-	return rep
 }

@@ -15,7 +15,6 @@
 //	jsonrepro -j 1                    # one worker
 //	jsonrepro -trace                  # per-stage span table after the run
 //	jsonrepro -trace-out t.json       # Chrome trace (about:tracing/Perfetto)
-//	jsonrepro -span-log spans.jsonl   # machine-readable span log
 //	jsonrepro -profile                # CPU+heap pprof bracketing the run
 //	jsonrepro -metrics-addr :9090     # scrape /metrics while it runs
 package main
@@ -57,7 +56,6 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /readyz, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")
 		trace       = flag.Bool("trace", false, "print a per-stage span table (wall time, records, records/sec) after the run")
 		traceOut    = flag.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON to this file (load in about:tracing or ui.perfetto.dev)")
-		spanLog     = flag.String("span-log", "", "write the run's span tree as JSONL (one span per line, parent ids intact) to this file")
 		manifestDir = flag.String("manifest-dir", "out", "directory for the run-<id>.json manifest (empty disables)")
 		profile     = flag.Bool("profile", false, "capture CPU and heap pprof profiles bracketing the run (written next to the manifest)")
 		verbose     = flag.Bool("v", false, "log at debug level")
@@ -199,10 +197,7 @@ func main() {
 		tr.WriteTable(os.Stdout)
 	}
 	if *traceOut != "" {
-		writeExport(*traceOut, tr.WriteChromeTrace, "chrome trace", logger, fail)
-	}
-	if *spanLog != "" {
-		writeExport(*spanLog, tr.WriteSpanLog, "span log", logger, fail)
+		writeChromeTrace(*traceOut, tr, logger, fail)
 	}
 
 	outcome := "completed"
@@ -262,16 +257,16 @@ func profileDir(dir string) string {
 	return dir
 }
 
-// writeExport writes one trace export file.
-func writeExport(path string, write func(io.Writer) error, kind string, logger *obs.Logger, fail func(error)) {
+// writeChromeTrace writes the -trace-out file.
+func writeChromeTrace(path string, tr *obs.Trace, logger *obs.Logger, fail func(error)) {
 	f, err := os.Create(path)
 	if err != nil {
-		fail(fmt.Errorf("creating %s: %w", kind, err))
+		fail(fmt.Errorf("creating chrome trace: %w", err))
 	}
-	werr := write(f)
+	werr := tr.WriteChromeTrace(f)
 	cerr := f.Close()
 	if werr != nil || cerr != nil {
-		fail(fmt.Errorf("writing %s to %s: %w", kind, path, errors.Join(werr, cerr)))
+		fail(fmt.Errorf("writing chrome trace to %s: %w", path, errors.Join(werr, cerr)))
 	}
-	logger.Info(kind+" written", "path", path)
+	logger.Info("chrome trace written", "path", path)
 }

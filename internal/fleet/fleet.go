@@ -130,9 +130,10 @@ type Config struct {
 	DownAfter    int
 	UpAfter      int
 	// MaxFailover is how many extra ring replicas a request may try
-	// after a connect error or 5xx (default 2; 0 disables failover —
-	// the negative control scripts/chaos-check.sh uses to prove the
-	// availability gate bites).
+	// after a connect error or 5xx. It has no default: the zero value
+	// (and any negative value) disables failover — the negative control
+	// scripts/chaos-check.sh uses to prove the availability gate bites.
+	// jsonfleet's -failover flag defaults to 2.
 	MaxFailover int
 	// Hedge enables tail-latency hedging for GETs: when the primary
 	// attempt outlives the hedge delay, a second copy goes to the next

@@ -159,22 +159,28 @@ func TestFailoverOnConnectError(t *testing.T) {
 }
 
 // TestFailoverDisabled: the same dead node with MaxFailover 0 turns
-// into 502s — the negative control the chaos gate relies on.
+// into 502s — the negative control the chaos gate relies on. The zero
+// value disables failover (there is no default), and a negative value
+// clamps to it.
 func TestFailoverDisabled(t *testing.T) {
-	nodes := []*testNode{newTestNode(t, "edge-00"), newTestNode(t, "edge-01"), newTestNode(t, "edge-02")}
-	_, front := testFleet(t, Config{MaxFailover: -1}, nodes...) // -1 clamps to 0
+	for _, maxFailover := range []int{0, -1} {
+		t.Run(fmt.Sprintf("MaxFailover=%d", maxFailover), func(t *testing.T) {
+			nodes := []*testNode{newTestNode(t, "edge-00"), newTestNode(t, "edge-01"), newTestNode(t, "edge-02")}
+			_, front := testFleet(t, Config{MaxFailover: maxFailover}, nodes...)
 
-	nodes[1].srv.Close()
+			nodes[1].srv.Close()
 
-	errors := 0
-	for i := 0; i < 60; i++ {
-		resp, _ := get(t, front.URL+fmt.Sprintf("/object/%d", i))
-		if resp.StatusCode == http.StatusBadGateway {
-			errors++
-		}
-	}
-	if errors == 0 {
-		t.Fatal("failover disabled but no 502s: dead node never consulted")
+			errors := 0
+			for i := 0; i < 60; i++ {
+				resp, _ := get(t, front.URL+fmt.Sprintf("/object/%d", i))
+				if resp.StatusCode == http.StatusBadGateway {
+					errors++
+				}
+			}
+			if errors == 0 {
+				t.Fatal("failover disabled but no 502s: dead node never consulted")
+			}
+		})
 	}
 }
 

@@ -21,7 +21,7 @@ type Instrumentation struct {
 	HedgesWon    *obs.Counter
 	HedgesWasted *obs.Counter
 	// Hits/Misses tally node X-Cache verdicts as seen from the front —
-	// the fleet-wide hit ratio the chaos gate asserts recovery on.
+	// the fleet-wide hit ratio a Recorder windows for the chaos gate.
 	Hits   *obs.Counter
 	Misses *obs.Counter
 	// NoMembers counts requests refused because the ring was empty.
@@ -84,16 +84,4 @@ func (i *Instrumentation) transitions(name, to string) *obs.Counter {
 		i.memberTran[key] = c
 	}
 	return c
-}
-
-// HitRatio returns the fleet-wide cache hit ratio observed since the
-// given counter snapshot (hits0, misses0) — the chaos gate samples it
-// per timeline window.
-func (i *Instrumentation) HitRatio(hits0, misses0 int64) float64 {
-	h := i.Hits.Value() - hits0
-	m := i.Misses.Value() - misses0
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

@@ -38,9 +38,9 @@ func (t injectors) Inject(node string, m chaos.Mode, d time.Duration) error {
 
 // scenarioRun replays records through a fresh three-node fleet of caching
 // edges while edge-01 is killed and later rejoins. It returns the replay
-// result, the failover count, and the front's hit ratio before the kill
-// and after the settle mark.
-func scenarioRun(t *testing.T, records []logfmt.Record, failover bool) (res *replay.Result, failovers int64, pre, settled float64) {
+// result, the failover count, and the Recorder's report: the front's hit
+// ratio before the kill and after the settle mark, and their verdict.
+func scenarioRun(t *testing.T, records []logfmt.Record, failover bool) (res *replay.Result, failovers int64, rep RecoveryReport) {
 	t.Helper()
 	target := injectors{}
 	members := make([]*Member, 3)
@@ -79,25 +79,8 @@ func scenarioRun(t *testing.T, records []logfmt.Record, failover bool) (res *rep
 	front := httptest.NewServer(f)
 	defer front.Close()
 
-	// Hit/miss counter snapshots at the kill and at the settle mark.
-	type snap struct{ hits, misses int64 }
-	ratio := func(from, to snap) float64 {
-		h, m := to.hits-from.hits, to.misses-from.misses
-		if h+m <= 0 {
-			return 0
-		}
-		return float64(h) / float64(h+m)
-	}
-	var atKill, atMark snap
-	ctl := &chaos.Controller{Target: target, OnEvent: func(ev chaos.Event) {
-		s := snap{inst.Hits.Value(), inst.Misses.Value()}
-		switch ev.Verb {
-		case "kill":
-			atKill = s
-		case "mark":
-			atMark = s
-		}
-	}}
+	rec := NewRecorder(f)
+	ctl := &chaos.Controller{Target: target, OnEvent: rec.Observe}
 	ctlErr := make(chan error, 1)
 	go func() {
 		ctlErr <- ctl.Run(context.Background(), []chaos.Event{
@@ -120,8 +103,7 @@ func scenarioRun(t *testing.T, records []logfmt.Record, failover bool) (res *rep
 	if err := <-ctlErr; err != nil {
 		t.Fatal(err)
 	}
-	end := snap{inst.Hits.Value(), inst.Misses.Value()}
-	return res, inst.Failovers.Value(), ratio(snap{}, atKill), ratio(atMark, end)
+	return res, inst.Failovers.Value(), rec.Report(scenarioRecoverTol)
 }
 
 // TestKillRejoinScenario is the fleet's availability claim over real
@@ -147,11 +129,15 @@ func TestKillRejoinScenario(t *testing.T) {
 		}
 	}
 
-	res, failovers, pre, settled := scenarioRun(t, records, true)
+	res, failovers, rep := scenarioRun(t, records, true)
 	if res.Measured == 0 {
 		t.Fatal("no measured requests")
 	}
-	t.Logf("hit ratio pre-kill %.3f, settled %.3f; %d failovers; served by %v", pre, settled, failovers, res.Node)
+	rc := rep.Recovery
+	if rc == nil {
+		t.Fatalf("no recovery verdict: %+v", rep)
+	}
+	t.Logf("hit ratio pre-kill %.3f, settled %.3f; %d failovers; served by %v", rc.PreRatio, rc.SettledRatio, failovers, res.Node)
 	if rate := res.AvailabilityErrorRate(); rate > scenarioErrBudget {
 		t.Errorf("failover-on error rate %.4f exceeds budget %.2f", rate, scenarioErrBudget)
 	}
@@ -161,14 +147,14 @@ func TestKillRejoinScenario(t *testing.T) {
 	if failovers == 0 {
 		t.Error("no request failed over while edge-01 was dead")
 	}
-	if settled < pre-scenarioRecoverTol {
-		t.Errorf("hit ratio did not recover: pre-kill %.3f, settled %.3f", pre, settled)
+	if !rc.Pass {
+		t.Errorf("hit ratio did not recover: pre-kill %.3f, settled %.3f", rc.PreRatio, rc.SettledRatio)
 	}
 	if len(res.Node) < 2 {
 		t.Errorf("per-node breakdown too thin: %v", res.Node)
 	}
 
-	base, _, _, _ := scenarioRun(t, records, false)
+	base, _, _ := scenarioRun(t, records, false)
 	if rate := base.AvailabilityErrorRate(); rate <= scenarioErrBudget {
 		t.Errorf("failover-off control held the budget (%.4f): the gate tests nothing", rate)
 	}

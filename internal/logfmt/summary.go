@@ -102,29 +102,17 @@ func humanDuration(d time.Duration) string {
 	}
 }
 
-// Filter selects a subset of records. Filters compose with And/Or.
+// Filter selects a subset of records. Filters compose with And.
 type Filter func(*Record) bool
 
 // JSONOnly keeps application/json responses, the filter the paper applies
 // before every analysis.
 func JSONOnly(r *Record) bool { return r.IsJSON() }
 
-// MethodIs returns a filter keeping records with the given method.
-func MethodIs(method string) Filter {
-	return func(r *Record) bool { return r.Method == method }
-}
-
 // HostIs returns a filter keeping records for one domain.
 func HostIs(host string) Filter {
 	host = strings.ToLower(host)
 	return func(r *Record) bool { return r.Host() == host }
-}
-
-// TimeWindow returns a filter keeping records with from <= Time < to.
-func TimeWindow(from, to time.Time) Filter {
-	return func(r *Record) bool {
-		return !r.Time.Before(from) && r.Time.Before(to)
-	}
 }
 
 // And returns a filter that passes only records all of fs pass.
@@ -137,21 +125,4 @@ func And(fs ...Filter) Filter {
 		}
 		return true
 	}
-}
-
-// Or returns a filter that passes records any of fs passes.
-func Or(fs ...Filter) Filter {
-	return func(r *Record) bool {
-		for _, f := range fs {
-			if f(r) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// Not inverts a filter.
-func Not(f Filter) Filter {
-	return func(r *Record) bool { return !f(r) }
 }

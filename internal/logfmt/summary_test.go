@@ -81,25 +81,8 @@ func TestFilters(t *testing.T) {
 	if !JSONOnly(&r) {
 		t.Error("JSONOnly rejected JSON record")
 	}
-	if !MethodIs("GET")(&r) || MethodIs("POST")(&r) {
-		t.Error("MethodIs wrong")
-	}
 	if !HostIs("api.news-example.com")(&r) || HostIs("nope.com")(&r) {
 		t.Error("HostIs wrong")
-	}
-	win := TimeWindow(r.Time.Add(-time.Hour), r.Time.Add(time.Hour))
-	if !win(&r) {
-		t.Error("TimeWindow rejected in-range record")
-	}
-	if TimeWindow(r.Time.Add(time.Hour), r.Time.Add(2*time.Hour))(&r) {
-		t.Error("TimeWindow accepted out-of-range record")
-	}
-	// Window is half-open: [from, to).
-	if TimeWindow(r.Time.Add(-time.Hour), r.Time)(&r) {
-		t.Error("TimeWindow should exclude 'to'")
-	}
-	if !TimeWindow(r.Time, r.Time.Add(time.Second))(&r) {
-		t.Error("TimeWindow should include 'from'")
 	}
 }
 
@@ -110,16 +93,7 @@ func TestFilterCombinators(t *testing.T) {
 	if !And(yes, yes)(&r) || And(yes, no)(&r) {
 		t.Error("And wrong")
 	}
-	if !Or(no, yes)(&r) || Or(no, no)(&r) {
-		t.Error("Or wrong")
-	}
-	if Not(yes)(&r) || !Not(no)(&r) {
-		t.Error("Not wrong")
-	}
 	if !And()(&r) {
 		t.Error("empty And should pass")
-	}
-	if Or()(&r) {
-		t.Error("empty Or should fail")
 	}
 }

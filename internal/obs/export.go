@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// This file holds the two trace exporters: the Chrome trace_event JSON
-// document (loadable in about:tracing or https://ui.perfetto.dev) and a
-// compact JSONL span log (one JSON object per span, parent ids intact)
-// for programmatic diffing of run provenance.
+// This file holds the two trace projections: the Chrome trace_event JSON
+// document (loadable in about:tracing or https://ui.perfetto.dev) and
+// the span-log entries a run manifest embeds (one object per span,
+// parent ids intact) for programmatic diffing of run provenance.
 
 // chromeEvent is one trace_event entry: a "complete" (ph=X) slice with
 // microsecond timestamps relative to the earliest span.
@@ -135,7 +135,7 @@ func assignLanes(stats []SpanStat) []chromeEvent {
 	return events
 }
 
-// SpanLogEntry is one line of the JSONL span log.
+// SpanLogEntry is one span as a run manifest records it.
 type SpanLogEntry struct {
 	ID      int64          `json:"id"`
 	Parent  int64          `json:"parent,omitempty"`
@@ -166,20 +166,4 @@ func (t *Trace) spanLogEntries() []SpanLogEntry {
 		out[i] = e
 	}
 	return out
-}
-
-// WriteSpanLog writes the retained spans as JSONL, one object per line
-// in start order, with ids and parent ids preserved so consumers can
-// rebuild the hierarchy. A nil trace writes nothing.
-func (t *Trace) WriteSpanLog(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	for _, e := range t.spanLogEntries() {
-		if err := enc.Encode(&e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

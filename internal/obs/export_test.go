@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"sort"
@@ -173,23 +172,32 @@ func TestWriteChromeTraceDropped(t *testing.T) {
 	}
 }
 
-func TestWriteSpanLog(t *testing.T) {
-	tr := buildDeepTrace()
-	open := tr.Start("in flight") // never ended: exports as in_flight
-
-	var buf bytes.Buffer
-	if err := tr.WriteSpanLog(&buf); err != nil {
+// manifestSpans embeds tr in a manifest and reads the spans back from
+// its JSON, as a consumer of run-<id>.json sees them.
+func manifestSpans(t *testing.T, tr *Trace) ([]SpanLogEntry, string) {
+	t.Helper()
+	m := NewManifest("test", "spans")
+	m.AddTrace(tr)
+	data, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var entries []SpanLogEntry
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var e SpanLogEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		entries = append(entries, e)
+	var back Manifest
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
 	}
+	return back.Spans, string(data)
+}
+
+// TestManifestSpans: the manifest's span tree keeps every parent link
+// of a three-level trace, the per-span record tally, and marks a span
+// still open at export as in flight.
+func TestManifestSpans(t *testing.T) {
+	tr := buildDeepTrace()
+	open := tr.Start("in flight") // never ended: exports as in_flight
+	defer open.End()
+
+	entries, _ := manifestSpans(t, tr)
 	if len(entries) != 5 {
 		t.Fatalf("entries = %d, want 5", len(entries))
 	}
@@ -198,40 +206,30 @@ func TestWriteSpanLog(t *testing.T) {
 		byName[e.Name] = e
 	}
 	if byName["table 2"].Parent != byName["RunAll"].ID {
-		t.Error("span log lost the step→root parent link")
+		t.Error("manifest spans lost the step→root parent link")
 	}
 	if byName["synth short-term dataset"].Parent != byName["table 2"].ID {
-		t.Error("span log lost the dataset→step parent link")
+		t.Error("manifest spans lost the dataset→step parent link")
 	}
 	if byName["synth short-term dataset"].Records != 100 {
 		t.Errorf("dataset records = %d", byName["synth short-term dataset"].Records)
 	}
-	if !byName["in flight"].Open {
-		t.Error("unfinished span not marked in_flight")
-	}
-	open.End()
-
-	// Nil trace: no output, no error.
-	var nb bytes.Buffer
-	var nilTr *Trace
-	if err := nilTr.WriteSpanLog(&nb); err != nil || nb.Len() != 0 {
-		t.Errorf("nil span log: err=%v len=%d", err, nb.Len())
+	if !byName["in flight"].Open || byName["RunAll"].Open {
+		t.Error("in_flight marks the wrong spans")
 	}
 }
 
+// TestSpanLogStrings: span attributes reach the manifest under their
+// own keys and types.
 func TestSpanLogStrings(t *testing.T) {
 	tr := NewTrace()
 	sp := tr.Start("edge GET /stories")
 	sp.SetAttrs(String("cache", "hit"), Bool("error", false))
 	sp.End()
-	var buf bytes.Buffer
-	if err := tr.WriteSpanLog(&buf); err != nil {
-		t.Fatal(err)
-	}
-	line := strings.TrimSpace(buf.String())
+	_, doc := manifestSpans(t, tr)
 	for _, want := range []string{`"cache":"hit"`, `"error":false`, `"name":"edge GET /stories"`} {
-		if !strings.Contains(line, want) {
-			t.Errorf("span log line missing %s:\n%s", want, line)
+		if !strings.Contains(doc, want) {
+			t.Errorf("manifest missing %s:\n%s", want, doc)
 		}
 	}
 }

@@ -52,11 +52,6 @@ func Generate(cfg Config, emit func(*logfmt.Record) error) error {
 	return g.run()
 }
 
-// GenerateToWriter runs Generate, writing records to w.
-func GenerateToWriter(cfg Config, w *logfmt.Writer) error {
-	return Generate(cfg, w.Write)
-}
-
 // generator is the event-driven simulation state.
 type generator struct {
 	cfg      Config

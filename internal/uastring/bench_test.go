@@ -29,13 +29,3 @@ func BenchmarkParse(b *testing.B) {
 		Parse(uaChromeWin)
 	}
 }
-
-func BenchmarkDBLookupMemoized(b *testing.B) {
-	db := NewDB()
-	db.Lookup(uaPS4) // warm the memo
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.Lookup(uaPS4)
-	}
-}

@@ -1,9 +1,6 @@
 package uastring
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // Realistic user agents for each class.
 const (
@@ -117,93 +114,5 @@ func TestBrowserNamePrecedence(t *testing.T) {
 func TestDeviceTypeString(t *testing.T) {
 	if DeviceMobile.String() != "Mobile" || DeviceType(200).String() != "Unknown" {
 		t.Error("DeviceType.String wrong")
-	}
-}
-
-func TestDBLookup(t *testing.T) {
-	db := NewDB()
-	c, ok := db.Lookup(uaPS4)
-	if !ok || c.Brand != "Sony" || c.Model != "PS4" || c.Device != DeviceEmbedded {
-		t.Errorf("PS4 lookup = %+v ok=%v", c, ok)
-	}
-	c, ok = db.Lookup(uaChromeAnd)
-	if !ok || c.Brand != "Samsung" {
-		t.Errorf("Galaxy lookup = %+v ok=%v", c, ok)
-	}
-	if _, ok := db.Lookup(uaGibberish); ok {
-		t.Error("gibberish matched a rule")
-	}
-	// Memoized second lookup must agree.
-	c2, ok2 := db.Lookup(uaPS4)
-	if !ok2 || c2 != c.withDevice(c.Device) && false {
-		t.Error("memoization changed result")
-	}
-}
-
-// withDevice helps keep the comparison readable above.
-func (c Characteristics) withDevice(d DeviceType) Characteristics {
-	c.Device = d
-	return c
-}
-
-func TestDBRefineOverridesDevice(t *testing.T) {
-	db := NewDB()
-	db.Add("MyKioskFirmware", Characteristics{Device: DeviceEmbedded, Model: "Kiosk"})
-	// Signature classifier would say Desktop (Windows NT), DB says embedded.
-	cls := db.Refine("MyKioskFirmware/2.0 (Windows NT 6.1 Embedded)")
-	if cls.Device != DeviceEmbedded {
-		t.Errorf("Refine device = %v, want Embedded", cls.Device)
-	}
-	// With no DB hit, Refine equals Classify.
-	if got, want := db.Refine(uaCurl), Classify(uaCurl); got != want {
-		t.Errorf("Refine = %+v, want %+v", got, want)
-	}
-}
-
-func TestDBLoadRules(t *testing.T) {
-	db := NewDB()
-	rules := `
-# custom fleet devices
-FleetTracker|Embedded|Acme|Tracker9|n
-FieldTablet|Mobile|Acme|Tab|y
-`
-	if err := db.LoadRules(strings.NewReader(rules)); err != nil {
-		t.Fatal(err)
-	}
-	c, ok := db.Lookup("FleetTracker/9.1")
-	if !ok || c.Device != DeviceEmbedded || c.Brand != "Acme" || c.TouchScreen {
-		t.Errorf("loaded rule lookup = %+v ok=%v", c, ok)
-	}
-	c, ok = db.Lookup("FieldTablet/1.0")
-	if !ok || !c.TouchScreen {
-		t.Errorf("touch rule = %+v", c)
-	}
-}
-
-func TestDBLoadRulesErrors(t *testing.T) {
-	db := NewDB()
-	if err := db.LoadRules(strings.NewReader("bad|line")); err == nil {
-		t.Error("want field-count error")
-	}
-	if err := db.LoadRules(strings.NewReader("x|NotADevice|b|m|y")); err == nil {
-		t.Error("want device-type error")
-	}
-}
-
-func TestDBConcurrentLookup(t *testing.T) {
-	db := NewDB()
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for j := 0; j < 1000; j++ {
-				db.Lookup(uaPS4)
-				db.Lookup(uaChromeAnd)
-				db.Lookup(uaGibberish)
-			}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
 	}
 }
