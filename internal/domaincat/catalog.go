@@ -54,17 +54,6 @@ func Categories() []Category {
 	return out
 }
 
-// ParseCategory resolves a label back to its Category;
-// ok is false for unrecognized labels.
-func ParseCategory(label string) (cat Category, ok bool) {
-	for i, n := range categoryNames {
-		if strings.EqualFold(label, n) {
-			return Category(i), true
-		}
-	}
-	return CategoryUnknown, false
-}
-
 // keywordRules back the fallback classification: a domain containing the
 // keyword is assigned the category. First match wins.
 var keywordRules = []struct {

@@ -31,18 +31,6 @@ func TestCategoriesListsEleven(t *testing.T) {
 	}
 }
 
-func TestParseCategory(t *testing.T) {
-	for _, c := range Categories() {
-		got, ok := ParseCategory(c.String())
-		if !ok || got != c {
-			t.Errorf("ParseCategory(%q) = %v, %v", c.String(), got, ok)
-		}
-	}
-	if _, ok := ParseCategory("nonsense"); ok {
-		t.Error("nonsense parsed")
-	}
-}
-
 func TestInferKeywords(t *testing.T) {
 	cases := map[string]Category{
 		"worldnews.example.com":   CategoryNewsMedia,

@@ -319,15 +319,17 @@ func (r *Runner) Adversarial(w io.Writer) (AdversarialResult, error) {
 	}
 	model := trainAdvModel(benign)
 
-	var lastDefendedStack *advStack
+	// Only the base-intensity defended stack's counters outlive its
+	// replay; each stack itself is garbage once its tally is taken.
+	var inst *defend.Instrumentation
 	runStack := func(defended bool, name string, recs []logfmt.Record, mask []bool) advTally {
 		s := newAdvStack(defended, name, model, r.obsReg)
 		var t advTally
 		for i := range recs {
 			s.serve(&recs[i], mask[i], &t)
 		}
-		if defended && name == "defended" {
-			lastDefendedStack = s
+		if name == "defended" {
+			inst = s.inst
 		}
 		return t
 	}
@@ -362,11 +364,11 @@ func (r *Runner) Adversarial(w io.Writer) (AdversarialResult, error) {
 	if d1.benignReqs > 0 {
 		res.DefendedBenignRejectRate = float64(d1.benignReject) / float64(d1.benignReqs)
 	}
-	if s := lastDefendedStack; s != nil && s.inst != nil {
-		res.Shed = s.inst.ShedAbuser.Value() + s.inst.ShedClientRate.Value() + s.inst.ShedClassRate.Value()
-		res.Collapsed = s.inst.Collapsed.Value()
-		res.NegativeHits = s.inst.NegativeHits.Value()
-		res.AnomalyFlags = s.inst.FanOutFlags.Value() + s.inst.AnomalousRequest.Value() + s.inst.AnomalousPeriod.Value()
+	if inst != nil {
+		res.Shed = inst.ShedAbuser.Value() + inst.ShedClientRate.Value() + inst.ShedClassRate.Value()
+		res.Collapsed = inst.Collapsed.Value()
+		res.NegativeHits = inst.NegativeHits.Value()
+		res.AnomalyFlags = inst.FanOutFlags.Value() + inst.AnomalousRequest.Value() + inst.AnomalousPeriod.Value()
 	}
 	res.CeilingOK = res.DefendedAmplification <= res.Ceiling
 	res.StrictlyWorse = res.UndefendedAmplification > res.DefendedAmplification &&

@@ -47,11 +47,14 @@ type Config struct {
 	// FaultSeed seeds fault injection and backoff jitter; 0 derives it
 	// from Seed.
 	FaultSeed uint64
-	// Jobs is the scheduler's worker count (0 means 1): dataset
-	// generation and the figure/table steps of a run all execute on
-	// that many goroutines. It changes wall time only — each step's text
-	// is buffered and flushed in paper order, so the report bytes are
-	// the same at every width.
+	// Jobs is the width of the scheduler's one worker pool (0 means 1):
+	// at most that many of a run's tasks — generating one shared
+	// dataset, or one figure/table step — execute at once. It does not
+	// bound the goroutines a task uses: the §5.1 periodicity analysis
+	// (run after the pattern dataset, before the steps that read it)
+	// fans its objects out over GOMAXPROCS workers whatever Jobs is. It
+	// changes wall time only — each step's text is buffered and flushed
+	// in paper order, so the report bytes are the same at every width.
 	Jobs int
 }
 
@@ -110,8 +113,11 @@ type Runner struct {
 
 	short, pattern *dataset
 
+	// perMu guards the periodicity memo: its result, or the first error
+	// computing it, which every later reader gets.
 	perMu          sync.Mutex
 	periodicityRes *PeriodicityResult
+	perErr         error
 }
 
 // dataset is one shared record set, generated on first use or injected
@@ -122,9 +128,17 @@ type dataset struct {
 	reads stepNeed            // the step needs this dataset satisfies
 	cfg   func() synth.Config // how to generate it
 
-	mu    sync.Mutex
-	recs  []logfmt.Record
-	bytes int64
+	mu sync.Mutex
+	// parent is the span generation nests under: a run's "materialize
+	// datasets" span while that run builds its resources, else nil (a
+	// root span). Whichever reader takes mu first generates, so the span
+	// tree must not depend on which one it is.
+	parent *obs.Span
+	recs   []logfmt.Record
+	bytes  int64
+	// err is the first generation error, kept so a failed dataset is
+	// attempted once and every reader gets the same error.
+	err error
 	// done is an atomic so concurrent materializers can flip readiness
 	// without ordering the dataset mutexes against each other.
 	done atomic.Bool
@@ -159,26 +173,34 @@ func (r *Runner) Instrument(reg *obs.Registry, tr *obs.Trace) {
 func (r *Runner) NotifyReady(h *obs.Health) { r.health = h }
 
 // records returns d's records, generating them on first use inside a
-// span under parent (a root span when parent is nil).
-func (r *Runner) records(d *dataset, parent *obs.Span) ([]logfmt.Record, error) {
+// span under d.parent (a root span when that is nil).
+func (r *Runner) records(d *dataset) ([]logfmt.Record, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.recs == nil {
+	if d.recs == nil && d.err == nil {
 		open := r.trace.Start
-		if parent != nil {
-			open = parent.Child
+		if d.parent != nil {
+			open = d.parent.Child
 		}
 		sp := open("synth " + d.name + " dataset")
 		defer sp.End()
 		recs, err := core.Collect(core.SynthSource(d.cfg()))
 		if err != nil {
-			return nil, fmt.Errorf("experiments: generating %s dataset: %w", d.name, err)
+			d.err = fmt.Errorf("experiments: generating %s dataset: %w", d.name, err)
+			return nil, d.err
 		}
 		r.set(d, recs)
 		sp.AddRecords(int64(len(recs)))
 		sp.AddBytes(d.bytes)
 	}
-	return d.recs, nil
+	return d.recs, d.err
+}
+
+// nest sets the span d's generation nests under (nil: a root span).
+func (d *dataset) nest(parent *obs.Span) {
+	d.mu.Lock()
+	d.parent = parent
+	d.mu.Unlock()
 }
 
 // use injects recs as d in place of synthetic generation.
@@ -203,11 +225,11 @@ func (r *Runner) set(d *dataset, recs []logfmt.Record) {
 
 // ShortTermRecords returns (generating on first use) the scaled
 // short-term dataset used by the §4 characterization experiments.
-func (r *Runner) ShortTermRecords() ([]logfmt.Record, error) { return r.records(r.short, nil) }
+func (r *Runner) ShortTermRecords() ([]logfmt.Record, error) { return r.records(r.short) }
 
 // PatternRecords returns (generating on first use) the pattern dataset
 // standing in for the paper's long-term dataset in the §5 analyses.
-func (r *Runner) PatternRecords() ([]logfmt.Record, error) { return r.records(r.pattern, nil) }
+func (r *Runner) PatternRecords() ([]logfmt.Record, error) { return r.records(r.pattern) }
 
 // UseShortTermRecords injects recs as the short-term dataset in place
 // of synthetic generation — the hook the robust-ingest path uses to run

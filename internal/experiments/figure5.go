@@ -31,15 +31,17 @@ type PeriodicityResult struct {
 	AnalyzedObjects int
 }
 
-// periodicity runs the §5.1 pipeline at most once per runner.
+// periodicity runs the §5.1 pipeline at most once per runner; a failure
+// is kept and returned to every later caller.
 func (r *Runner) periodicity() (*PeriodicityResult, error) {
 	r.perMu.Lock()
 	defer r.perMu.Unlock()
-	if r.periodicityRes != nil {
-		return r.periodicityRes, nil
+	if r.periodicityRes != nil || r.perErr != nil {
+		return r.periodicityRes, r.perErr
 	}
 	recs, err := r.PatternRecords()
 	if err != nil {
+		r.perErr = err
 		return nil, err
 	}
 	ex := flows.NewExtractor()

@@ -143,33 +143,48 @@ func (c *cancelAfterWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
+// TestRunAllContextCancelMidRun cancels a run once Table 2's section is
+// written. Dispatch stops there, give or take the task a worker already
+// held, so the completed steps are a prefix of the dispatch order (not
+// of paper order). Every completed step's section is in the text, in
+// paper order, and skipped steps wrote none.
 func TestRunAllContextCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var sb strings.Builder
 	w := &cancelAfterWriter{w: &sb, marker: "== Table 2 ==", cancel: cancel}
-	rep, err := runner().RunAllContext(ctx, w)
+	r := runner()
+	rep, err := r.RunAllContext(ctx, w)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if rep == nil {
 		t.Fatal("cancelled run must still return the partial report")
 	}
-	// A section reaches the writer when its step ends, so Table 2 has
-	// completed; a worker may already hold a later step, which finishes.
-	// Completed steps are a paper-order prefix, the rest are skipped.
 	done := rep.Completed()
 	if done < 2 || done == len(rep.Steps) {
 		t.Errorf("completed %d of %d steps, want at least Table 2 and not all", done, len(rep.Steps))
 	}
-	for i, st := range rep.Steps {
+	for n, i := range stepOrder(r, stepTable) {
 		want := StepSkipped
-		if i < done {
+		if n < done {
 			want = StepCompleted
 		}
-		if st.State != want {
-			t.Errorf("step %d %q = %v, want %v (completed steps must be a prefix)", i, st.Name, st.State, want)
+		if st := rep.Steps[i]; st.State != want {
+			t.Errorf("dispatch #%d %q = %v, want %v (completed steps must be a dispatch-order prefix)",
+				n, st.Name, st.State, want)
 		}
+	}
+	text, last := sb.String(), -1
+	for _, st := range rep.Steps {
+		at := strings.Index(text, "\n== "+st.Name+" ==\n")
+		if (at >= 0) != (st.State == StepCompleted) {
+			t.Errorf("step %q is %v but its section is at %d", st.Name, st.State, at)
+		}
+		if at >= 0 && at < last {
+			t.Errorf("section %q is out of paper order", st.Name)
+		}
+		last = max(last, at)
 	}
 	if rep.Figure1.EndRatio == 0 {
 		t.Error("completed Figure 1 result missing from partial report")

@@ -117,9 +117,10 @@ func (rep *Report) ManifestSteps() []obs.ManifestStep {
 }
 
 // stepNeed is a bitmask of the shared resources a step reads. The
-// scheduler materializes the union of the selected steps' needs up
-// front, so the steps themselves — which all draw on local RNGs and
-// never mutate shared state — can run in any order, on any number of
+// scheduler builds the union of the selected steps' needs before it
+// hands out any step, and starts the steps that need nothing alongside
+// it; the steps themselves — which all draw on local RNGs and never
+// mutate shared state — can run in any order, on any number of
 // goroutines, and still compute the same results.
 type stepNeed uint8
 

@@ -14,22 +14,66 @@ import (
 )
 
 // This file is the scheduler every run goes through. The paper's
-// analyses are all functions of the log stream: once the shared datasets
-// exist, each figure/table reads them (and its own local RNG streams)
-// without mutating anything another step can see. The scheduler exploits
-// exactly that — it materializes the union of the selected steps'
-// declared needs up front (the two datasets, then the memoized
-// periodicity analysis), then runs the steps themselves, both phases on
-// the same Config.Jobs workers. Each step writes into its own buffer;
-// buffers flush to the caller's writer in paper order, as soon as the
-// prefix of finished steps allows, so the emitted report is the same
-// bytes at every worker count.
+// analyses are all functions of the log stream: each figure/table reads
+// the shared datasets (and its own local RNG streams) without mutating
+// anything another step can see. The scheduler runs one worker pool,
+// Config.Jobs wide, over one dispatch list (see plan): first the
+// resources the selected steps declare — the short-term dataset, then
+// the pattern dataset followed by the memoized periodicity analysis —
+// then the steps that read none of them, then the rest. A step whose
+// input is still being built waits on that resource's memo lock; every
+// resource was handed out before any step, so the holder is always
+// running and no width deadlocks, 1 included. Each step writes into its
+// own buffer; buffers flush to the caller's writer in paper order as
+// the prefix of finished steps allows, so the emitted report is the
+// same bytes at every worker count.
+
+// task is one entry of the dispatch list: building the shared resource
+// d, or (d nil) running selected[step].
+type task struct {
+	d    *dataset
+	step int
+}
+
+// needs is the union of steps' declared needs.
+func needs(steps []step) stepNeed {
+	var n stepNeed
+	for _, st := range steps {
+		n |= st.needs
+	}
+	return n
+}
+
+// plan returns the dispatch list of selected (a paper-order slice of the
+// step table): the datasets the steps read, short-term then pattern,
+// then the steps that declare no needs, then the rest, each group in
+// paper order. It is a pure function of selected, so a run and the
+// point a cancellation cuts it at are reproducible.
+func (r *Runner) plan(selected []step) []task {
+	need := needs(selected)
+	var tasks []task
+	for _, d := range []*dataset{r.short, r.pattern} {
+		if need&d.reads != 0 {
+			tasks = append(tasks, task{d: d})
+		}
+	}
+	for _, free := range []bool{true, false} {
+		for i, st := range selected {
+			if (st.needs == 0) == free {
+				tasks = append(tasks, task{step: i})
+			}
+		}
+	}
+	return tasks
+}
 
 // schedule runs selected (a paper-order subset of the step table) and
-// returns the report with its ledger. Dispatch is strictly in paper
-// order and stops at the first failure or cancellation, so the started
-// steps always form a prefix: in-flight steps finish (and their text is
-// flushed), unstarted steps stay skipped.
+// returns the report with its ledger. Dispatch follows plan and stops at
+// the first failure or cancellation, so the started steps always form a
+// prefix of the dispatch order — not of paper order: in-flight steps
+// finish and their text is written, still in paper order; unstarted
+// steps stay skipped and write nothing. A failed resource is charged to
+// the first step in paper order that reads it.
 func (r *Runner) schedule(ctx context.Context, w io.Writer, selected []step) (*Report, error) {
 	rep := &Report{Steps: make([]StepStatus, len(selected))}
 	for i, st := range selected {
@@ -50,14 +94,24 @@ func (r *Runner) schedule(ctx context.Context, w io.Writer, selected []step) (*R
 		obs.Int("jobs", r.cfg.Jobs),
 	)
 
-	if failed, err := r.materialize(ctx, root, selected); err != nil {
-		// A dataset failed; charge it to the first step that reads it.
-		rep.Steps[failed].State = StepFailed
-		return rep, fmt.Errorf("%s: %w", selected[failed].span, err)
+	tasks := r.plan(selected)
+	need := needs(selected)
+	// The resource tasks lead the list. "materialize datasets" is the
+	// parent of their dataset spans, whoever generates, and ends with
+	// the last of them (or here, if cancellation left one unstarted).
+	mat := root.Child("materialize datasets")
+	defer mat.End()
+	resources := 0
+	for ; resources < len(tasks) && tasks[resources].d != nil; resources++ {
+		d := tasks[resources].d
+		d.nest(mat)
+		defer d.nest(nil)
 	}
-	if err := ctx.Err(); err != nil {
-		return rep, err
+	pending := resources
+	if pending == 0 {
+		mat.End()
 	}
+	resErrs := make([]error, resources)
 
 	var running *obs.Gauge
 	var wallHist *obs.HDRHistogram
@@ -69,8 +123,23 @@ func (r *Runner) schedule(ctx context.Context, w io.Writer, selected []step) (*R
 	bufs := make([]bytes.Buffer, len(selected))
 	errs := make([]error, len(selected))
 	finished := make([]bool, len(selected))
+	write := func(i int) {
+		if _, werr := w.Write(bufs[i].Bytes()); werr != nil {
+			// Keep collecting outcomes so the ledger is right, but
+			// there is nowhere left to write the text.
+			w = io.Discard
+		}
+	}
 	next := 0
-	r.each(ctx, len(selected), func(i, worker int) error {
+	r.each(ctx, len(tasks), func(k, worker int) error {
+		if d := tasks[k].d; d != nil {
+			_, err := r.records(d)
+			if err == nil && d == r.pattern && need&needPeriodicity != 0 {
+				_, err = r.periodicity()
+			}
+			return err
+		}
+		i := tasks[k].step
 		st := selected[i]
 		fmt.Fprintf(&bufs[i], "\n== %s ==\n", st.title)
 		if running != nil {
@@ -87,24 +156,42 @@ func (r *Runner) schedule(ctx context.Context, w io.Writer, selected []step) (*R
 			wallHist.RecordDuration(rep.Steps[i].Wall)
 		}
 		return err
-	}, func(i int, err error) {
+	}, func(k int, err error) {
+		if k < resources {
+			resErrs[k] = err
+			if pending--; pending == 0 {
+				mat.End()
+			}
+			return
+		}
+		i := tasks[k].step
 		errs[i], finished[i] = err, true
 		rep.Steps[i].Records, rep.Steps[i].Bytes = r.datasetTotals(selected[i].needs)
 		rep.Steps[i].State = StepCompleted
 		if err != nil {
 			rep.Steps[i].State = StepFailed
 		}
-		// Because dispatch is a strict prefix, streaming the contiguous
-		// finished prefix covers every started step by the last call.
 		for ; next < len(selected) && finished[next]; next++ {
-			if _, werr := w.Write(bufs[next].Bytes()); werr != nil {
-				// Keep collecting outcomes so the ledger is right, but
-				// there is nowhere left to write the text.
-				w = io.Discard
-			}
+			write(next)
 		}
 	})
+	// A gap — a step skipped by cancellation or failure — holds back the
+	// finished steps after it; write them now, still in paper order.
+	for i := next; i < len(selected); i++ {
+		if finished[i] {
+			write(i)
+		}
+	}
 
+	for k, err := range resErrs {
+		if err == nil {
+			continue
+		}
+		reads := func(st step) bool { return st.needs&tasks[k].d.reads != 0 }
+		if i := slices.IndexFunc(selected, reads); errs[i] == nil {
+			errs[i], rep.Steps[i].State = err, StepFailed
+		}
+	}
 	// First failure in paper order wins.
 	for i, err := range errs {
 		if err != nil {
@@ -114,47 +201,10 @@ func (r *Runner) schedule(ctx context.Context, w io.Writer, selected []step) (*R
 	return rep, ctx.Err()
 }
 
-// materialize generates the union of the steps' declared resources
-// under one "materialize datasets" span, so the trace shows the up-front
-// phase distinctly from the steps: the short-term and pattern datasets,
-// and after the latter the periodicity analysis that consumes it. On
-// error it also returns the index of the first step that needs the
-// failed resource.
-func (r *Runner) materialize(ctx context.Context, root *obs.Span, selected []step) (failed int, err error) {
-	var need stepNeed
-	for _, st := range selected {
-		need |= st.needs
-	}
-	var wanted []*dataset
-	for _, d := range []*dataset{r.short, r.pattern} {
-		if need&d.reads != 0 {
-			wanted = append(wanted, d)
-		}
-	}
-	sp := root.Child("materialize datasets")
-	defer sp.End()
-	errs := make([]error, len(wanted))
-	r.each(ctx, len(wanted), func(i, _ int) error {
-		d := wanted[i]
-		_, err := r.records(d, sp)
-		if err == nil && d == r.pattern && need&needPeriodicity != 0 {
-			_, err = r.periodicity()
-		}
-		return err
-	}, func(i int, err error) { errs[i] = err })
-	for i, err := range errs {
-		if err != nil {
-			reads := func(st step) bool { return st.needs&wanted[i].reads != 0 }
-			return slices.IndexFunc(selected, reads), err
-		}
-	}
-	return 0, nil
-}
-
-// each is the worker pool both phases share: it runs work(0 … n-1) on
-// up to Config.Jobs goroutines, handing indices out in order and handing
-// out no more once one has failed or ctx is cancelled, and calls done on
-// the caller's goroutine as each finishes.
+// each is the scheduler's worker pool: it runs work(0 … n-1) on up to
+// Config.Jobs goroutines, handing indices out in order and handing out
+// no more once one has failed or ctx is cancelled, and calls done on the
+// caller's goroutine as each finishes.
 func (r *Runner) each(ctx context.Context, n int, work func(i, worker int) error, done func(i int, err error)) {
 	type result struct {
 		i   int

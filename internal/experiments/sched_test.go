@@ -3,12 +3,16 @@ package experiments
 import (
 	"context"
 	"errors"
+	"io"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
 // smallConfig is the tiny-but-pattern-bearing configuration the
@@ -201,5 +205,154 @@ func TestRunSubset(t *testing.T) {
 	}
 	if len(Keys()) != 13 {
 		t.Errorf("Keys() = %v, want the 13 exhibits", Keys())
+	}
+}
+
+// pick returns the step-table rows named by keys, in paper order.
+func pick(keys ...string) []step {
+	var out []step
+	for _, st := range stepTable {
+		if slices.Contains(keys, st.key) {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// stepOrder is plan's dispatch order of selected's steps, as indices
+// into selected.
+func stepOrder(r *Runner, selected []step) []int {
+	var order []int
+	for _, tk := range r.plan(selected) {
+		if tk.d == nil {
+			order = append(order, tk.step)
+		}
+	}
+	return order
+}
+
+// TestDispatchOrder pins the dispatch list: the resources the steps read
+// (short-term, then pattern), then the steps that read nothing, then the
+// rest, each group in paper order.
+func TestDispatchOrder(t *testing.T) {
+	r := NewRunner(smallConfig())
+	names := func(selected []step) []string {
+		var out []string
+		for _, tk := range r.plan(selected) {
+			if tk.d != nil {
+				out = append(out, tk.d.name)
+			} else {
+				out = append(out, selected[tk.step].key)
+			}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		selected []step
+		want     []string
+	}{
+		{stepTable, []string{"short-term", "pattern",
+			"fig1", "regional", "resilience", "adversarial",
+			"table2", "fig3", "fig4", "fig5", "fig6", "table3", "prefetch", "deprioritize", "anomaly"}},
+		{pick("fig5", "fig1"), []string{"pattern", "fig1", "fig5"}},
+		{pick("fig4", "table3"), []string{"short-term", "pattern", "fig4", "table3"}},
+		{pick("adversarial", "fig1"), []string{"fig1", "adversarial"}},
+	} {
+		if got := names(c.selected); !slices.Equal(got, c.want) {
+			t.Errorf("plan = %v, want %v", got, c.want)
+		}
+	}
+}
+
+// TestNeedsFreeStepOverlapsMaterialize checks that a step that reads
+// nothing does not wait for the resources: on two workers, with the
+// datasets injected, it starts while the periodicity analysis still holds
+// the "materialize datasets" span open.
+func TestNeedsFreeStepOverlapsMaterialize(t *testing.T) {
+	src := runner()
+	short, err := src.ShortTermRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern, err := src.PatternRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := src.Config()
+	cfg.Jobs = 2
+	r := NewRunner(cfg)
+	tr := obs.NewTrace()
+	r.Instrument(nil, tr)
+	r.UseShortTermRecords(short)
+	r.UsePatternRecords(pattern)
+
+	var started time.Time
+	selected := []step{
+		{"periodic", "Periodic", "periodic", needPattern | needPeriodicity, func(r *Runner, _ *Report, _ io.Writer) error {
+			_, err := r.periodicity()
+			return err
+		}},
+		{"free", "Free", "free", 0, func(*Runner, *Report, io.Writer) error {
+			started = time.Now()
+			return nil
+		}},
+	}
+	if _, err := r.schedule(context.Background(), io.Discard, selected); err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(tr.Spans(), func(s obs.SpanStat) bool { return s.Name == "materialize datasets" })
+	if i < 0 {
+		t.Fatal("no materialize datasets span")
+	}
+	mat := tr.Spans()[i]
+	if end := mat.Start.Add(mat.Wall); !started.Before(end) {
+		t.Errorf("needs-free step started %v after materialize ended", started.Sub(end))
+	}
+}
+
+// TestResourceFailureOnce makes the pattern dataset's generation fail.
+// Every reader gets the first error instead of generating again, and the
+// run fails with it, charged to the first step in paper order that reads
+// the dataset — at one worker and at four, on the full table and on a
+// subset whose readers are all dispatched alongside the resource.
+func TestResourceFailureOnce(t *testing.T) {
+	for _, c := range []struct {
+		jobs   int
+		keys   []string
+		charge string
+	}{
+		{1, Keys(), "table2"},
+		{4, Keys(), "table2"},
+		{4, []string{"fig5", "table3", "anomaly"}, "fig5"},
+	} {
+		cfg := smallConfig()
+		cfg.Jobs = c.jobs
+		r := NewRunner(cfg)
+		var attempts atomic.Int32
+		bad := r.PatternConfig()
+		bad.TargetRequests = 0
+		verr := bad.Validate()
+		if verr == nil {
+			t.Fatal("test config passes Validate")
+		}
+		r.pattern.cfg = func() synth.Config {
+			attempts.Add(1)
+			return bad
+		}
+		rep, err := r.Run(context.Background(), io.Discard, c.keys...)
+		if err == nil || !strings.Contains(err.Error(), verr.Error()) {
+			t.Fatalf("Jobs %d %v: err = %v, want the Validate error %q", c.jobs, c.keys, err, verr)
+		}
+		if n := attempts.Load(); n != 1 {
+			t.Errorf("Jobs %d %v: generation attempted %d times, want once", c.jobs, c.keys, n)
+		}
+		charged := pick(c.charge)[0]
+		i := slices.IndexFunc(rep.Steps, func(st StepStatus) bool { return st.Name == charged.title })
+		if i < 0 || rep.Steps[i].State != StepFailed {
+			t.Errorf("Jobs %d %v: %q not charged with the failure: %+v", c.jobs, c.keys, c.charge, rep.Steps)
+		}
+		if !strings.HasPrefix(err.Error(), charged.span+": ") {
+			t.Errorf("Jobs %d %v: err = %v, want it labelled %q", c.jobs, c.keys, err, charged.span)
+		}
 	}
 }

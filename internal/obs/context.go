@@ -26,11 +26,3 @@ func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanKey{}).(*Span)
 	return sp
 }
-
-// StartChild opens a child of the context's span (nil, and therefore a
-// no-op, when ctx is untraced) and returns the child plus a context
-// carrying it, so nested stages hang off the new span.
-func StartChild(ctx context.Context, name string) (context.Context, *Span) {
-	sp := SpanFromContext(ctx).Child(name)
-	return ContextWithSpan(ctx, sp), sp
-}

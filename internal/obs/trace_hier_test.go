@@ -97,32 +97,11 @@ func TestSpanContext(t *testing.T) {
 	if got := SpanFromContext(ctx); got != root {
 		t.Fatalf("SpanFromContext = %v, want root", got)
 	}
-
-	cctx, child := StartChild(ctx, "child")
-	if child == nil {
-		t.Fatal("StartChild returned nil span under a live trace")
-	}
-	if got := SpanFromContext(cctx); got != child {
-		t.Error("StartChild context does not carry the child")
-	}
-	child.End()
 	root.End()
-
-	stats := tr.Spans()
-	if len(stats) != 2 || stats[1].ParentID != stats[0].ID {
-		t.Errorf("child not parented on root: %+v", stats)
-	}
 
 	// Untraced context: everything stays nil and no-op.
 	if got := SpanFromContext(context.Background()); got != nil {
 		t.Errorf("empty context span = %v", got)
-	}
-	nctx, nsp := StartChild(context.Background(), "x")
-	if nsp != nil {
-		t.Error("StartChild on untraced context returned a span")
-	}
-	if SpanFromContext(nctx) != nil {
-		t.Error("untraced StartChild polluted the context")
 	}
 
 	// Nil span leaves the context unchanged.

@@ -108,12 +108,6 @@ func Quantiles(data []float64, probs ...float64) []float64 {
 	return out
 }
 
-// QuantileSorted returns the p-quantile of already-sorted data using
-// linear interpolation. It returns 0 for empty data.
-func QuantileSorted(sorted []float64, p float64) float64 {
-	return quantileSorted(sorted, p)
-}
-
 func quantileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 0 {

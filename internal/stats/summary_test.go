@@ -88,23 +88,6 @@ func TestQuantiles(t *testing.T) {
 	}
 }
 
-func TestQuantileSortedInterpolates(t *testing.T) {
-	sorted := []float64{0, 10}
-	if got := QuantileSorted(sorted, 0.5); got != 5 {
-		t.Errorf("midpoint = %v, want 5", got)
-	}
-	if got := QuantileSorted(sorted, 0.25); got != 2.5 {
-		t.Errorf("quarter = %v, want 2.5", got)
-	}
-	if QuantileSorted(nil, 0.5) != 0 {
-		t.Error("empty should be 0")
-	}
-	one := []float64{7}
-	if QuantileSorted(one, 0.3) != 7 {
-		t.Error("single element should be itself")
-	}
-}
-
 func TestCounterSharesAndOrder(t *testing.T) {
 	var c Counter
 	c.AddN("mobile", 55)

@@ -15,26 +15,6 @@ import (
 	"repro/internal/uastring"
 )
 
-// Class is the full taxonomy classification of one record.
-type Class struct {
-	Source    uastring.Class
-	Upload    bool // POST
-	Download  bool // GET
-	Cacheable bool
-	Bytes     int64
-}
-
-// ClassifyRecord maps one record onto the taxonomy.
-func ClassifyRecord(r *logfmt.Record) Class {
-	return Class{
-		Source:    uastring.Classify(r.UserAgent),
-		Upload:    r.IsUpload(),
-		Download:  r.IsDownload(),
-		Cacheable: r.Cache.Cacheable(),
-		Bytes:     r.Bytes,
-	}
-}
-
 // Characterization aggregates the §4 statistics over a log stream.
 // Feed JSON records (the caller applies the content-type filter) with
 // Observe; non-JSON records may be fed to ObserveOther so the size

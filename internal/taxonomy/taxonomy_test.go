@@ -29,22 +29,6 @@ const (
 	uaConsole = "Mozilla/5.0 (PlayStation 4 6.51) AppleWebKit/605.1.15 (KHTML, like Gecko)"
 )
 
-func TestClassifyRecord(t *testing.T) {
-	r := jsonRec(uaApp, "GET", logfmt.CacheHit, 500)
-	cls := ClassifyRecord(&r)
-	if cls.Source.Device != uastring.DeviceMobile || !cls.Download || cls.Upload {
-		t.Errorf("classification = %+v", cls)
-	}
-	if !cls.Cacheable || cls.Bytes != 500 {
-		t.Errorf("response side = %+v", cls)
-	}
-	p := jsonRec(uaApp, "POST", logfmt.CacheUncacheable, 100)
-	cls = ClassifyRecord(&p)
-	if !cls.Upload || cls.Download || cls.Cacheable {
-		t.Errorf("POST classification = %+v", cls)
-	}
-}
-
 func buildChar() *Characterization {
 	c := NewCharacterization()
 	// 4 mobile app (1 POST), 2 mobile browser, 2 unknown, 1 desktop
