@@ -3,14 +3,20 @@ FUZZTIME ?= 5s
 # Pinned staticcheck, run via `go run` so no binary install is needed.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: ci vet lint build test bench-test race fuzz bench loc slo-check attack-check chaos-check char-check
+.PHONY: ci fmt vet lint build test bench-test race fuzz bench loc slo-check attack-check chaos-check char-check
 
 # ci is the tier-1 gate: everything below, in order. The end-to-end
 # gates run last — slo-check (latency), attack-check (adversarial
 # robustness), chaos-check (fleet availability under node churn), then
 # char-check (the live characterization plane against real traffic) —
 # so they only fail CI after the code itself is sound.
-ci: vet lint build test bench-test race fuzz slo-check attack-check chaos-check char-check
+ci: fmt vet lint build test bench-test race fuzz slo-check attack-check chaos-check char-check
+
+# fmt fails, listing the files, when any tracked Go file is not
+# gofmt-clean.
+fmt:
+	@out=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); \
+	if [ -n "$$out" ]; then echo "fmt: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

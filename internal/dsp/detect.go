@@ -404,12 +404,3 @@ func hillClimb(acf []float64, lag, maxLag int) (int, bool) {
 		lag = next
 	}
 }
-
-// IsLocalMaximum reports whether the ACF has a local maximum at the
-// given lag, a helper for validating externally supplied periods.
-func IsLocalMaximum(acf []float64, lag int) bool {
-	if lag <= 0 || lag >= len(acf)-1 {
-		return false
-	}
-	return acf[lag] >= acf[lag-1] && acf[lag] >= acf[lag+1]
-}

@@ -153,16 +153,6 @@ func TestHillClimb(t *testing.T) {
 	}
 }
 
-func TestIsLocalMaximum(t *testing.T) {
-	acf := []float64{1, 0.2, 0.5, 0.2}
-	if !IsLocalMaximum(acf, 2) {
-		t.Error("lag 2 should be a local max")
-	}
-	if IsLocalMaximum(acf, 1) || IsLocalMaximum(acf, 0) || IsLocalMaximum(acf, 3) {
-		t.Error("false local maxima")
-	}
-}
-
 func TestDetectMultipleSpikesPicksStrongest(t *testing.T) {
 	// Overlay period 20 (strong) and period 33 (weak).
 	rng := stats.NewRNG(13)

@@ -2,6 +2,8 @@ package edge
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -200,5 +202,66 @@ func TestPoolRingRouting(t *testing.T) {
 		if p.Route(k).Name != p.Ring().Lookup(k) {
 			t.Fatalf("pool and ring disagree on %q", k)
 		}
+	}
+}
+
+// TestRingConcurrentLookupChurn holds Ring to its "safe for concurrent
+// use" contract (run it under -race): readers call Lookup and LookupN
+// while a writer adds and removes members. Three members stay for the
+// whole run and three churn, so every answer must be non-empty, name
+// only members of the run, and LookupN's must be distinct and as long
+// as the stable set allows.
+func TestRingConcurrentLookupChurn(t *testing.T) {
+	names := ringNames(6)
+	stable, churn := names[:3], names[3:]
+	r := NewRing(0)
+	r.Add(stable...)
+	keys := ringKeys(64)
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				key := keys[(g*17+i)%len(keys)]
+				if got := r.Lookup(key); !slices.Contains(names, got) {
+					errs <- fmt.Sprintf("Lookup(%q) = %q, not a member of the run", key, got)
+					return
+				}
+				got := r.LookupN(key, len(stable))
+				if len(got) != len(stable) {
+					errs <- fmt.Sprintf("LookupN(%q, %d) = %q: want %d members", key, len(stable), got, len(stable))
+					return
+				}
+				for j, name := range got {
+					if !slices.Contains(names, name) || slices.Contains(got[:j], name) {
+						errs <- fmt.Sprintf("LookupN(%q) = %q: unknown or repeated member %q", key, got, name)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		name := churn[i%len(churn)]
+		if r.Has(name) {
+			r.Remove(name)
+		} else {
+			r.Add(name)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

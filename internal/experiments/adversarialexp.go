@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/anomaly"
@@ -16,7 +13,7 @@ import (
 	"repro/internal/edge"
 	"repro/internal/logfmt"
 	"repro/internal/ngram"
-	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
@@ -82,92 +79,36 @@ const (
 	advFetchCost = 25 * time.Millisecond
 )
 
-// advStack is one edge under test on a simulated clock, with an
-// origin-fetch counter sampled around each request so fetches attribute
-// exactly to the request that caused them (serving is serial).
-type advStack struct {
-	edge    *edge.HTTPEdge
-	def     *defend.Defender
-	inst    *defend.Instrumentation
-	fetches atomic.Int64
-	clock   time.Time
-
-	// req and resp are refilled for every record: serving is serial and
-	// neither the edge nor the defense keeps a request past ServeHTTP.
-	req  http.Request
-	resp advResponse
-}
-
-// advResponse is the http.ResponseWriter the stacks answer into. The
-// experiment reads the status and the X-Cache header; bodies are dropped.
-type advResponse struct {
-	header http.Header
-	status int
-}
-
-func (w *advResponse) Header() http.Header { return w.header }
-
-func (w *advResponse) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
+// newAdvStack builds an edge sized so the benign working set fits but
+// a cache-busting storm causes real eviction pressure: it departs from
+// the served node in origin (a WildcardOrigin without latency), cache
+// (4 MiB), and in leaving out the resilience path (Bare): the exhibit
+// measures the cache and the defense, and its origin never fails. The
+// defended stack gets the full detect-and-defend loop: token buckets,
+// cache-key collapse, negative caching, fan-out suspicion, and the
+// ngram request detector trained on the benign stream.
+func (r *Runner) newAdvStack(defended bool, name string, model *ngram.Model) *simEdge {
+	p := serve.Parts{
+		Origin:   &edge.WildcardOrigin{},
+		Cache:    edge.NewCache(4<<20, time.Minute, 4),
+		Bare:     true,
+		Registry: r.stackRegistry(name),
 	}
-}
-
-func (w *advResponse) Write(b []byte) (int, error) {
-	w.WriteHeader(http.StatusOK)
-	return len(b), nil
-}
-
-type advCountingOrigin struct {
-	inner edge.Origin
-	n     *atomic.Int64
-}
-
-func (o advCountingOrigin) Fetch(path string) ([]byte, string, bool, error) {
-	o.n.Add(1)
-	return o.inner.Fetch(path)
-}
-
-// newAdvStack builds an edge sized so the benign working set fits but a
-// cache-busting storm causes real eviction pressure. The defended stack
-// gets the full detect-and-defend loop: token buckets, cache-key
-// collapse, negative caching, fan-out suspicion, and the ngram request
-// detector trained on the benign stream.
-func newAdvStack(defended bool, name string, model *ngram.Model, reg *obs.Registry) *advStack {
-	s := &advStack{clock: resilienceEpoch}
-	s.req = http.Request{
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: http.Header{"User-Agent": {""}},
-		Body:   http.NoBody,
+	if defended {
+		var det *anomaly.RequestDetector
+		if model != nil {
+			det = anomaly.NewRequestDetector(model)
+			det.Clustered = true
+		}
+		p.Defend = defend.New(defend.Config{
+			// Collapse earlier than the default: the experiment's storm
+			// is small, and a live deployment would tune this to its
+			// traffic.
+			BustVariants: 6,
+			Detector:     det,
+		})
 	}
-	s.resp.header = make(http.Header)
-	s.edge = &edge.HTTPEdge{
-		Cache:  edge.NewCache(4<<20, time.Minute, 4),
-		Origin: advCountingOrigin{inner: &edge.WildcardOrigin{}, n: &s.fetches},
-		Now:    func() time.Time { return s.clock },
-	}
-	child := obs.NewRegistry()
-	if reg != nil {
-		child = reg.With("stack", name)
-	}
-	s.edge.Obs = edge.NewInstrumentation(child)
-	if !defended {
-		return s
-	}
-	var det *anomaly.RequestDetector
-	if model != nil {
-		det = anomaly.NewRequestDetector(model)
-		det.Clustered = true
-	}
-	s.def = defend.New(defend.Config{
-		// Collapse earlier than the default: the experiment's storm is
-		// small, and a live deployment would tune this to its traffic.
-		BustVariants: 6,
-		Detector:     det,
-	})
-	s.inst = s.def.Instrument(child)
-	s.edge.Defend = s.def
-	return s
+	return newSimEdge(p)
 }
 
 // advTally accumulates one stack's serving outcomes over a labeled
@@ -182,42 +123,25 @@ type advTally struct {
 	benignLat     []time.Duration
 }
 
-// serve replays one synthetic record against the stack. The request
-// carries the record's identity (client, agent, host, full URL) so the
-// defense sees the same stream the detectors would; the response's
-// X-Cache header and the fetch-counter delta say what the edge did.
-func (s *advStack) serve(rec *logfmt.Record, isAttack bool, t *advTally) {
-	s.clock = rec.Time
-	// The request a server would read off the wire for this record: an
-	// absolute-form request line, whose authority is the Host.
-	u, err := url.ParseRequestURI(rec.URL)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: synthetic record URL %q: %v", rec.URL, err))
-	}
-	req := &s.req
-	req.Method, req.URL, req.Host, req.RequestURI = rec.Method, u, u.Host, rec.URL
-	req.Header["User-Agent"][0] = rec.UserAgent
-	req.RemoteAddr = "c" + strconv.FormatUint(rec.ClientID, 16) + ":1"
-	w := &s.resp
-	clear(w.header)
-	w.status = 0
-	before := s.fetches.Load()
-	s.edge.ServeHTTP(w, req)
-	delta := s.fetches.Load() - before
-
+// tally replays one synthetic record against s. The request carries
+// the record's identity (client, agent, host, full URL) so the defense
+// sees the same stream the detectors would; the response's X-Cache
+// header and the origin fetches it caused say what the edge did.
+func (t *advTally) tally(s *simEdge, rec *logfmt.Record, isAttack bool) {
+	status, xCache, fetches := s.serve(rec.Time, rec.Method, rec.URL, rec.UserAgent, rec.ClientID)
 	if isAttack {
 		t.attackReqs++
-		t.attackFetches += delta
+		t.attackFetches += fetches
 		return
 	}
 	t.benignReqs++
-	if w.status == http.StatusTooManyRequests {
+	if status == http.StatusTooManyRequests {
 		t.benignReject++
 		return
 	}
-	t.benignLat = append(t.benignLat, advHitCost+time.Duration(delta)*advFetchCost)
+	t.benignLat = append(t.benignLat, advHitCost+time.Duration(fetches)*advFetchCost)
 	if rec.Method == "GET" {
-		switch w.header.Get("X-Cache") {
+		switch xCache {
 		case "HIT", "STALE":
 			t.benignHits++
 			t.benignCached++
@@ -323,13 +247,13 @@ func (r *Runner) Adversarial(w io.Writer) (AdversarialResult, error) {
 	// replay; each stack itself is garbage once its tally is taken.
 	var inst *defend.Instrumentation
 	runStack := func(defended bool, name string, recs []logfmt.Record, mask []bool) advTally {
-		s := newAdvStack(defended, name, model, r.obsReg)
+		s := r.newAdvStack(defended, name, model)
 		var t advTally
 		for i := range recs {
-			s.serve(&recs[i], mask[i], &t)
+			t.tally(s, &recs[i], mask[i])
 		}
 		if name == "defended" {
-			inst = s.inst
+			inst = s.DefendObs
 		}
 		return t
 	}

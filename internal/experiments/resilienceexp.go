@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net/http/httptest"
+	"net/http"
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/obs"
 	"repro/internal/resilience"
+	"repro/internal/serve"
 )
 
 // ResilienceResult carries the robustness experiment: availability of
@@ -28,82 +28,12 @@ type ResilienceResult struct {
 	Retries, StaleServes, Shed, BreakerOpens int64
 }
 
-// resilienceStack is one edge + origin under test, driven on a
-// deterministic simulated clock shared by the edge cache, the fault
-// injector, and the breaker, so brownout windows and TTL expiries line
-// up identically across runs and across the two stacks.
-type resilienceStack struct {
-	edge    *edge.HTTPEdge
-	faulty  *resilience.FaultyOrigin
-	breaker *resilience.Breaker
-	inst    *resilience.Instrumentation
-	clock   time.Time
-	ok      int
-}
-
-// resilienceEpoch anchors the simulated clock; any fixed instant works.
-var resilienceEpoch = time.Unix(1_700_000_000, 0).UTC()
-
-func newResilienceStack(resilient bool, faultRate float64, seed uint64, brownout resilience.Window, reg *obs.Registry) *resilienceStack {
-	s := &resilienceStack{clock: resilienceEpoch}
-	now := func() time.Time { return s.clock }
-	noSleep := func(time.Duration) {}
-	s.faulty = &resilience.FaultyOrigin{
-		Inner:     &edge.JSONOrigin{Articles: 30},
-		Seed:      seed,
-		ErrorRate: faultRate,
-		Brownouts: []resilience.Window{brownout},
-		Now:       now,
-		Sleep:     noSleep,
-	}
-	s.edge = &edge.HTTPEdge{
-		Cache:  edge.NewCache(8<<20, 30*time.Second, 4),
-		Origin: s.faulty,
-		Now:    now,
-	}
-	// Each stack always reports into a registry — the runner's (under a
-	// stack=... label) when instrumented, a private one otherwise — so
-	// the result can read recovery counters either way.
-	child := obs.NewRegistry()
-	if reg != nil {
-		name := "baseline"
-		if resilient {
-			name = "resilient"
-		}
-		child = reg.With("stack", name)
-	}
-	s.edge.Obs = edge.NewInstrumentation(child)
-	if !resilient {
-		return s
-	}
-	s.breaker = &resilience.Breaker{
-		FailureThreshold: 5,
-		OpenFor:          5 * time.Second,
-		ProbeSuccesses:   2,
-		Now:              now,
-	}
-	ro := &resilience.ResilientOrigin{
-		Inner:   s.faulty,
-		Retry:   resilience.Backoff{Base: 10 * time.Millisecond, Cap: 100 * time.Millisecond, Attempts: 3},
-		Breaker: s.breaker,
-		Seed:    seed + 1,
-		Sleep:   noSleep,
-	}
-	s.edge.Origin = ro
-	s.edge.ServeStale = true
-	s.edge.Degraded = ro.Degraded
-	ro.Obs = resilience.NewInstrumentation(child)
-	resilience.RegisterBreaker(child, s.breaker)
-	s.inst = ro.Obs
-	return s
-}
-
-// step serves one scripted request at simulated second i and advances
-// the clock. The mix echoes the liveedge workload: manifest and article
-// GETs from a phone app (human class) and periodic telemetry POSTs from
-// an IoT device (machine class, the shed target).
-func (s *resilienceStack) step(i int) {
-	s.clock = resilienceEpoch.Add(time.Duration(i) * time.Second)
+// resilienceStep serves one scripted request at simulated second i and
+// reports whether it was answered 200. The mix echoes the liveedge
+// workload: manifest and article GETs from a phone app (human class)
+// and periodic telemetry POSTs from an IoT device (machine class, the
+// shed target).
+func resilienceStep(s *simEdge, i int) bool {
 	method, path, ua := "GET", "", "NewsApp/3.1 (iPhone; iOS 12.2)"
 	switch {
 	case i%10 == 9:
@@ -113,13 +43,8 @@ func (s *resilienceStack) step(i int) {
 	default:
 		path = fmt.Sprintf("/article/%d", 1000+i%7)
 	}
-	req := httptest.NewRequest(method, "http://edge.local"+path, nil)
-	req.Header.Set("User-Agent", ua)
-	rec := httptest.NewRecorder()
-	s.edge.ServeHTTP(rec, req)
-	if rec.Code == 200 {
-		s.ok++
-	}
+	status, _, _ := s.serve(simEpoch.Add(time.Duration(i)*time.Second), method, "http://edge.local"+path, ua, 0)
+	return status == http.StatusOK
 }
 
 // Resilience runs the brownout experiment: the same deterministic
@@ -136,29 +61,44 @@ func (r *Runner) Resilience(w io.Writer) (ResilienceResult, error) {
 		brownoutStart = 600 * time.Second
 		brownoutEnd   = 900 * time.Second
 	)
-	brownout := resilience.Window{
-		From: resilienceEpoch.Add(brownoutStart),
-		To:   resilienceEpoch.Add(brownoutEnd),
-	}
 	rate := r.cfg.FaultRate
 	seed := r.cfg.FaultSeed
 
-	baseline := newResilienceStack(false, rate, seed, brownout, r.obsReg)
-	resilient := newResilienceStack(true, rate, seed, brownout, r.obsReg)
+	// Both stacks depart from the served node in the origin's latency
+	// (none) and the cache TTL (30 s, so entries expire inside the
+	// brownout); the resilient one also holds its breaker open for 5 s,
+	// not 200 ms, at one request a second.
+	stack := func(name string, bare bool) *simEdge {
+		s := newSimEdge(serve.Parts{
+			Origin:    &edge.WildcardOrigin{Inner: &edge.JSONOrigin{Articles: 40}},
+			Cache:     edge.NewCache(32<<20, 30*time.Second, 4),
+			Bare:      bare,
+			FaultRate: rate,
+			FaultSeed: seed,
+			Registry:  r.stackRegistry(name),
+		})
+		s.Faulty.Brownouts = []resilience.Window{{
+			From: simEpoch.Add(brownoutStart),
+			To:   simEpoch.Add(brownoutEnd),
+		}}
+		return s
+	}
+	baseline := stack("baseline", true)
+	resilient := stack("resilient", false)
+	resilient.Breaker.OpenFor = 5 * time.Second
+	res := ResilienceResult{Requests: steps}
 	for i := 0; i < steps; i++ {
-		baseline.step(i)
-		resilient.step(i)
+		if resilienceStep(baseline, i) {
+			res.BaselineOK++
+		}
+		if resilienceStep(resilient, i) {
+			res.ResilientOK++
+		}
 	}
-
-	res := ResilienceResult{
-		Requests:     steps,
-		BaselineOK:   baseline.ok,
-		ResilientOK:  resilient.ok,
-		Retries:      resilient.inst.Retries.Value(),
-		StaleServes:  resilient.edge.Obs.StaleServes.Value(),
-		Shed:         resilient.edge.Obs.ShedMachine.Value(),
-		BreakerOpens: resilient.breaker.Opens(),
-	}
+	res.Retries = resilient.Origin.Obs.Retries.Value()
+	res.StaleServes = resilient.Edge.Obs.StaleServes.Value()
+	res.Shed = resilient.Edge.Obs.ShedMachine.Value()
+	res.BreakerOpens = resilient.Breaker.Opens()
 	res.BaselineAvailability = float64(res.BaselineOK) / float64(steps)
 	res.ResilientAvailability = float64(res.ResilientOK) / float64(steps)
 

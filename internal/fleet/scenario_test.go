@@ -13,6 +13,7 @@ import (
 	"repro/internal/logfmt"
 	"repro/internal/obs"
 	"repro/internal/replay"
+	"repro/internal/serve"
 	"repro/internal/stats"
 )
 
@@ -46,13 +47,14 @@ func scenarioRun(t *testing.T, records []logfmt.Record, failover bool) (res *rep
 	members := make([]*Member, 3)
 	for i := range members {
 		name := fmt.Sprintf("edge-%02d", i)
-		e := &edge.HTTPEdge{
-			Cache:  edge.NewCache(8<<20, time.Minute, 4),
+		node := serve.Build(serve.Parts{
 			Origin: &edge.WildcardOrigin{Latency: time.Millisecond},
-		}
+			Cache:  edge.NewCache(8<<20, time.Minute, 4),
+			Bare:   true,
+		})
 		mux := http.NewServeMux()
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
-		mux.Handle("/", e)
+		mux.Handle("/", node.Edge)
 		target[name] = &chaos.Injector{}
 		srv := httptest.NewServer(target[name].Wrap(mux))
 		defer srv.Close()

@@ -9,15 +9,17 @@ import (
 	"repro/internal/edge"
 	"repro/internal/logfmt"
 	"repro/internal/resilience"
+	"repro/internal/serve"
 )
 
 // newTestEdge builds a small caching edge backed by the synthetic JSON
 // origin, shared by the integration tests.
 func newTestEdge() *edge.HTTPEdge {
-	return &edge.HTTPEdge{
-		Cache:  edge.NewCache(8<<20, time.Minute, 2),
+	return serve.Build(serve.Parts{
 		Origin: &edge.JSONOrigin{Articles: 20},
-	}
+		Cache:  edge.NewCache(8<<20, time.Minute, 2),
+		Bare:   true,
+	}).Edge
 }
 
 // slowOrigin wraps an Origin and sleeps inside a scripted window,
@@ -52,16 +54,14 @@ func TestReplayAgainstFaultyEdge(t *testing.T) {
 		from:  winFrom, to: winTo,
 		delay: 120 * time.Millisecond,
 	}
-	faulty := &resilience.FaultyOrigin{
-		Inner:     slow,
-		Seed:      3,
-		Brownouts: []resilience.Window{{From: winFrom, To: winTo, ErrorRate: 0.5}},
-	}
-	e := &edge.HTTPEdge{
-		Cache:  edge.NewCache(8<<20, time.Minute, 2),
-		Origin: faulty,
-	}
-	srv := httptest.NewServer(e)
+	st := serve.Build(serve.Parts{
+		Origin:    slow,
+		Cache:     edge.NewCache(8<<20, time.Minute, 2),
+		Bare:      true,
+		FaultSeed: 3,
+	})
+	st.Faulty.Brownouts = []resilience.Window{{From: winFrom, To: winTo, ErrorRate: 0.5}}
+	srv := httptest.NewServer(st.Edge)
 	defer srv.Close()
 
 	// Uncacheable profile paths guarantee every request reaches the

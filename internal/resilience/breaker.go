@@ -57,9 +57,9 @@ type Breaker struct {
 
 	mu       sync.Mutex
 	cur      State
-	failures int   // consecutive failures while closed
-	probes   int   // consecutive successes while half-open
-	probing  bool  // a half-open probe is in flight
+	failures int  // consecutive failures while closed
+	probes   int  // consecutive successes while half-open
+	probing  bool // a half-open probe is in flight
 	openedAt time.Time
 	opens    int64 // transitions into StateOpen
 }

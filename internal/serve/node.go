@@ -1,11 +1,13 @@
 // Package serve is the edge-node process the paper's logs come from, in
-// two parts. Node assembles one node's serving stack: the cache, a
-// faulty origin behind the resilience path, instrumentation, a request
-// trace, and the optional defense and live characterization plane.
-// Lifecycle runs a data handler and an admin mux through the serving
-// sequence: bind, flip ready, publish the URL file, and on stop drain.
-// cmd/liveedge is a Node behind a Lifecycle; cmd/jsonfleet runs its
-// front tier through the same Lifecycle.
+// three parts. Build assembles an edge stack: the cache, a faulty origin
+// behind the resilience path, instrumentation and an optional defense;
+// the robustness exhibits serve through it too. Node is the process
+// shell around one such stack: a request trace, /healthz, the admin mux,
+// the optional live characterization plane, its run manifest and the
+// logger. Lifecycle runs a data handler and an admin mux through the
+// serving sequence: bind, flip ready, publish the URL file, and on stop
+// drain. cmd/liveedge is a Node behind a Lifecycle; cmd/jsonfleet runs
+// its front tier through the same Lifecycle.
 package serve
 
 import (
@@ -20,7 +22,6 @@ import (
 	"repro/internal/livechar"
 	"repro/internal/logfmt"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // Config is one edge node. Each field is the liveedge flag named beside
@@ -39,20 +40,16 @@ type Config struct {
 	Node         string        // -node (default: the run id)
 }
 
-// Stack is an assembled edge node. Handler serves the data listener;
-// Admin, the admin listener. The component fields are exposed so a
-// caller can script the origin (Faulty.Brownouts) and report on the run.
+// Stack is an assembled edge node: a Core plus the process around it.
+// Handler serves the data listener; Admin, the admin listener. The Core
+// is exposed so a caller can script the origin (Faulty.Brownouts) and
+// report on the run.
 type Stack struct {
-	Log      *obs.Logger
-	Handler  http.Handler   // the edge, plus /healthz
-	Admin    *http.ServeMux // obs.AdminMux, plus /charz with the plane on
-	Registry *obs.Registry
-	Health   *obs.Health
-
-	Edge    *edge.HTTPEdge
-	Faulty  *resilience.FaultyOrigin
-	Origin  *resilience.ResilientOrigin
-	Breaker *resilience.Breaker
+	*Core
+	Log     *obs.Logger
+	Handler http.Handler   // the edge, plus /healthz
+	Admin   *http.ServeMux // obs.AdminMux, plus /charz with the plane on
+	Health  *obs.Health
 	Char    *livechar.LiveChar // nil unless Config.LiveChar
 
 	cfg      Config
@@ -65,53 +62,30 @@ type Stack struct {
 	closed   sync.Once
 }
 
-// Node wires the cache, the faulty origin and the full resilience path,
-// instrumented into one registry. The origin answers every path
-// (WildcardOrigin over the manifest-shaped JSONOrigin), so replayed
-// synthetic streams see the real hit/miss mix instead of 404s. The node
-// keeps no request log: a long-lived server must not grow with every
-// request. With Defend the detect-and-defend admission loop fronts the
-// cache, keying client state on the X-Client-Id header jsonreplay
+// Node builds the shipped stack (Build's zero Parts, with the fault and
+// defense flags) and wraps it in the process shell. The origin answers
+// every path (WildcardOrigin over the manifest-shaped JSONOrigin), so
+// replayed synthetic streams see the real hit/miss mix instead of 404s.
+// The node keeps no request log: a long-lived server must not grow with
+// every request. With Defend the detect-and-defend admission loop fronts
+// the cache, keying client state on the X-Client-Id header jsonreplay
 // forwards. With LiveChar the plane taps the edge's request log, runs
 // async, and writes char-<id>.json snapshots every CharSnapshot; Close
 // writes the last one and the run manifest. Log writes to stderr.
 func Node(cfg Config) *Stack {
 	st := &Stack{runID: obs.NewRunID(), cfg: cfg, stop: make(chan struct{})}
 	st.Log = obs.NewLogger(os.Stderr, st.runID, cfg.FaultSeed, nil).Component("liveedge")
-	st.Faulty = &resilience.FaultyOrigin{
-		Inner: &edge.WildcardOrigin{
-			Inner:   &edge.JSONOrigin{Articles: 40, Latency: 2 * time.Millisecond},
-			Latency: 2 * time.Millisecond,
-		},
-		Seed:      cfg.FaultSeed,
-		ErrorRate: cfg.FaultRate,
-	}
-	st.Breaker = &resilience.Breaker{FailureThreshold: 5, OpenFor: 200 * time.Millisecond}
-	st.Origin = &resilience.ResilientOrigin{
-		Inner:          st.Faulty,
-		Retry:          resilience.Backoff{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond, Attempts: 3},
-		Breaker:        st.Breaker,
-		AttemptTimeout: time.Second,
-		Seed:           cfg.FaultSeed + 1,
-	}
-	st.Edge = &edge.HTTPEdge{
-		Cache:      edge.NewCache(32<<20, time.Minute, 4),
-		Origin:     st.Origin,
-		ServeStale: true,
-		Degraded:   st.Origin.Degraded,
-		// A small retention window: a long-lived edge traces the most
-		// recent requests, not the whole history.
-		Trace: &obs.Trace{Limit: 64},
-	}
-	st.Registry = obs.NewRegistry()
-	st.Edge.Instrument(st.Registry)
+	parts := Parts{FaultRate: cfg.FaultRate, FaultSeed: cfg.FaultSeed}
 	if cfg.Defend {
-		d := defend.New(defend.Config{ClientIDHeader: "X-Client-Id"})
-		d.Instrument(st.Registry)
-		st.Edge.Defend = d
+		parts.Defend = defend.New(defend.Config{ClientIDHeader: "X-Client-Id"})
 	}
-	st.Origin.Obs = resilience.NewInstrumentation(st.Registry)
-	resilience.RegisterBreaker(st.Registry, st.Breaker)
+	st.Core = Build(parts)
+	// A long-lived node's cache is worth watching: its pull metrics keep
+	// it alive as long as the registry, which is the process.
+	edge.RegisterCacheMetrics(st.Registry, st.Edge.Cache)
+	// A small retention window: a long-lived edge traces the most recent
+	// requests, not the whole history.
+	st.Edge.Trace = &obs.Trace{Limit: 64}
 	st.Health = &obs.Health{}
 
 	// /healthz rides the data listener, not the admin mux, so the fleet
