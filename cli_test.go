@@ -21,26 +21,25 @@ import (
 	"repro/internal/obs"
 )
 
-// TestCLIPipeline builds the three tools a user chains and drives the
-// workflow through their file formats: generate a dataset, then run the
-// §4 characterization and every jsonchar subcommand (periodicity,
-// prediction, prefetching, anomalies) over it. It then converts the
-// dataset to TSV, appends garbage lines, and checks that every analysis
-// quarantines them under the default error budget and fails on a budget
-// below their share.
+// TestCLIPipeline builds the tools a user chains and drives the workflow
+// through their file formats: generate a dataset, then run jsonchar's §4
+// characterization and anomaly scan over it, and jsonrepro's §5 exhibits
+// over the same file. It then converts the dataset to TSV, appends
+// garbage lines, and checks that every run quarantines them under the
+// default error budget, and that jsonchar fails on a budget below their
+// share.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI pipeline test builds binaries; skipped in -short")
 	}
 	bin, work := t.TempDir(), t.TempDir()
-	for _, tool := range []string{"jsongen", "jsonchar", "jsonconvert"} {
+	for _, tool := range []string{"jsongen", "jsonchar", "jsonconvert", "jsonrepro"} {
 		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
 		}
 	}
-	// Tools run in a scratch directory, so that the characterization's
-	// run manifest lands there.
+	// Tools run in a temporary directory, so that run manifests land there.
 	exe := func(tool string, args ...string) (stdout, stderr string, err error) {
 		cmd := exec.Command(filepath.Join(bin, tool), args...)
 		cmd.Dir = work
@@ -65,35 +64,47 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("dataset not written: %v", err)
 	}
 
-	// Each analysis, and lines its report holds exactly once.
+	// Each run over a file, and lines its report holds exactly once.
 	analyses := []struct {
+		tool string
 		args []string
 		want []string
 	}{
-		{nil, []string{"Traffic source", "GET (download)", "Figure 4 heatmap", "Figure 2"}},
-		{[]string{"period", "-x", "25", "-bin", "2s"}, []string{"periodic requests:"}},
-		{[]string{"predict", "-k", "1,5"}, []string{"Clustered URLs"}},
-		{[]string{"prefetch", "-k", "1,2"}, []string{"baseline", "prefetch K=1", "prefetch K=2"}},
-		{[]string{"anomaly", "-top", "3"}, []string{"scanned"}},
+		{"jsonchar", nil, []string{"Traffic source", "GET (download)", "Figure 4 heatmap", "Figure 2"}},
+		{"jsonchar", []string{"anomaly", "-top", "3"}, []string{"scanned"}},
+		{"jsonrepro", []string{"-only", "fig5,fig6,table3,prefetch", "-j", "1"}, []string{
+			"== Figure 5 and §5.1 periodicity ==", "== Figure 6 ==",
+			"== Table 3 and §5.2 prediction ==", "== Prefetch simulation (§5.2 implication) =="}},
 	}
-	check := func(args []string, out string, want []string) {
+	// input spells the file flag of each tool.
+	input := map[string]string{"jsonchar": "-i", "jsonrepro": "-records"}
+	check := func(tool string, args []string, out string, want []string) {
 		t.Helper()
 		for _, w := range want {
 			if n := strings.Count(out, w); n != 1 {
-				t.Errorf("jsonchar %v: %q appears %d times, want once:\n%.600s", args, w, n, out)
+				t.Errorf("%s %v: %q appears %d times, want once:\n%.600s", tool, args, w, n, out)
 			}
 		}
 	}
 	for _, a := range analyses {
-		args := append(append([]string{}, a.args...), "-i", data)
-		out, _ := run("jsonchar", args...)
-		check(args, out, a.want)
+		args := append(append([]string{}, a.args...), input[a.tool], data)
+		out, _ := run(a.tool, args...)
+		check(a.tool, args, out, a.want)
 	}
 
-	_, stderr, err := exe("jsonchar", "anomaly", "-i", data, "-top", "-1")
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Contains(stderr, "panic:") || !strings.Contains(stderr, "-top must be >= 0") {
-		t.Errorf("jsonchar anomaly -top -1: %v, want a usage error (exit 2)\n%s", err, stderr)
+	// Usage errors: a bad value, and a positional argument.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"anomaly", "-i", data, "-top", "-1"}, "-top must be >= 0"},
+		{[]string{"period", "-i", data}, "jsonrepro -records"},
+	} {
+		_, stderr, err := exe("jsonchar", c.args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Contains(stderr, "panic:") || !strings.Contains(stderr, c.want) {
+			t.Errorf("jsonchar %v: %v, want a usage error (exit 2) naming %q\n%s", c.args, err, c.want, stderr)
+		}
 	}
 
 	// The retired binary stream is refused, naming its replacement:
@@ -137,11 +148,14 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range analyses {
-		args := append(append([]string{}, a.args...), "-i", tsv)
-		out, stderr := run("jsonchar", args...)
-		check(args, out, a.want)
-		if !strings.Contains(stderr, "records quarantined") || !strings.Contains(stderr, "quarantined=5 ") {
-			t.Errorf("jsonchar %v on corrupt input: no quarantine report on stderr:\n%s", args, stderr)
+		args := append(append([]string{}, a.args...), input[a.tool], tsv)
+		out, stderr := run(a.tool, args...)
+		check(a.tool, args, out, a.want)
+		if !strings.Contains(stderr, "quarantined=5 ") || a.tool == "jsonchar" && !strings.Contains(stderr, "records quarantined") {
+			t.Errorf("%s %v on corrupt input: no quarantine report on stderr:\n%s", a.tool, args, stderr)
+		}
+		if a.tool != "jsonchar" {
+			continue
 		}
 		args = append(args, "-max-error-rate", "0.0001")
 		if _, stderr, err := exe("jsonchar", args...); err == nil || !strings.Contains(stderr, "corrupt-record budget exceeded") {
@@ -195,6 +209,39 @@ func TestJSONReproSmoke(t *testing.T) {
 		if st.Name != titles[i] || st.Status != "completed" {
 			t.Errorf("manifest step %d = %+v, want %q completed", i, st, titles[i])
 		}
+	}
+}
+
+// TestJSONReproRecordsDriveExhibits: with -records, the §5 exhibits
+// analyze the captured log, so the flags that shape the synthetic
+// pattern dataset cannot move them.
+func TestJSONReproRecordsDriveExhibits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("jsonrepro -records test builds binaries; skipped in -short")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/jsongen", "./cmd/jsonrepro").CombinedOutput(); err != nil {
+		t.Fatalf("building: %v\n%s", err, out)
+	}
+	data := filepath.Join(t.TempDir(), "log.cdnc")
+	if out, err := exec.Command(filepath.Join(bin, "jsongen"), "-preset", "long", "-duration", "30m",
+		"-target", "12000", "-domains", "10", "-seed", "7", "-q", "-o", data).CombinedOutput(); err != nil {
+		t.Fatalf("jsongen: %v\n%s", err, out)
+	}
+	var reports []string
+	for _, target := range []string{"20000", "40000"} {
+		cmd := exec.Command(filepath.Join(bin, "jsonrepro"), "-records", data, "-only", "fig5,table3,prefetch",
+			"-pattern-target", target, "-x", "20", "-j", "1", "-manifest-dir", "")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("jsonrepro -pattern-target %s: %v\n%s", target, err, stderr.String())
+		}
+		reports = append(reports, string(out))
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("-records report moved with -pattern-target:\n%s\n---\n%s", reports[0], reports[1])
 	}
 }
 

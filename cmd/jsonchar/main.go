@@ -1,13 +1,12 @@
-// Command jsonchar runs the paper's analyses over one edge log. Bare, it
-// runs the §4 characterization of a log file (or a freshly generated
-// dataset): traffic sources by device (Fig. 3), browser vs non-browser
-// shares, request methods, response sizes, and the per-category
-// cacheability heatmap (Fig. 4). Its subcommands run the §5 analyses:
+// Command jsonchar characterizes one edge log file. Bare, it runs the
+// streaming §4 characterization: traffic sources by device (Fig. 3),
+// browser vs non-browser shares, request methods, response sizes, and the
+// per-category cacheability heatmap (Fig. 4). Its one subcommand,
+// anomaly, is the §5.2 application: it trains the clustered ngram model
+// on one log and lists the requests it finds least likely in another.
 //
-//	period    §5.1 periodicity: the Fig. 5 period histogram, the Fig. 6 CDF
-//	predict   §5.2 backoff ngram prediction: Table 3's accuracy grid
-//	anomaly   §5.2 application: the requests the clustered model finds least likely
-//	prefetch  §5.2 implication: edge hit ratio with and without ngram prefetching
+// The §5 exhibits of a log file (Fig. 5/6, Table 3, prefetch) come from
+// jsonrepro -records FILE; a fresh synthetic dataset comes from jsongen.
 //
 // Every characterization run emits a run manifest (run-<id>.json)
 // recording the effective configuration, toolchain and VCS revision,
@@ -17,21 +16,17 @@
 //
 //	jsonchar -i logs.tsv.gz
 //	jsonchar -i logs.cdnc -max-error-rate 0.1 -dead-letter bad.jsonl
-//	jsonchar -synth -scale 0.002
 //	jsonchar -i logs.tsv.gz -j 4      # cap decode workers
-//	jsonchar -synth -trace -metrics-addr :9090
+//	jsonchar -i logs.cdnc -trace -metrics-addr :9090
 //	jsonchar -i logs.tsv.gz -trace-out t.json   # Chrome trace of the ingest stages
-//	jsonchar period -i pattern.tsv.gz -x 100 -bin 1s -list
-//	jsonchar predict -i pattern.tsv.gz -n 5 -k 1,5,10,20 -test-frac 0.3
 //	jsonchar anomaly -i pattern.tsv.gz -scan live.tsv -threshold 1e-4 -top 20
-//	jsonchar prefetch -i pattern.tsv.gz -k 1,2,5 -cache-mb 128 -ttl 2m
 //
-// File input, bare or under any subcommand, goes through the tolerant
-// ingest path and its flags (-i, -j, -max-error-rate, -dead-letter):
-// malformed records are quarantined (optionally to a -dead-letter JSONL
-// file) and the run survives as long as the corrupt fraction stays
-// under -max-error-rate. SIGINT/SIGTERM stops the characterization's
-// ingest early but still prints the characterization of what was read.
+// File input, bare or under anomaly, goes through the tolerant ingest
+// path and its flags (-i, -j, -max-error-rate, -dead-letter): malformed
+// records are quarantined (optionally to a -dead-letter JSONL file) and
+// the run survives as long as the corrupt fraction stays under
+// -max-error-rate. SIGINT/SIGTERM stops the characterization's ingest
+// early but still prints the characterization of what was read.
 package main
 
 import (
@@ -52,32 +47,20 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rollup"
 	"repro/internal/stats"
-	"repro/internal/synth"
 	"repro/internal/taxonomy"
 	"repro/internal/uastring"
 )
 
-// analyses are the subcommands. Each registers its own flags on fs, next
-// to the input flags already there, and parses args with in.parse.
-var analyses = map[string]func(fs *flag.FlagSet, in *input, args []string) error{
-	"period":   runPeriod,
-	"predict":  runPredict,
-	"anomaly":  runAnomaly,
-	"prefetch": runPrefetch,
-}
-
 func main() {
-	if len(os.Args) > 1 {
-		if run, ok := analyses[os.Args[1]]; ok {
-			fs := flag.NewFlagSet("jsonchar "+os.Args[1], flag.ExitOnError)
-			in := addInput(fs)
-			in.log = obs.NewLogger(os.Stderr, obs.NewRunID(), 0, nil).Component(fs.Name())
-			if err := run(fs, in, os.Args[2:]); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
-				os.Exit(1)
-			}
-			return
+	if len(os.Args) > 1 && os.Args[1] == "anomaly" {
+		fs := flag.NewFlagSet("jsonchar anomaly", flag.ExitOnError)
+		in := addInput(fs)
+		in.log = obs.NewLogger(os.Stderr, obs.NewRunID(), 0, nil).Component(fs.Name())
+		if err := runAnomaly(fs, in, os.Args[2:]); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
+			os.Exit(1)
 		}
+		return
 	}
 	characterize()
 }
@@ -86,9 +69,6 @@ func main() {
 func characterize() {
 	in := addInput(flag.CommandLine)
 	var (
-		useSynth    = flag.Bool("synth", false, "characterize a freshly generated short-term dataset")
-		scale       = flag.Float64("scale", 0.002, "scale for -synth")
-		seed        = flag.Uint64("seed", 42, "seed for -synth")
 		topApps     = flag.Int("top-apps", 10, "how many applications to list")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")
 		trace       = flag.Bool("trace", false, "print a per-stage span table after the run")
@@ -97,9 +77,6 @@ func characterize() {
 		verbose     = flag.Bool("v", false, "log at debug level")
 	)
 	in.parse(os.Args[1:])
-	if !*useSynth && *in.path == "" {
-		usage(flag.CommandLine, "need -i FILE or -synth")
-	}
 
 	// SIGINT/SIGTERM cancels ingest between records; the report over the
 	// records read so far still prints and the process exits 0.
@@ -111,15 +88,15 @@ func characterize() {
 	if *verbose {
 		level = slog.LevelDebug
 	}
-	logger := obs.NewLogger(os.Stderr, runID, *seed, level).Component("jsonchar")
+	logger := obs.NewLogger(os.Stderr, runID, 0, level).Component("jsonchar")
 	reg := obs.NewRegistry()
 	in.log, in.reg = logger, reg
 	tr := obs.NewTrace()
 
 	man := obs.NewManifest("jsonchar", runID)
 	man.Config = map[string]any{
-		"input": *in.path, "synth": *useSynth, "scale": *scale, "seed": *seed,
-		"jobs": *in.jobs, "max_error_rate": *in.maxErrRate, "dead_letter": *in.deadLetter,
+		"input": *in.path, "jobs": *in.jobs,
+		"max_error_rate": *in.maxErrRate, "dead_letter": *in.deadLetter,
 	}
 	finish := func(outcome string) {
 		man.Finish(outcome)
@@ -169,19 +146,8 @@ func characterize() {
 			cacheability.Observe(r)
 		}
 	}
-	var err error
-	if *useSynth {
-		cfg := synth.ShortTermConfig(*seed, *scale)
-		cfg.Obs = reg
-		err = synth.Generate(cfg, func(r *logfmt.Record) error {
-			observe(r)
-			return ctx.Err()
-		})
-	} else {
-		var st ingest.Stats
-		st, err = in.read(ctx, *in.path, observe)
-		man.DeadLetters = st.Quarantined
-	}
+	st, err := in.read(ctx, *in.path, observe)
+	man.DeadLetters = st.Quarantined
 	sp.End()
 	outcome := "completed"
 	if errors.Is(err, context.Canceled) {
@@ -265,28 +231,17 @@ func characterize() {
 		tr.WriteTable(os.Stdout)
 	}
 	if *traceOut != "" {
-		writeChromeTrace(*traceOut, tr, logger, fail)
+		if err := tr.WriteChromeTraceFile(*traceOut); err != nil {
+			fail(err)
+		}
+		logger.Info("chrome trace written", "path", *traceOut)
 	}
 	finish(outcome)
 }
 
-// writeChromeTrace writes the -trace-out file.
-func writeChromeTrace(path string, tr *obs.Trace, logger *obs.Logger, fail func(error)) {
-	f, err := os.Create(path)
-	if err != nil {
-		fail(fmt.Errorf("creating chrome trace: %w", err))
-	}
-	werr := tr.WriteChromeTrace(f)
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		fail(fmt.Errorf("writing chrome trace to %s: %w", path, errors.Join(werr, cerr)))
-	}
-	logger.Info("chrome trace written", "path", path)
-}
-
-// input is the log file an analysis reads and the flags that govern how:
-// the bare command and every subcommand register them once, on their
-// own flag set, and read through the one tolerant ingest path.
+// input is the log file a run reads and the flags that govern how: the
+// bare command and anomaly register them once, on their own flag set,
+// and read through the one tolerant ingest path.
 type input struct {
 	fs               *flag.FlagSet
 	path, deadLetter *string
@@ -311,6 +266,12 @@ func addInput(fs *flag.FlagSet) *input {
 // flags.
 func (in *input) parse(args []string) {
 	in.fs.Parse(args)
+	if in.fs.NArg() > 0 {
+		usage(in.fs, fmt.Sprintf("unexpected argument %q (the §5 analyses run as jsonrepro -records FILE)", in.fs.Arg(0)))
+	}
+	if *in.path == "" {
+		usage(in.fs, "need -i FILE")
+	}
 	if *in.jobs < 1 {
 		usage(in.fs, "-j must be >= 1")
 	}
@@ -321,9 +282,6 @@ func (in *input) parse(args []string) {
 // on the input's logger; the read fails once they exceed
 // -max-error-rate. It returns the read's accounting even on error.
 func (in *input) read(ctx context.Context, path string, fn func(*logfmt.Record)) (ingest.Stats, error) {
-	if path == "" {
-		usage(in.fs, "need -i FILE")
-	}
 	opts := ingest.Options{MaxErrorRate: *in.maxErrRate, Metrics: ingest.NewInstrumentation(in.reg)}
 	var dl *os.File
 	if *in.deadLetter != "" {

@@ -1,6 +1,13 @@
 // Command jsonrepro regenerates every table and figure of the paper in
 // one run, printing each alongside the paper's reported values.
 //
+// The exhibits read two datasets: the §4 short-term one (Table 2,
+// Fig. 3/4) and the §5 pattern one (Table 2, Fig. 5/6, Table 3, prefetch,
+// deprioritize, anomaly). Both are synthesized from -seed, -scale and
+// -pattern-*, unless -records names a captured log: that one log is then
+// both datasets, so every dataset-driven exhibit analyzes it. Fig. 1,
+// regional, resilience and adversarial always generate their own inputs.
+//
 // Every run emits a run manifest (run-<id>.json) recording the full
 // effective configuration, toolchain and VCS revision, the per-step
 // ledger, and a final metrics snapshot — the provenance needed to
@@ -11,7 +18,7 @@
 //	jsonrepro                         # laptop-scale defaults
 //	jsonrepro -scale 0.01 -x 100      # bigger datasets, paper's x
 //	jsonrepro -only fig5,table3
-//	jsonrepro -records logs.cdnc      # analyze a captured log instead of synth
+//	jsonrepro -records logs.cdnc      # the dataset exhibits on a captured log
 //	jsonrepro -j 1                    # one worker
 //	jsonrepro -trace                  # per-stage span table after the run
 //	jsonrepro -trace-out t.json       # Chrome trace (about:tracing/Perfetto)
@@ -50,7 +57,7 @@ func main() {
 		faultRate   = flag.Float64("fault-rate", 0.05, "steady-state origin error rate of the resilience experiment")
 		faultSeed   = flag.Uint64("fault-seed", 0, "seed for fault injection and backoff jitter (0 derives it from -seed)")
 		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "worker count for dataset generation and the exhibit steps (output is byte-identical at every count)")
-		records     = flag.String("records", "", "load the §4 short-term dataset from this log file (.tsv/.jsonl[.gz] or .cdnc, container detected by magic) instead of synthesizing it")
+		records     = flag.String("records", "", "analyze this log file (.tsv/.jsonl[.gz] or .cdnc, container detected by magic) as both datasets instead of synthesizing them; -scale and -pattern-* then go unused")
 		only        = flag.String("only", "", "comma-separated subset, run in paper order: "+strings.Join(experiments.Keys(), ","))
 		csvDir      = flag.String("csv", "", "also export each exhibit's data series as CSV into this directory (full runs only)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /readyz, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")
@@ -144,7 +151,8 @@ func main() {
 			fail(fmt.Errorf("loading -records %s: %w", *records, err))
 		}
 		r.UseShortTermRecords(recs)
-		logger.Info("short-term dataset loaded from file", "path", *records,
+		r.UsePatternRecords(recs)
+		logger.Info("datasets loaded from file", "path", *records,
 			"records", stats.Records, "quarantined", stats.Quarantined,
 			"bytes_skipped", stats.BytesSkipped)
 	}
@@ -197,7 +205,10 @@ func main() {
 		tr.WriteTable(os.Stdout)
 	}
 	if *traceOut != "" {
-		writeChromeTrace(*traceOut, tr, logger, fail)
+		if err := tr.WriteChromeTraceFile(*traceOut); err != nil {
+			fail(err)
+		}
+		logger.Info("chrome trace written", "path", *traceOut)
 	}
 
 	outcome := "completed"
@@ -255,18 +266,4 @@ func profileDir(dir string) string {
 		return "."
 	}
 	return dir
-}
-
-// writeChromeTrace writes the -trace-out file.
-func writeChromeTrace(path string, tr *obs.Trace, logger *obs.Logger, fail func(error)) {
-	f, err := os.Create(path)
-	if err != nil {
-		fail(fmt.Errorf("creating chrome trace: %w", err))
-	}
-	werr := tr.WriteChromeTrace(f)
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		fail(fmt.Errorf("writing chrome trace to %s: %w", path, errors.Join(werr, cerr)))
-	}
-	logger.Info("chrome trace written", "path", path)
 }

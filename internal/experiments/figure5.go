@@ -29,6 +29,9 @@ type PeriodicityResult struct {
 	// PeriodicObjects is the number of objects with a detected period.
 	PeriodicObjects int
 	AnalyzedObjects int
+	// Filter is how much of the traffic survives the flow filters (the
+	// paper keeps the top ~25% of objects).
+	Filter flows.FilterStats
 }
 
 // periodicity runs the §5.1 pipeline at most once per runner; a failure
@@ -64,6 +67,7 @@ func (r *Runner) periodicity() (*PeriodicityResult, error) {
 		Histogram:        analysis.PeriodHistogram(periodicity.DefaultPeriodEdges()),
 		PeriodicObjects:  len(analysis.PeriodicObjects()),
 		AnalyzedObjects:  len(analysis.Objects),
+		Filter:           ex.FilterStats(),
 	}
 	r.periodicityRes = res
 	return res, nil
@@ -86,6 +90,8 @@ func (r *Runner) Figure5(w io.Writer) (*PeriodicityResult, error) {
 	fmt.Fprint(w, stats.BarChart(labels, values, 50))
 	fmt.Fprintf(w, "  analyzed %d object flows; %d periodic\n",
 		res.AnalyzedObjects, res.PeriodicObjects)
+	compareRow(w, "objects kept by the flow filters", "top ~25%",
+		fmt.Sprintf("%s (%s of requests)", pct(res.Filter.ObjectShare()), pct(res.Filter.RequestShare())))
 	compareRow(w, "JSON requests that are periodic", "6.3%", pct(res.PeriodicShare))
 	compareRow(w, "periodic traffic uncacheable", "56.2%", pct(res.UncacheableShare))
 	compareRow(w, "periodic traffic upload (POST)", "78%", pct(res.UploadShare))

@@ -61,7 +61,9 @@ func (p *predictor) observe(client uint64, url string) {
 				break
 			}
 		}
-		if p.model.VocabSize() < p.maxVocab {
+		// Training interns at most the history and the URL, so a
+		// transition trains only if all of them fit under the cap.
+		if p.model.VocabSize()+len(h)+1 <= p.maxVocab {
 			p.model.ObserveTransition(h, url)
 		} else {
 			p.vocabDrops++

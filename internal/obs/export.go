@@ -2,7 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 )
@@ -49,6 +52,19 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&doc)
+}
+
+// WriteChromeTraceFile writes the trace_event document to a new file at
+// path, the -trace-out flag of the CLIs.
+func (t *Trace) WriteChromeTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("creating chrome trace: %w", err)
+	}
+	if err := errors.Join(t.WriteChromeTrace(f), f.Close()); err != nil {
+		return fmt.Errorf("writing chrome trace to %s: %w", path, err)
+	}
+	return nil
 }
 
 // assignLanes places each span on a lane (tid) such that every lane is a

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -169,6 +171,28 @@ func TestWriteChromeTraceDropped(t *testing.T) {
 	}
 	if got, _ := doc.OtherData["dropped_spans"].(float64); got != 3 {
 		t.Errorf("otherData.dropped_spans = %v, want 3", doc.OtherData["dropped_spans"])
+	}
+}
+
+// TestWriteChromeTraceFile: the file holds the same document the writer
+// streams, and an unwritable path is an error naming it.
+func TestWriteChromeTraceFile(t *testing.T) {
+	tr := NewTrace()
+	tr.Start("root").End()
+	path := filepath.Join(t.TempDir(), "t.json")
+	if err := tr.WriteChromeTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := tr.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("file = %q (%v), want %q", got, err, want.Bytes())
+	}
+	bad := filepath.Join(t.TempDir(), "missing", "t.json")
+	if err := tr.WriteChromeTraceFile(bad); err == nil || !strings.Contains(err.Error(), "chrome trace") {
+		t.Errorf("WriteChromeTraceFile(%s) = %v, want a chrome trace error", bad, err)
 	}
 }
 
