@@ -3,7 +3,10 @@ package experiments
 import (
 	"context"
 	"errors"
+	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -64,6 +67,57 @@ func TestRunAllParallelGolden(t *testing.T) {
 	}
 	if got := parRep.Completed(); got != len(parRep.Steps) {
 		t.Errorf("parallel run completed %d of %d steps", got, len(parRep.Steps))
+	}
+
+	// The Jobs 1 text is also pinned to a committed digest, and so is a
+	// second seed's: a change that moves any printed number must rerun
+	// with -update and say so.
+	checkGolden(t, "report-seed42.txt", seqText.String())
+	cfg43 := smallConfig()
+	cfg43.Seed = 43
+	var text43 strings.Builder
+	if _, err := NewRunner(cfg43).RunAll(&text43); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "report-seed43.txt", text43.String())
+}
+
+// update rewrites the committed report digests under testdata.
+var update = flag.Bool("update", false, "rewrite testdata/report-seed*.txt from this run")
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -run TestRunAllParallelGolden -update to create it)", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < max(len(gl), len(wl)); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("report differs from %s at line %d:\n got: %q\nwant: %q\n(rerun with -update only if the change means to move a number)",
+					path, i+1, g, w)
+			}
+		}
 	}
 }
 
