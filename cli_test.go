@@ -22,12 +22,11 @@ import (
 )
 
 // TestCLIPipeline builds the tools a user chains and drives the workflow
-// through their file formats: generate a dataset, then run jsonchar's §4
-// characterization and anomaly scan over it, and jsonrepro's §5 exhibits
-// over the same file. It then converts the dataset to TSV, appends
-// garbage lines, and checks that every run quarantines them under the
-// default error budget, and that jsonchar fails on a budget below their
-// share.
+// through their file formats: generate a dataset, then run jsonrepro's
+// §4 and §5 exhibits and jsonchar's anomaly scan over it. It then
+// converts the dataset to TSV, appends garbage lines, and checks that
+// every run quarantines them under the default error budget, and that
+// jsonchar anomaly fails on a budget below their share.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI pipeline test builds binaries; skipped in -short")
@@ -70,7 +69,9 @@ func TestCLIPipeline(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{"jsonchar", nil, []string{"Traffic source", "GET (download)", "Figure 4 heatmap", "Figure 2"}},
+		{"jsonrepro", []string{"-only", "table2,fig3,fig4"}, []string{
+			"== Table 2 ==", "Figure 2: JSON traffic taxonomy", "GET (download) share",
+			"== Figure 4 and §4 cacheability =="}},
 		{"jsonchar", []string{"anomaly", "-top", "3"}, []string{"scanned"}},
 		{"jsonrepro", []string{"-only", "fig5,fig6,table3,prefetch", "-j", "1"}, []string{
 			"== Figure 5 and §5.1 periodicity ==", "== Figure 6 ==",
@@ -92,13 +93,16 @@ func TestCLIPipeline(t *testing.T) {
 		check(a.tool, args, out, a.want)
 	}
 
-	// Usage errors: a bad value, and a positional argument.
+	// Usage errors: a bad value, a positional argument, and the retired
+	// bare characterization.
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"anomaly", "-i", data, "-top", "-1"}, "-top must be >= 0"},
+		{[]string{"anomaly", "-i", data, "period"}, "jsonrepro -records"},
 		{[]string{"period", "-i", data}, "jsonrepro -records"},
+		{[]string{"-i", data}, "jsonrepro -records FILE -only table2,fig3,fig4"},
 	} {
 		_, stderr, err := exe("jsonchar", c.args...)
 		var exit *exec.ExitError
@@ -108,7 +112,7 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// The retired binary stream is refused, naming its replacement:
-	// jsongen will not write one, and jsonchar will not read one even
+	// jsongen will not write one, and jsonrepro will not read one even
 	// under a text name.
 	stream := filepath.Join(t.TempDir(), "old.tsv")
 	f, err := os.Create(stream)
@@ -126,7 +130,7 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	for _, c := range [][]string{
 		{"jsongen", "-target", "100", "-o", filepath.Join(t.TempDir(), "x.cdnb")},
-		{"jsonchar", "-i", stream},
+		{"jsonrepro", "-records", stream, "-only", "table2,fig3,fig4", "-manifest-dir", ""},
 	} {
 		if _, stderr, err := exe(c[0], c[1:]...); err == nil || !strings.Contains(stderr, ".cdnc") {
 			t.Errorf("%v on the retired binary stream: %v, want a failure naming .cdnc\n%s", c, err, stderr)
@@ -212,9 +216,11 @@ func TestJSONReproSmoke(t *testing.T) {
 	}
 }
 
-// TestJSONReproRecordsDriveExhibits: with -records, the §5 exhibits
+// TestJSONReproRecordsDriveExhibits: with -records, the exhibits
 // analyze the captured log, so the flags that shape the synthetic
-// pattern dataset cannot move them.
+// datasets cannot move them: -pattern-target the §5 ones, -scale the §4
+// ones (streamed through their observers), Table 2's scale suffix
+// included.
 func TestJSONReproRecordsDriveExhibits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("jsonrepro -records test builds binaries; skipped in -short")
@@ -228,20 +234,28 @@ func TestJSONReproRecordsDriveExhibits(t *testing.T) {
 		"-target", "12000", "-domains", "10", "-seed", "7", "-q", "-o", data).CombinedOutput(); err != nil {
 		t.Fatalf("jsongen: %v\n%s", err, out)
 	}
-	var reports []string
-	for _, target := range []string{"20000", "40000"} {
-		cmd := exec.Command(filepath.Join(bin, "jsonrepro"), "-records", data, "-only", "fig5,table3,prefetch",
-			"-pattern-target", target, "-x", "20", "-j", "1", "-manifest-dir", "")
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("jsonrepro -pattern-target %s: %v\n%s", target, err, stderr.String())
+	for _, c := range []struct {
+		only, flag string
+		values     [2]string
+	}{
+		{"fig5,table3,prefetch", "-pattern-target", [2]string{"20000", "40000"}},
+		{"table2,fig3,fig4", "-scale", [2]string{"0.5", "0.001"}},
+	} {
+		var reports []string
+		for _, v := range c.values {
+			cmd := exec.Command(filepath.Join(bin, "jsonrepro"), "-records", data, "-only", c.only,
+				c.flag, v, "-x", "20", "-j", "1", "-manifest-dir", "")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("jsonrepro %s %s: %v\n%s", c.flag, v, err, stderr.String())
+			}
+			reports = append(reports, string(out))
 		}
-		reports = append(reports, string(out))
-	}
-	if reports[0] != reports[1] {
-		t.Errorf("-records report moved with -pattern-target:\n%s\n---\n%s", reports[0], reports[1])
+		if reports[0] != reports[1] {
+			t.Errorf("-records report moved with %s:\n%s\n---\n%s", c.flag, reports[0], reports[1])
+		}
 	}
 }
 

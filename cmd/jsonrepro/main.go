@@ -2,10 +2,12 @@
 // one run, printing each alongside the paper's reported values.
 //
 // The exhibits read two datasets: the §4 short-term one (Table 2,
-// Fig. 3/4) and the §5 pattern one (Table 2, Fig. 5/6, Table 3, prefetch,
+// Fig. 2–4) and the §5 pattern one (Table 2, Fig. 5/6, Table 3, prefetch,
 // deprioritize, anomaly). Both are synthesized from -seed, -scale and
 // -pattern-*, unless -records names a captured log: that one log is then
-// both datasets, so every dataset-driven exhibit analyzes it. Fig. 1,
+// both datasets, so every dataset-driven exhibit analyzes it. The §4
+// exhibits are single-pass observers, so -records F -only
+// table2,fig3,fig4 streams F once and never holds it in memory. Fig. 1,
 // regional, resilience and adversarial always generate their own inputs.
 //
 // Every run emits a run manifest (run-<id>.json) recording the full
@@ -19,6 +21,7 @@
 //	jsonrepro -scale 0.01 -x 100      # bigger datasets, paper's x
 //	jsonrepro -only fig5,table3
 //	jsonrepro -records logs.cdnc      # the dataset exhibits on a captured log
+//	jsonrepro -records logs.cdnc -only table2,fig3,fig4   # §4 alone, streamed
 //	jsonrepro -j 1                    # one worker
 //	jsonrepro -trace                  # per-stage span table after the run
 //	jsonrepro -trace-out t.json       # Chrome trace (about:tracing/Perfetto)
@@ -42,7 +45,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/ingest"
-	"repro/internal/logfmt"
 	"repro/internal/obs"
 )
 
@@ -145,18 +147,6 @@ func main() {
 	r.Instrument(reg, tr)
 	r.NotifyReady(health)
 
-	if *records != "" {
-		recs, stats, err := loadRecords(ctx, *records, *jobs, reg)
-		if err != nil {
-			fail(fmt.Errorf("loading -records %s: %w", *records, err))
-		}
-		r.UseShortTermRecords(recs)
-		r.UsePatternRecords(recs)
-		logger.Info("datasets loaded from file", "path", *records,
-			"records", stats.Records, "quarantined", stats.Quarantined,
-			"bytes_skipped", stats.BytesSkipped)
-	}
-
 	var stopProfiles func() error
 	if *profile {
 		var err error
@@ -179,7 +169,17 @@ func main() {
 			keys = append(keys, strings.ToLower(strings.TrimSpace(k)))
 		}
 	}
-	report, err := r.Run(ctx, os.Stdout, keys...)
+	var report *experiments.Report
+	var err error
+	if *records == "" {
+		report, err = r.Run(ctx, os.Stdout, keys...)
+	} else {
+		var st ingest.Stats
+		report, st, err = r.RunFile(ctx, os.Stdout, *records, keys...)
+		logger.Info("datasets loaded from file", "path", *records,
+			"records", st.Records, "quarantined", st.Quarantined,
+			"bytes_skipped", st.BytesSkipped)
+	}
 	interrupted := errors.Is(err, context.Canceled)
 	switch {
 	case interrupted:
@@ -218,25 +218,6 @@ func main() {
 	finish(outcome, report)
 	logger.Info("run "+outcome, "wall", time.Since(start).Round(time.Millisecond).String())
 	fmt.Fprintf(os.Stderr, "\n%s in %s\n", outcome, time.Since(start).Round(time.Millisecond))
-}
-
-// loadRecords tolerantly decodes a log file into memory for the
-// experiment runner. The container format is detected by magic bytes,
-// so a chunk-container file decodes on the parallel per-chunk pipeline
-// regardless of its extension; records are copied out of the reused
-// decode batches because the runner retains them for the whole run.
-func loadRecords(ctx context.Context, path string, jobs int, reg *obs.Registry) ([]logfmt.Record, ingest.Stats, error) {
-	src := &ingest.FileSource{Path: path, Ctx: ctx,
-		Config: ingest.PipelineConfig{
-			Workers: jobs,
-			Options: ingest.Options{Metrics: ingest.NewInstrumentation(reg)},
-		}}
-	var recs []logfmt.Record
-	err := src.Each(func(r *logfmt.Record) error {
-		recs = append(recs, *r)
-		return nil
-	})
-	return recs, src.LastStats, err
 }
 
 // newLogger builds the CLI's structured logger (debug level with -v).

@@ -112,6 +112,12 @@ type Runner struct {
 	health *obs.Health
 
 	short, pattern *dataset
+	// file is the log RunFile read as both datasets ("" when they are
+	// synthesized or injected); streamed holds, by step key, the
+	// observers it folded when it streamed that file instead of
+	// materializing it.
+	file     string
+	streamed map[string]observer
 
 	// perMu guards the periodicity memo: its result, or the first error
 	// computing it, which every later reader gets.
@@ -121,8 +127,8 @@ type Runner struct {
 }
 
 // dataset is one shared record set, generated on first use or injected
-// (UseShortTermRecords, UsePatternRecords), with the byte total the step
-// ledger reports.
+// (UseShortTermRecords, UsePatternRecords, RunFile), with the record and
+// byte totals the step ledger reports.
 type dataset struct {
 	name  string              // "short-term" / "pattern", as spans and errors spell it
 	reads stepNeed            // the step needs this dataset satisfies
@@ -134,7 +140,8 @@ type dataset struct {
 	// root span). Whichever reader takes mu first generates, so the span
 	// tree must not depend on which one it is.
 	parent *obs.Span
-	recs   []logfmt.Record
+	recs   []logfmt.Record // nil when RunFile streamed the file
+	n      int64
 	bytes  int64
 	// err is the first generation error, kept so a failed dataset is
 	// attempted once and every reader gets the same error.
@@ -177,7 +184,7 @@ func (r *Runner) NotifyReady(h *obs.Health) { r.health = h }
 func (r *Runner) records(d *dataset) ([]logfmt.Record, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.recs == nil && d.err == nil {
+	if !d.done.Load() && d.err == nil {
 		open := r.trace.Start
 		if d.parent != nil {
 			open = d.parent.Child
@@ -189,8 +196,8 @@ func (r *Runner) records(d *dataset) ([]logfmt.Record, error) {
 			d.err = fmt.Errorf("experiments: generating %s dataset: %w", d.name, err)
 			return nil, d.err
 		}
-		r.set(d, recs)
-		sp.AddRecords(int64(len(recs)))
+		r.set(d, recs, int64(len(recs)), byteTotal(recs))
+		sp.AddRecords(d.n)
 		sp.AddBytes(d.bytes)
 	}
 	return d.recs, d.err
@@ -203,20 +210,18 @@ func (d *dataset) nest(parent *obs.Span) {
 	d.mu.Unlock()
 }
 
-// use injects recs as d in place of synthetic generation.
-func (r *Runner) use(d *dataset, recs []logfmt.Record) {
+// use injects d in place of synthetic generation: recs and their
+// totals, or (recs nil) only the totals of a file RunFile streamed.
+func (r *Runner) use(d *dataset, recs []logfmt.Record, n, bytes int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	r.set(d, recs)
+	r.set(d, recs, n, bytes)
 }
 
-// set stores d's records and byte total with d.mu held, and flips the
+// set stores d's records and totals with d.mu held, and flips the
 // readiness gate once both datasets have landed.
-func (r *Runner) set(d *dataset, recs []logfmt.Record) {
-	d.recs, d.bytes = recs, 0
-	for i := range recs {
-		d.bytes += recs[i].Bytes
-	}
+func (r *Runner) set(d *dataset, recs []logfmt.Record, n, bytes int64) {
+	d.recs, d.n, d.bytes = recs, n, bytes
 	d.done.Store(true)
 	if r.short.done.Load() && r.pattern.done.Load() {
 		r.health.SetReady(true)
@@ -236,11 +241,24 @@ func (r *Runner) PatternRecords() ([]logfmt.Record, error) { return r.records(r.
 // the §4 analyses over records tolerantly decoded from a (possibly
 // corrupt) log file. Call before the first experiment touches the
 // dataset.
-func (r *Runner) UseShortTermRecords(recs []logfmt.Record) { r.use(r.short, recs) }
+func (r *Runner) UseShortTermRecords(recs []logfmt.Record) {
+	r.use(r.short, recs, int64(len(recs)), byteTotal(recs))
+}
 
 // UsePatternRecords injects recs as the §5 pattern dataset; see
 // UseShortTermRecords.
-func (r *Runner) UsePatternRecords(recs []logfmt.Record) { r.use(r.pattern, recs) }
+func (r *Runner) UsePatternRecords(recs []logfmt.Record) {
+	r.use(r.pattern, recs, int64(len(recs)), byteTotal(recs))
+}
+
+// byteTotal sums the body bytes of recs.
+func byteTotal(recs []logfmt.Record) int64 {
+	var n int64
+	for i := range recs {
+		n += recs[i].Bytes
+	}
+	return n
+}
 
 func (r *Runner) shortTermConfig() synth.Config {
 	cfg := synth.ShortTermConfig(r.cfg.Seed, r.cfg.Scale)
@@ -266,7 +284,7 @@ func (r *Runner) datasetTotals(needs stepNeed) (records, bytes int64) {
 	for _, d := range []*dataset{r.short, r.pattern} {
 		if needs&d.reads != 0 {
 			d.mu.Lock()
-			records += int64(len(d.recs))
+			records += d.n
 			bytes += d.bytes
 			d.mu.Unlock()
 		}

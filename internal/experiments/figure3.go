@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/logfmt"
 	"repro/internal/stats"
 	"repro/internal/taxonomy"
 	"repro/internal/uastring"
@@ -32,18 +33,23 @@ type Figure3Result struct {
 // request/response statistics from one taxonomy characterization pass
 // over the short-term dataset.
 func (r *Runner) Figure3(w io.Writer) (Figure3Result, error) {
-	w = out(w)
-	recs, err := r.ShortTermRecords()
-	if err != nil {
-		return Figure3Result{}, err
-	}
-	// ObserveAny takes every record type, so JSON filtering and HTML size
-	// collection happen in the same pass.
-	char := taxonomy.NewCharacterization()
-	for i := range recs {
-		char.ObserveAny(&recs[i])
-	}
+	rep, err := r.observeStep("fig3", w)
+	return rep.Figure3, err
+}
 
+// figure3Observer is the taxonomy characterization: ObserveAny takes
+// every record type, so JSON filtering and HTML size collection happen
+// in the same pass.
+type figure3Observer struct{ char *taxonomy.Characterization }
+
+func newFigure3(*Runner) observer {
+	return &figure3Observer{char: taxonomy.NewCharacterization()}
+}
+
+func (o *figure3Observer) observe(_ stepNeed, rec *logfmt.Record) { o.char.ObserveAny(rec) }
+
+func (o *figure3Observer) report(rep *Report, w io.Writer) {
+	char := o.char
 	res := Figure3Result{
 		Char:          char,
 		MobileShare:   char.DeviceShare(uastring.DeviceMobile),
@@ -62,6 +68,7 @@ func (r *Runner) Figure3(w io.Writer) (Figure3Result, error) {
 	if h75 > 0 {
 		res.P75Smaller = 1 - j75/h75
 	}
+	rep.Figure3 = res
 
 	fmt.Fprintln(w, "Figure 2: JSON traffic taxonomy (measured shares in brackets)")
 	fmt.Fprint(w, taxonomy.Figure2Tree(char))
@@ -87,5 +94,4 @@ func (r *Runner) Figure3(w io.Writer) (Figure3Result, error) {
 	fmt.Fprintln(w, "Response size (§4):")
 	compareRow(w, "JSON smaller than HTML at median", "24%", pct(res.MedianSmaller))
 	compareRow(w, "JSON smaller than HTML at p75", "87%", pct(res.P75Smaller))
-	return res, nil
 }

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/domaincat"
+	"repro/internal/logfmt"
 	"repro/internal/stats"
 	"repro/internal/taxonomy"
 )
@@ -28,65 +28,46 @@ type Figure4Result struct {
 // Figure4 regenerates Fig. 4: the heatmap of domain cacheability by
 // industry category, plus the §4 cacheability statistics.
 func (r *Runner) Figure4(w io.Writer) (Figure4Result, error) {
-	w = out(w)
-	recs, err := r.ShortTermRecords()
-	if err != nil {
-		return Figure4Result{}, err
-	}
-	catalog := domaincat.NewCatalog() // generated names carry keywords; Infer covers them
-	dc := taxonomy.NewDomainCacheability(catalog)
-	char := taxonomy.NewCharacterization()
-	catShares := map[string]*stats.Summary{}
-	perDomain := map[string]*[2]int64{} // host -> [cacheable, total]
-	for i := range recs {
-		rec := &recs[i]
-		if !rec.IsJSON() {
-			continue
-		}
-		dc.Observe(rec)
-		char.Observe(rec)
-		host := rec.Host()
-		e := perDomain[host]
-		if e == nil {
-			e = &[2]int64{}
-			perDomain[host] = e
-		}
-		if rec.Cache.Cacheable() {
-			e[0]++
-		}
-		e[1]++
-	}
-	// Accumulate per-category shares in sorted host order: float addition
-	// is order-sensitive in the last bits, and map iteration would make
-	// the means differ from run to run.
-	hosts := make([]string, 0, len(perDomain))
-	for host := range perDomain {
-		hosts = append(hosts, host)
-	}
-	sort.Strings(hosts)
-	for _, host := range hosts {
-		e := perDomain[host]
-		cat := catalog.Lookup(host).String()
-		s := catShares[cat]
-		if s == nil {
-			s = &stats.Summary{}
-			catShares[cat] = s
-		}
-		s.Add(float64(e[0]) / float64(e[1]))
-	}
+	rep, err := r.observeStep("fig4", w)
+	return rep.Figure4, err
+}
 
-	never, always, mixed := dc.PolicyShares()
+// figure4Observer folds the JSON records into per-domain cacheability
+// counts and the request-weighted uncacheable share.
+type figure4Observer struct {
+	dc                *taxonomy.DomainCacheability
+	json, uncacheable int64
+}
+
+func newFigure4(*Runner) observer {
+	// Generated names carry keywords; Infer covers them.
+	return &figure4Observer{dc: taxonomy.NewDomainCacheability(domaincat.NewCatalog())}
+}
+
+func (o *figure4Observer) observe(_ stepNeed, rec *logfmt.Record) {
+	if !rec.IsJSON() {
+		return
+	}
+	o.dc.Observe(rec)
+	o.json++
+	if rec.Cache == logfmt.CacheUncacheable {
+		o.uncacheable++
+	}
+}
+
+func (o *figure4Observer) report(rep *Report, w io.Writer) {
+	never, always, mixed := o.dc.PolicyShares()
 	res := Figure4Result{
-		Heatmap:             dc.Heatmap(10),
-		UncacheableShare:    char.UncacheableShare(),
+		Heatmap:             o.dc.Heatmap(10),
 		NeverShare:          never,
 		AlwaysShare:         always,
 		MixedShare:          mixed,
-		CacheableByCategory: map[string]float64{},
+		CacheableByCategory: o.dc.CategoryMeans(),
 	}
-	for cat, s := range catShares {
-		res.CacheableByCategory[cat] = s.Mean()
+	if o.json > 0 {
+		res.UncacheableShare = float64(o.uncacheable) / float64(o.json)
 	}
+	rep.Figure4 = res
 
 	fmt.Fprintln(w, "Figure 4: Heatmap of domain cacheability by category")
 	fmt.Fprintln(w, "(rows: categories; columns: share of the domain's JSON that is cacheable)")
@@ -100,5 +81,4 @@ func (r *Runner) Figure4(w io.Writer) (Figure4Result, error) {
 		pct(res.CacheableByCategory[domaincat.CategoryFinancial.String()]))
 	compareRow(w, "Gaming mean cacheable share", "low",
 		pct(res.CacheableByCategory[domaincat.CategoryGaming.String()]))
-	return res, nil
 }

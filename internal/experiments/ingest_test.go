@@ -6,6 +6,9 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -203,5 +206,77 @@ func TestRunAllStepsLedgerComplete(t *testing.T) {
 	}
 	if got := rep.Completed(); got != len(rep.Steps) || got == 0 {
 		t.Errorf("completed %d of %d steps", got, len(rep.Steps))
+	}
+}
+
+// TestRunFileStreamsObservers reads one log file both ways RunFile
+// can: the §4 steps alone stream it through their observers and never
+// materialize it; with Table 3 added, the file is decoded into the
+// shared slice and each step folds its own. The §4 sections, their
+// results and their ledger rows must be the same bytes and values.
+func TestRunFileStreamsObservers(t *testing.T) {
+	cfg := smallConfig()
+	recs, err := NewRunner(cfg).ShortTermRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "short.cdnc")
+	var buf bytes.Buffer
+	w := logfmt.NewChunkWriter(&buf, logfmt.ChunkConfig{})
+	for i := range recs {
+		if err := w.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(keys ...string) (*Runner, *Report, string) {
+		t.Helper()
+		r := NewRunner(cfg)
+		var sb strings.Builder
+		rep, st, err := r.RunFile(context.Background(), &sb, path, keys...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Records != int64(len(recs)) || st.Quarantined != 0 {
+			t.Fatalf("read %d records (%d quarantined), wrote %d", st.Records, st.Quarantined, len(recs))
+		}
+		return r, rep, sb.String()
+	}
+	sr, streamed, streamedText := run("fig4", "table2", "fig3")
+	mr, materialized, materializedText := run("table2", "fig3", "fig4", "table3")
+	if sr.short.recs != nil || sr.pattern.recs != nil {
+		t.Error("the §4 steps alone materialized the file")
+	}
+	if len(mr.short.recs) != len(recs) || &mr.short.recs[0] != &mr.pattern.recs[0] {
+		t.Error("with Table 3 selected, both datasets must share one decoded slice")
+	}
+
+	titles := []string{"Table 2", "Figure 3 and §4 request/response types", "Figure 4 and §4 cacheability"}
+	var want string
+	for i, title := range titles {
+		want += section(t, materializedText, title)
+		got, mat := streamed.Steps[i], materialized.Steps[i]
+		if got.Name != title || got.State != StepCompleted || got.Records != mat.Records || got.Bytes != mat.Bytes {
+			t.Errorf("streamed ledger row %+v, materialized %+v", got, mat)
+		}
+	}
+	if streamedText != want {
+		t.Errorf("streamed §4 sections differ from the materialized ones:\n--- streamed ---\n%s\n--- materialized ---\n%s",
+			streamedText, want)
+	}
+	if streamed.Steps[0].Records != 2*int64(len(recs)) {
+		t.Errorf("Table 2 read %d records, want the file twice (%d)", streamed.Steps[0].Records, 2*len(recs))
+	}
+	if !reflect.DeepEqual(streamed.Figure3, materialized.Figure3) || !reflect.DeepEqual(streamed.Figure4, materialized.Figure4) {
+		t.Error("streamed Figure 3/4 results differ from the materialized ones")
+	}
+	if strings.Contains(streamedText, "(scale ") {
+		t.Errorf("Table 2 prints a scale for a file that was read, not synthesized:\n%s", streamedText)
 	}
 }

@@ -134,13 +134,15 @@ const (
 	needPeriodicity
 )
 
-// step is one row of the exhibit table.
+// step is one row of the exhibit table: fn runs it, unless it is an
+// observer (see runObserver), which observer constructs.
 type step struct {
-	key   string // selector for Run and jsonrepro -only
-	title string // section heading and ledger name
-	span  string // tracer span name and error-wrapping label
-	needs stepNeed
-	fn    func(r *Runner, rep *Report, w io.Writer) error
+	key      string // selector for Run and jsonrepro -only
+	title    string // section heading and ledger name
+	span     string // tracer span name and error-wrapping label
+	needs    stepNeed
+	fn       func(r *Runner, rep *Report, w io.Writer) error
+	observer func(r *Runner) observer
 }
 
 // stepTable is every exhibit in paper order: the one table full runs, key
@@ -151,55 +153,46 @@ var stepTable = []step{
 	{"fig1", "Figure 1", "figure 1", 0, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Figure1, err = r.Figure1(w)
 		return
-	}},
-	{"table2", "Table 2", "table 2", needShort | needPattern, func(r *Runner, rep *Report, w io.Writer) (err error) {
-		rep.Table2, err = r.Table2(w)
-		return
-	}},
-	{"fig3", "Figure 3 and §4 request/response types", "figure 3", needShort, func(r *Runner, rep *Report, w io.Writer) (err error) {
-		rep.Figure3, err = r.Figure3(w)
-		return
-	}},
-	{"fig4", "Figure 4 and §4 cacheability", "figure 4", needShort, func(r *Runner, rep *Report, w io.Writer) (err error) {
-		rep.Figure4, err = r.Figure4(w)
-		return
-	}},
+	}, nil},
+	{"table2", "Table 2", "table 2", needShort | needPattern, nil, newTable2},
+	{"fig3", "Figure 3 and §4 request/response types", "figure 3", needShort, nil, newFigure3},
+	{"fig4", "Figure 4 and §4 cacheability", "figure 4", needShort, nil, newFigure4},
 	{"fig5", "Figure 5 and §5.1 periodicity", "figure 5", needPattern | needPeriodicity, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Periods, err = r.Figure5(w)
 		return
-	}},
+	}, nil},
 	{"fig6", "Figure 6", "figure 6", needPattern | needPeriodicity, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		_, err = r.Figure6(w)
 		return
-	}},
+	}, nil},
 	{"table3", "Table 3 and §5.2 prediction", "table 3", needPattern, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Table3, err = r.Table3(w)
 		return
-	}},
+	}, nil},
 	{"prefetch", "Prefetch simulation (§5.2 implication)", "prefetch", needPattern, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Prefetch, err = r.Prefetch(w)
 		return
-	}},
+	}, nil},
 	{"deprioritize", "Deprioritization (§7 implication)", "deprioritize", needPattern | needPeriodicity, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Deprioritize, err = r.Deprioritize(w)
 		return
-	}},
+	}, nil},
 	{"anomaly", "Anomaly detection (§5 applications)", "anomaly", needPattern, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Anomaly, err = r.Anomaly(w)
 		return
-	}},
+	}, nil},
 	{"regional", "Regional vantages (§7 limitation)", "regional", 0, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Regional, err = r.Regional(w)
 		return
-	}},
+	}, nil},
 	{"resilience", "Resilience under origin faults (robustness)", "resilience", 0, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Resilience, err = r.Resilience(w)
 		return
-	}},
+	}, nil},
 	{"adversarial", "Adversarial traffic and edge defenses (robustness)", "adversarial", 0, func(r *Runner, rep *Report, w io.Writer) (err error) {
 		rep.Adversarial, err = r.Adversarial(w)
 		return
-	}},
+	}, nil},
 }
 
 // Keys lists the step table's keys in paper order.
@@ -232,6 +225,16 @@ func (r *Runner) RunAllContext(ctx context.Context, w io.Writer) (*Report, error
 // the rest marked skipped in Steps, and the error is ctx's error. A
 // step failure likewise returns the partial report alongside the error.
 func (r *Runner) Run(ctx context.Context, w io.Writer, keys ...string) (*Report, error) {
+	selected, err := selectSteps(keys)
+	if err != nil {
+		return nil, err
+	}
+	return r.schedule(ctx, out(w), selected)
+}
+
+// selectSteps returns the rows of the step table keys name, in paper
+// order, or an error naming an unknown key.
+func selectSteps(keys []string) ([]step, error) {
 	want := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		if !slices.ContainsFunc(stepTable, func(st step) bool { return st.key == k }) {
@@ -246,5 +249,5 @@ func (r *Runner) Run(ctx context.Context, w io.Writer, keys ...string) (*Report,
 			selected = append(selected, st)
 		}
 	}
-	return r.schedule(ctx, out(w), selected)
+	return selected, nil
 }

@@ -149,7 +149,12 @@ func (r *Runner) schedule(ctx context.Context, w io.Writer, selected []step) (*R
 		sp := root.Child(st.span)
 		sp.SetAttrs(obs.Int("worker", worker))
 		start := time.Now()
-		err := st.fn(r, rep, &bufs[i])
+		var err error
+		if st.observer != nil {
+			err = r.runObserver(st, rep, &bufs[i])
+		} else {
+			err = st.fn(r, rep, &bufs[i])
+		}
 		sp.End()
 		rep.Steps[i].Wall = time.Since(start)
 		if wallHist != nil {

@@ -345,11 +345,11 @@ func TestNeedsFreeStepOverlapsMaterialize(t *testing.T) {
 		{"periodic", "Periodic", "periodic", needPattern | needPeriodicity, func(r *Runner, _ *Report, _ io.Writer) error {
 			_, err := r.periodicity()
 			return err
-		}},
+		}, nil},
 		{"free", "Free", "free", 0, func(*Runner, *Report, io.Writer) error {
 			started = time.Now()
 			return nil
-		}},
+		}, nil},
 	}
 	if _, err := r.schedule(context.Background(), io.Discard, selected); err != nil {
 		t.Fatal(err)

@@ -18,26 +18,41 @@ type Table2Result struct {
 // domains of each dataset. The generated datasets are scaled-down
 // stand-ins; the row shape (wide-short vs narrow-long) is what carries.
 func (r *Runner) Table2(w io.Writer) (Table2Result, error) {
-	w = out(w)
-	short, err := r.ShortTermRecords()
-	if err != nil {
-		return Table2Result{}, err
-	}
-	pattern, err := r.PatternRecords()
-	if err != nil {
-		return Table2Result{}, err
-	}
-	res := Table2Result{
+	rep, err := r.observeStep("table2", w)
+	return rep.Table2, err
+}
+
+// table2Observer summarizes each dataset a record belongs to.
+type table2Observer struct {
+	res Table2Result
+	// scale is the -scale suffix of the short-term row: set only when
+	// that dataset was synthesized at a scale, not read from a file.
+	scale string
+}
+
+func newTable2(r *Runner) observer {
+	o := &table2Observer{res: Table2Result{
 		Short:   logfmt.NewDatasetSummary("Short-term"),
 		Pattern: logfmt.NewDatasetSummary("Long-term"),
+	}}
+	if r.file == "" {
+		o.scale = fmt.Sprintf(" (scale %g)", r.cfg.Scale)
 	}
-	for i := range short {
-		res.Short.Observe(&short[i])
-	}
-	for i := range pattern {
-		res.Pattern.Observe(&pattern[i])
-	}
+	return o
+}
 
+func (o *table2Observer) observe(d stepNeed, rec *logfmt.Record) {
+	if d&needShort != 0 {
+		o.res.Short.Observe(rec)
+	}
+	if d&needPattern != 0 {
+		o.res.Pattern.Observe(rec)
+	}
+}
+
+func (o *table2Observer) report(rep *Report, w io.Writer) {
+	res := o.res
+	rep.Table2 = res
 	fmt.Fprintln(w, "Table 2: Summary of our datasets (scaled)")
 	var tb stats.Table
 	tb.SetHeader("Dataset", "# of Logs", "Duration", "# of Domains", "# of Clients")
@@ -46,10 +61,9 @@ func (r *Runner) Table2(w io.Writer) (Table2Result, error) {
 	}
 	fmt.Fprint(w, tb.String())
 	compareRow(w, "short-term shape", "25M logs / 10 mins / ~5K domains",
-		fmt.Sprintf("%d logs / %s / %d domains (scale %g)",
-			res.Short.Records(), res.Short.Duration().Round(1e9), res.Short.Domains(), r.cfg.Scale))
+		fmt.Sprintf("%d logs / %s / %d domains%s",
+			res.Short.Records(), res.Short.Duration().Round(1e9), res.Short.Domains(), o.scale))
 	compareRow(w, "long-term shape", "10M logs / 24 hrs / ~170 domains",
 		fmt.Sprintf("%d logs / %s / %d domains",
 			res.Pattern.Records(), res.Pattern.Duration().Round(1e9), res.Pattern.Domains()))
-	return res, nil
 }

@@ -71,8 +71,8 @@ func BenchmarkDecodeChunkSeq(b *testing.B) {
 }
 
 // BenchmarkDecodeChunkParallel decodes the chunk container through the
-// bounded parallel per-chunk pipeline (RunChunks) — the path jsonchar
-// takes for .cdnc inputs.
+// bounded parallel per-chunk pipeline (RunChunks) — the path
+// ingest.FileSource takes for .cdnc inputs.
 func BenchmarkDecodeChunkParallel(b *testing.B) {
 	recs := benchCorpus(b)
 	for _, codec := range []logfmt.Codec{logfmt.CodecRaw, logfmt.CodecFlate} {
@@ -99,8 +99,8 @@ func BenchmarkDecodeChunkParallel(b *testing.B) {
 }
 
 // BenchmarkPipelineTSV measures the fan-out decode path end to end —
-// the throughput a `jsonchar -i logs.tsv` run is bounded by. The -j
-// flag maps to Workers.
+// the throughput a `jsonrepro -records logs.tsv -only table2,fig3,fig4`
+// run is bounded by. The -j flag maps to Workers.
 func BenchmarkPipelineTSV(b *testing.B) {
 	recs := synthRecords(b, 10_000)
 	stream := encodeTSV(recs)

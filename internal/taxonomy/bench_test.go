@@ -24,7 +24,7 @@ func BenchmarkObserve(b *testing.B) {
 	c := NewCharacterization()
 	for i := 0; i < b.N; i++ {
 		if i%len(recs) == 0 {
-			c = NewCharacterization() // one aggregate a pass, as jsonchar builds it
+			c = NewCharacterization() // one aggregate a pass, as the Fig. 3 observer builds it
 		}
 		c.ObserveAny(&recs[i%len(recs)])
 	}

@@ -1,6 +1,6 @@
 // Package taxonomy classifies CDN log records along the paper's JSON
 // traffic taxonomy (Fig. 2) and aggregates the §4 characterization:
-// traffic source (device type, browser vs non-browser, application),
+// traffic source (device type, browser vs non-browser),
 // request type (upload vs download), and response type (size,
 // cacheability), including the per-category cacheability heatmap of
 // Fig. 4.
@@ -23,8 +23,6 @@ import (
 type Characterization struct {
 	// Devices counts JSON requests by device type label.
 	Devices stats.Counter
-	// Apps counts JSON requests by identified application.
-	Apps stats.Counter
 	// Methods counts JSON requests by HTTP method.
 	Methods stats.Counter
 	// UAStrings tracks distinct user-agent strings per device type.
@@ -38,13 +36,10 @@ type Characterization struct {
 
 	// Cacheability.
 	Uncacheable int64
-	Hits        int64
-	Misses      int64
 
 	// Sizes.
 	JSONSizes []float64
 	HTMLSizes []float64
-	jsonBytes stats.Summary
 }
 
 // NewCharacterization returns an empty aggregate.
@@ -57,9 +52,6 @@ func (c *Characterization) Observe(r *logfmt.Record) {
 	cls := uastring.Classify(r.UserAgent)
 	c.Total++
 	c.Devices.Add(cls.Device.String())
-	if cls.App != "" {
-		c.Apps.Add(cls.App)
-	}
 	c.Methods.Add(r.Method)
 	if r.UserAgent != "" {
 		if _, seen := c.UAStrings[r.UserAgent]; !seen {
@@ -75,17 +67,11 @@ func (c *Characterization) Observe(r *logfmt.Record) {
 			c.EmbeddedBrowser++
 		}
 	}
-	switch r.Cache {
-	case logfmt.CacheUncacheable:
+	if r.Cache == logfmt.CacheUncacheable {
 		c.Uncacheable++
-	case logfmt.CacheHit:
-		c.Hits++
-	case logfmt.CacheMiss:
-		c.Misses++
 	}
 	if r.Bytes > 0 {
 		c.JSONSizes = append(c.JSONSizes, float64(r.Bytes))
-		c.jsonBytes.Add(float64(r.Bytes))
 	}
 }
 
@@ -110,7 +96,6 @@ func (c *Characterization) ObserveAny(r *logfmt.Record) {
 // Merge folds other into c.
 func (c *Characterization) Merge(other *Characterization) {
 	c.Devices.Merge(&other.Devices)
-	c.Apps.Merge(&other.Apps)
 	c.Methods.Merge(&other.Methods)
 	for ua, d := range other.UAStrings {
 		if _, ok := c.UAStrings[ua]; !ok {
@@ -122,11 +107,8 @@ func (c *Characterization) Merge(other *Characterization) {
 	c.MobileBrowser += other.MobileBrowser
 	c.EmbeddedBrowser += other.EmbeddedBrowser
 	c.Uncacheable += other.Uncacheable
-	c.Hits += other.Hits
-	c.Misses += other.Misses
 	c.JSONSizes = append(c.JSONSizes, other.JSONSizes...)
 	c.HTMLSizes = append(c.HTMLSizes, other.HTMLSizes...)
-	c.jsonBytes.Merge(other.jsonBytes)
 }
 
 // DeviceShare returns the fraction of JSON requests from the device type.
@@ -173,15 +155,6 @@ func (c *Characterization) UncacheableShare() float64 {
 	return float64(c.Uncacheable) / float64(c.Total)
 }
 
-// HitRatio returns cache hits over cacheable requests.
-func (c *Characterization) HitRatio() float64 {
-	den := c.Hits + c.Misses
-	if den == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(den)
-}
-
 // UAStringMix returns the share of *distinct* user-agent strings per
 // device type label (paper: 73% mobile, 17% embedded, 3% desktop, 7%
 // unknown).
@@ -216,9 +189,6 @@ func (c *Characterization) SizeQuantiles() (json50, json75, html50, html75 float
 	return
 }
 
-// MeanJSONSize returns the mean JSON response size in bytes.
-func (c *Characterization) MeanJSONSize() float64 { return c.jsonBytes.Mean() }
-
 // DomainCacheability accumulates per-domain cacheable/uncacheable
 // request counts and joins them with industry categories to produce the
 // Fig. 4 heatmap.
@@ -252,9 +222,6 @@ func (d *DomainCacheability) Observe(r *logfmt.Record) {
 		dc.uncacheable++
 	}
 }
-
-// NumDomains returns the number of distinct domains observed.
-func (d *DomainCacheability) NumDomains() int { return len(d.domains) }
 
 // PolicyShares returns the fraction of domains that never serve
 // cacheable JSON, always do, and mix (paper: ~50%, ~30%, rest).
@@ -296,13 +263,7 @@ func (d *DomainCacheability) Heatmap(buckets int) *stats.Matrix {
 		cols[i] = percentRange(i, buckets)
 	}
 	m := stats.NewMatrix(rows, cols)
-	// Deterministic iteration order for reproducible accumulation.
-	hosts := make([]string, 0, len(d.domains))
-	for h := range d.domains {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	for _, host := range hosts {
+	for _, host := range d.sortedHosts() {
 		dc := d.domains[host]
 		total := dc.cacheable + dc.uncacheable
 		if total == 0 {
@@ -320,6 +281,39 @@ func (d *DomainCacheability) Heatmap(buckets int) *stats.Matrix {
 	}
 	m.NormalizeRows()
 	return m
+}
+
+// CategoryMeans maps each category label to the mean, over the
+// category's domains, of the share of a domain's JSON that is cacheable.
+func (d *DomainCacheability) CategoryMeans() map[string]float64 {
+	sums := map[string]*stats.Summary{}
+	for _, host := range d.sortedHosts() {
+		dc := d.domains[host]
+		cat := d.catalog.Lookup(host).String()
+		s := sums[cat]
+		if s == nil {
+			s = &stats.Summary{}
+			sums[cat] = s
+		}
+		s.Add(float64(dc.cacheable) / float64(dc.cacheable+dc.uncacheable))
+	}
+	means := make(map[string]float64, len(sums))
+	for cat, s := range sums {
+		means[cat] = s.Mean()
+	}
+	return means
+}
+
+// sortedHosts returns the observed domains in sorted order: float
+// accumulation is order-sensitive in the last bits, and map iteration
+// would make the sums differ from run to run.
+func (d *DomainCacheability) sortedHosts() []string {
+	hosts := make([]string, 0, len(d.domains))
+	for h := range d.domains {
+		hosts = append(hosts, h)
+	}
+	sort.Strings(hosts)
+	return hosts
 }
 
 func percentRange(i, buckets int) string {
