@@ -66,7 +66,7 @@ func (r *Runner) observeStep(key string, w io.Writer) (*Report, error) {
 // once through all of them and is never held in memory; otherwise it is
 // decoded once into the one slice both datasets share. It returns the
 // read's accounting even on error; a read cancelled by ctx returns the
-// all-skipped ledger and ctx's error.
+// all-skipped ledger and ctx's error. Call it once, in place of Run.
 func (r *Runner) RunFile(ctx context.Context, w io.Writer, path string, keys ...string) (*Report, ingest.Stats, error) {
 	selected, err := selectSteps(keys)
 	if err != nil {
@@ -86,17 +86,11 @@ func (r *Runner) RunFile(ctx context.Context, w io.Writer, path string, keys ...
 			Workers: r.cfg.Jobs,
 			Options: ingest.Options{Metrics: ingest.NewInstrumentation(r.obsReg)},
 		}}
-	var n, bytes int64
-	var recs []logfmt.Record
-	fold := func(rec *logfmt.Record) error {
-		recs = append(recs, *rec)
-		return nil
-	}
+	// The file is both datasets, so a streamed record is in every
+	// dataset a step reads.
+	var folds []func(*logfmt.Record)
 	if stream {
-		// The file is both datasets, so each record is in every dataset
-		// a step reads.
 		r.streamed = map[string]observer{}
-		var folds []func(*logfmt.Record)
 		for _, st := range selected {
 			if st.observer != nil {
 				o, d := st.observer(r), st.needs
@@ -104,28 +98,28 @@ func (r *Runner) RunFile(ctx context.Context, w io.Writer, path string, keys ...
 				folds = append(folds, func(rec *logfmt.Record) { o.observe(d, rec) })
 			}
 		}
-		fold = func(rec *logfmt.Record) error {
-			n++
-			bytes += rec.Bytes
-			for _, f := range folds {
-				f(rec)
-			}
-			return nil
-		}
 	}
-	err = src.Each(fold)
-	sp.AddRecords(src.LastStats.Records)
+	var n, bytes int64
+	var recs []logfmt.Record
+	err = src.Each(func(rec *logfmt.Record) error {
+		n++
+		bytes += rec.Bytes
+		if !stream {
+			recs = append(recs, *rec)
+		}
+		for _, f := range folds {
+			f(rec)
+		}
+		return nil
+	})
+	sp.AddRecords(n)
+	sp.AddBytes(bytes)
 	sp.End()
 	if err != nil && ctx.Err() == nil {
 		return nil, src.LastStats, fmt.Errorf("experiments: reading %s: %w", path, err)
 	}
-	if stream {
-		r.use(r.short, nil, n, bytes)
-		r.use(r.pattern, nil, n, bytes)
-	} else {
-		r.UseShortTermRecords(recs)
-		r.UsePatternRecords(recs)
-	}
+	r.use(r.short, recs, n, bytes)
+	r.use(r.pattern, recs, n, bytes)
 	// A cancelled read leaves ctx cancelled, and schedule then returns
 	// the all-skipped ledger with ctx's error.
 	rep, err := r.schedule(ctx, out(w), selected)
