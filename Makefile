@@ -42,14 +42,16 @@ test:
 # requirement is `replace repro => ../` (so it works offline): a renamed
 # export that would stop the ruler compiling fails here, not in the
 # benchmark run. The layer benchmarks that live beside their code (the
-# fleet front over a stub transport, the replay pacer's lateness, and
+# fleet front over a stub transport, the replay pacer's lateness,
 # predict-then-train on a cache-busting stream in the ngram model and in
-# livechar's consumer) run one iteration each, so that they keep
+# livechar's consumer, and the decode ladder's chunk decode, host parse
+# and Table 2 fold in logfmt) run one iteration each, so that they keep
 # compiling and running; so do the root ablations over edge.Pool and the
 # prefetch simulator whose numbers EXPERIMENTS.md "Ablations" cites.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Front|Pacer|PredictOnline|PredictorObserve' -benchtime 1x ./internal/fleet ./internal/replay ./internal/ngram ./internal/livechar
+	$(GO) test -run '^$$' -bench 'ChunkDecode|RecordHost|DatasetSummaryObserve' -benchtime 1x ./internal/logfmt
 	$(GO) test -run '^$$' -bench 'PrefetchK|TTLSweep|RoutingAblation|AdmissionAblation' -benchtime 1x .
 
 # race runs the whole tree under the race detector (about 3 minutes on
@@ -133,5 +135,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDetect -fuzztime=$(FUZZTIME) ./internal/dsp
 	$(GO) test -run=^$$ -fuzz=FuzzClassify -fuzztime=$(FUZZTIME) ./internal/uastring
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalURL -fuzztime=$(FUZZTIME) ./internal/logfmt
+	$(GO) test -run=^$$ -fuzz=FuzzRecordHost -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzModelAgainstOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/ngram
 	$(GO) test -run=^$$ -fuzz=FuzzMergeSnapshots -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/livechar

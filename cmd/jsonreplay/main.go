@@ -85,6 +85,7 @@ func main() {
 	}
 
 	var records []logfmt.Record
+	intern := logfmt.NewInterner(0) // one copy of each URL and agent across chunks
 	src := &ingest.FileSource{Path: *in, Ctx: ctx}
 	err = src.Each(func(r *logfmt.Record) error {
 		if *jsonOnly && !r.IsJSON() {
@@ -94,6 +95,9 @@ func main() {
 			return nil
 		}
 		records = append(records, *r)
+		kept := &records[len(records)-1]
+		kept.URL = intern.Intern(kept.URL)
+		kept.UserAgent = intern.Intern(kept.UserAgent)
 		return nil
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -11,6 +12,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/ingest"
 	"repro/internal/logfmt"
@@ -278,5 +281,65 @@ func TestRunFileStreamsObservers(t *testing.T) {
 	}
 	if strings.Contains(streamedText, "(scale ") {
 		t.Errorf("Table 2 prints a scale for a file that was read, not synthesized:\n%s", streamedText)
+	}
+	// One file is both datasets: Table 2 folds it once and reports that
+	// summary under both names, streamed or materialized.
+	for _, rep := range []*Report{streamed, materialized} {
+		short, long := rep.Table2.Short, rep.Table2.Pattern
+		if short.Name != "Short-term" || long.Name != "Long-term" || short.Records() != int64(len(recs)) ||
+			long.Records() != short.Records() || long.Domains() != short.Domains() || long.Clients() != short.Clients() {
+			t.Errorf("Table 2 rows %v / %v, want the file's one summary under both names", short, long)
+		}
+	}
+}
+
+// TestRunFileInternsKeptRecords checks that the slice RunFile keeps
+// holds one copy of each URL and user agent across chunk boundaries.
+// The chunk decoder shares strings only within a chunk, so without the
+// interning in RunFile's materializing loop a capture would hold one
+// copy per chunk.
+func TestRunFileInternsKeptRecords(t *testing.T) {
+	t0 := time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
+	path := filepath.Join(t.TempDir(), "small.cdnc")
+	var buf bytes.Buffer
+	w := logfmt.NewChunkWriter(&buf, logfmt.ChunkConfig{ChunkRecords: 50})
+	for i := 0; i < 200; i++ {
+		rec := logfmt.Record{
+			Time: t0.Add(time.Duration(i) * time.Second), ClientID: uint64(i % 7),
+			Method: "GET", URL: fmt.Sprintf("https://api%d.example.com/v1/feed", i%5),
+			UserAgent: fmt.Sprintf("NewsApp/%d.0 (iPhone; iOS 12.2)", i%3),
+			MIMEType:  "application/json", Status: 200, Bytes: 512, Cache: logfmt.CacheHit,
+		}
+		if err := w.Write(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(smallConfig())
+	if _, _, err := r.RunFile(context.Background(), io.Discard, path, "anomaly"); err != nil {
+		t.Fatal(err)
+	}
+	recs := r.pattern.recs
+	if len(recs) != 200 {
+		t.Fatalf("kept %d records, want 200", len(recs))
+	}
+	first := map[string]*byte{}
+	for i := range recs {
+		for _, s := range []string{recs[i].URL, recs[i].UserAgent} {
+			p, ok := first[s]
+			if !ok {
+				first[s] = unsafe.StringData(s)
+			} else if p != unsafe.StringData(s) {
+				t.Fatalf("record %d (chunk %d): %q is a second copy", i, i/50, s)
+			}
+		}
+	}
+	if len(first) != 8 {
+		t.Fatalf("%d distinct strings, want 5 URLs and 3 agents", len(first))
 	}
 }

@@ -31,15 +31,24 @@ func (r *Runner) runObserver(st step, rep *Report, w io.Writer) error {
 	if o == nil {
 		o = st.observer(r)
 		for _, d := range []*dataset{r.short, r.pattern} {
-			if st.needs&d.reads == 0 {
+			need := d.reads & st.needs
+			if need == 0 {
 				continue
+			}
+			if r.file != "" {
+				// One file is both datasets and one slice: fold it
+				// once, as RunFile's stream does.
+				need = st.needs
 			}
 			recs, err := r.records(d)
 			if err != nil {
 				return err
 			}
 			for i := range recs {
-				o.observe(d.reads&st.needs, &recs[i])
+				o.observe(need, &recs[i])
+			}
+			if r.file != "" {
+				break
 			}
 		}
 	}
@@ -101,11 +110,17 @@ func (r *Runner) RunFile(ctx context.Context, w io.Writer, path string, keys ...
 	}
 	var n, bytes int64
 	var recs []logfmt.Record
+	// The decoder shares strings only within a chunk; the kept slice
+	// shares each URL and user agent across the whole file.
+	intern := logfmt.NewInterner(0)
 	err = src.Each(func(rec *logfmt.Record) error {
 		n++
 		bytes += rec.Bytes
 		if !stream {
 			recs = append(recs, *rec)
+			kept := &recs[len(recs)-1]
+			kept.URL = intern.Intern(kept.URL)
+			kept.UserAgent = intern.Intern(kept.UserAgent)
 		}
 		for _, f := range folds {
 			f(rec)

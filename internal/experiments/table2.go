@@ -28,6 +28,9 @@ type table2Observer struct {
 	// scale is the -scale suffix of the short-term row: set only when
 	// that dataset was synthesized at a scale, not read from a file.
 	scale string
+	// same is set when one file is both datasets: its records fold
+	// once, into Short, which the report also prints as Long-term.
+	same bool
 }
 
 func newTable2(r *Runner) observer {
@@ -42,16 +45,24 @@ func newTable2(r *Runner) observer {
 }
 
 func (o *table2Observer) observe(d stepNeed, rec *logfmt.Record) {
-	if d&needShort != 0 {
+	switch {
+	case d&needShort != 0 && d&needPattern != 0:
+		o.same = true
 		o.res.Short.Observe(rec)
-	}
-	if d&needPattern != 0 {
+	case d&needShort != 0:
+		o.res.Short.Observe(rec)
+	case d&needPattern != 0:
 		o.res.Pattern.Observe(rec)
 	}
 }
 
 func (o *table2Observer) report(rep *Report, w io.Writer) {
 	res := o.res
+	if o.same {
+		long := *res.Short
+		long.Name = res.Pattern.Name
+		res.Pattern = &long
+	}
 	rep.Table2 = res
 	fmt.Fprintln(w, "Table 2: Summary of our datasets (scaled)")
 	var tb stats.Table

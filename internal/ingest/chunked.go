@@ -31,11 +31,13 @@ type chunk struct {
 //
 // The per-chunk work is arena-style and low-alloc: payload buffers and
 // record batches recycle through free-lists, each worker owns one
-// logfmt.ChunkDecoder whose decompressor, scratch buffer, and string
-// interner persist across every chunk that worker decodes, and records
-// are handed to fn as pointers into the batch (the *logfmt.Record is
-// reused; observers copy what they retain, per the core.Source
-// contract).
+// logfmt.ChunkDecoder whose decompressor and scratch buffers persist
+// across every chunk that worker decodes, and records are handed to fn
+// as pointers into the batch (the *logfmt.Record is reused; observers
+// copy what they retain, per the core.Source contract). Decoding
+// copies each distinct string of a chunk once and hashes none; records
+// of different chunks share no strings, so a caller that keeps many
+// records interns what it keeps (logfmt.Interner).
 //
 // Corruption quarantines at chunk granularity: a chunk that fails its
 // header CRC, payload CRC, or record decode loses its claimed record
@@ -113,7 +115,7 @@ func RunChunks(ctx context.Context, r io.Reader, cfg PipelineConfig, fn func(*lo
 				return c
 			}
 			if dec == nil {
-				dec = logfmt.NewChunkDecoder(sc.Codec(), nil)
+				dec = logfmt.NewChunkDecoder(sc.Codec())
 			}
 			t0 := m.decodeStart()
 			// A fresh batch starts empty: Decode sizes it from the

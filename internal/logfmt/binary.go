@@ -191,10 +191,9 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-// strIntern decodes a length-prefixed string straight through the
-// interner, so repeated values cost one map lookup and zero
-// allocations.
-func (d *decoder) strIntern(in *Interner) string {
+// str decodes a length-prefixed string into a fresh copy of its bytes,
+// so it never aliases the (possibly recycled) payload buffer.
+func (d *decoder) str() string {
 	n := d.uvarint()
 	if d.err != nil {
 		return ""
@@ -205,16 +204,16 @@ func (d *decoder) strIntern(in *Interner) string {
 	}
 	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return in.InternBytes(b)
+	return string(b)
 }
 
-func (d *decoder) dictStringIntern(table []string, in *Interner) string {
+func (d *decoder) dictString(table []string) string {
 	i := d.byte()
 	if d.err != nil {
 		return ""
 	}
 	if i == 0 {
-		return d.strIntern(in)
+		return d.str()
 	}
 	if int(i) >= len(table) {
 		d.err = fmt.Errorf("dictionary index %d out of range", i)

@@ -25,7 +25,6 @@ func decodeBinaryStream(t testing.TB, data []byte) []Record {
 		t.Fatalf("stream starts %q, want the binary magic", data[:min(len(data), 5)])
 	}
 	data = data[len(binaryMagic):]
-	in := NewInterner(0)
 	var prev int64
 	var out []Record
 	for len(data) > 0 {
@@ -37,10 +36,10 @@ func decodeBinaryStream(t testing.TB, data []byte) []Record {
 		data = data[n+int(size):]
 		prev += d.varint()
 		r := Record{Time: time.Unix(0, prev).UTC(), ClientID: d.uvarint()}
-		r.Method = d.dictStringIntern(methodTable, in)
-		r.URL = d.strIntern(in)
-		r.UserAgent = d.strIntern(in)
-		r.MIMEType = d.dictStringIntern(mimeTable, in)
+		r.Method = d.dictString(methodTable)
+		r.URL = d.str()
+		r.UserAgent = d.str()
+		r.MIMEType = d.dictString(mimeTable)
 		r.Status = int(d.uvarint())
 		r.Bytes = int64(d.uvarint())
 		r.Cache = CacheStatus(d.byte())

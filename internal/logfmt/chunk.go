@@ -541,35 +541,35 @@ func (s *ChunkScanner) discard(n int) {
 
 // ChunkDecoder turns raw chunks into records: it decompresses through
 // the container codec, verifies the payload CRC32C, and decodes the
-// record bodies. All scratch state — the decompression buffer, the
-// codec's inflater, and the string interner — is owned by the decoder
-// and reused across chunks, so a long-lived decoder (one per ingest
-// worker) decodes with near-zero allocations per record. Not safe for
-// concurrent use; give each goroutine its own.
+// record bodies. Its scratch state — the decompression buffer, the
+// codec's inflater and the dictionary slices — is reused across
+// chunks, so a long-lived decoder (one per ingest worker) allocates
+// per distinct string of a chunk, not per record. It keeps no table
+// across chunks and hashes nothing: a chunk's dictionary already holds
+// each URL and user agent once. Not safe for concurrent use; give each
+// goroutine its own.
 type ChunkDecoder struct {
-	codec  Codec
-	intern *Interner
-	raw    []byte
-	urls   []string // decoded per-chunk dictionaries, reused
-	uas    []string
-	src    bytes.Reader
-	fr     io.ReadCloser
-	gr     *gzip.Reader
+	codec Codec
+	raw   []byte
+	urls  []string // decoded per-chunk dictionaries, reused
+	uas   []string
+	src   bytes.Reader
+	fr    io.ReadCloser
+	gr    *gzip.Reader
 }
 
-// NewChunkDecoder returns a decoder for the given codec. A nil interner
-// allocates a fresh one, shared across every chunk this decoder sees.
-func NewChunkDecoder(codec Codec, intern *Interner) *ChunkDecoder {
-	if intern == nil {
-		intern = NewInterner(0)
-	}
-	return &ChunkDecoder{codec: codec, intern: intern}
+// NewChunkDecoder returns a decoder for the given codec.
+func NewChunkDecoder(codec Codec) *ChunkDecoder {
+	return &ChunkDecoder{codec: codec}
 }
 
 // Decode appends rc's records to dst and returns the extended slice
 // (arena-style: pass dst[:0] of a reused batch to decode with no
 // per-record allocation). The returned records' string fields are
-// interned and safe to retain; the slice itself is the caller's.
+// copies that alias no decoder buffer and are safe to retain; records
+// of one chunk share one copy per distinct URL and user agent, records
+// of different chunks do not (a caller that keeps many records
+// interns them, see Interner). The slice itself is the caller's.
 //
 // A chunk whose contents fail — inflate, payload CRC, or record decode
 // — is reported as a *DecodeError spanning the whole frame, with dst
@@ -594,10 +594,10 @@ func (d *ChunkDecoder) decode(rc *RawChunk, dst []Record) ([]Record, error) {
 		return dst, fmt.Errorf("chunk payload CRC mismatch (%08x != %08x)", got, rc.CRC)
 	}
 	c := decoder{buf: raw}
-	if d.urls, err = parseStringDict(&c, d.urls[:0], d.intern); err != nil {
+	if d.urls, err = parseStringDict(&c, d.urls[:0]); err != nil {
 		return dst, fmt.Errorf("chunk url dictionary: %w", err)
 	}
-	if d.uas, err = parseStringDict(&c, d.uas[:0], d.intern); err != nil {
+	if d.uas, err = parseStringDict(&c, d.uas[:0]); err != nil {
 		return dst, fmt.Errorf("chunk user-agent dictionary: %w", err)
 	}
 	// Pre-size the batch from the header's record count, bounded by the
@@ -634,10 +634,10 @@ func (d *ChunkDecoder) decode(rc *RawChunk, dst []Record) ([]Record, error) {
 func (d *ChunkDecoder) decodeBody(c *decoder, r *Record, prevNano *int64) error {
 	delta := c.varint()
 	r.ClientID = c.uvarint()
-	r.Method = c.dictStringIntern(methodTable, d.intern)
+	r.Method = c.dictString(methodTable)
 	urlIdx := c.uvarint()
 	uaIdx := c.uvarint()
-	r.MIMEType = c.dictStringIntern(mimeTable, d.intern)
+	r.MIMEType = c.dictString(mimeTable)
 	r.Status = int(c.uvarint())
 	r.Bytes = int64(c.uvarint())
 	cacheByte := c.byte()
@@ -659,11 +659,14 @@ func (d *ChunkDecoder) decodeBody(c *decoder, r *Record, prevNano *int64) error 
 	return nil
 }
 
-// parseStringDict parses one dictionary section, interning each
-// distinct string once per chunk. The count is validated against the
-// remaining payload (every entry costs at least one byte), so a forged
-// header cannot force a huge allocation.
-func parseStringDict(c *decoder, dst []string, in *Interner) ([]string, error) {
+// parseStringDict parses one dictionary section into one string per
+// entry. Each entry is its own allocation, not a substring of one
+// chunk-wide string, so a key an observer keeps (a host, an agent)
+// pins only itself, never the rest of the chunk's dictionary. The
+// count is validated against the remaining payload (every entry costs
+// at least one byte), so a forged header cannot force a huge
+// allocation.
+func parseStringDict(c *decoder, dst []string) ([]string, error) {
 	n := c.uvarint()
 	if c.err != nil {
 		return dst, c.err
@@ -672,7 +675,7 @@ func parseStringDict(c *decoder, dst []string, in *Interner) ([]string, error) {
 		return dst, fmt.Errorf("implausible dictionary size %d", n)
 	}
 	for i := uint64(0); i < n; i++ {
-		s := c.strIntern(in)
+		s := c.str()
 		if c.err != nil {
 			return dst, c.err
 		}
@@ -776,7 +779,7 @@ func (rd *ChunkReader) fill() error {
 		return err
 	}
 	if rd.dec == nil {
-		rd.dec = NewChunkDecoder(rd.sc.Codec(), nil)
+		rd.dec = NewChunkDecoder(rd.sc.Codec())
 	}
 	var err error
 	if rd.batch, err = rd.dec.Decode(&rd.rc, rd.batch); err != nil {

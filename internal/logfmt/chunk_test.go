@@ -7,9 +7,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"reflect"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // chunkCorpus builds n distinct but repetitive records, the shape CDN
@@ -286,27 +286,44 @@ func TestChunkDecoderRejectsLies(t *testing.T) {
 	}
 }
 
-// TestChunkInterningSharesAcrossChunks verifies the decoder's interner
-// persists across chunk boundaries: the same URL decoded from two
-// different chunks is one shared string.
-func TestChunkInterningSharesAcrossChunks(t *testing.T) {
+// TestChunkDecodedStringsOutliveNextChunk checks that a decoder's
+// strings alias none of its buffers. A raw chunk decodes straight out
+// of the scanner's payload buffer, which the next chunk overwrites in
+// place; strings decoded from chunk 1 must read the same after the
+// same decoder has decoded chunk 2 from that buffer.
+func TestChunkDecodedStringsOutliveNextChunk(t *testing.T) {
 	recs := chunkCorpus(4)
 	for i := range recs {
-		recs[i].URL = "https://api.news-example.com/v1/same"
-		recs[i].UserAgent = "SharedAgent/1.0"
+		// Same lengths, different bytes: chunk 2's dictionaries land
+		// where chunk 1's were.
+		recs[i].URL = fmt.Sprintf("https://api.news-example.com/v1/chunk%d", i/2)
+		recs[i].UserAgent = fmt.Sprintf("Agent%d/1.0", i/2)
+		recs[i].Method = fmt.Sprintf("VERB%d", i/2) // a literal, not a table index
 	}
-	data := encodeChunks(t, recs, ChunkConfig{Codec: CodecFlate, ChunkRecords: 2})
-	got := readAllChunks(t, data)
-	if len(got) != 4 {
-		t.Fatalf("read %d records, want 4", len(got))
+	data := encodeChunks(t, recs, ChunkConfig{Codec: CodecRaw, ChunkRecords: 2})
+	sc := NewChunkScanner(bytes.NewReader(data))
+	var rc RawChunk
+	if err := sc.Next(&rc); err != nil {
+		t.Fatal(err)
 	}
-	// Records 0 and 3 came from different chunks; interning across the
-	// boundary means their URL headers alias the same bytes.
-	if unsafe.StringData(got[0].URL) != unsafe.StringData(got[3].URL) {
-		t.Fatal("URL not shared across chunk boundary")
+	dec := NewChunkDecoder(sc.Codec())
+	first, err := dec.Decode(&rc, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if unsafe.StringData(got[0].UserAgent) != unsafe.StringData(got[3].UserAgent) {
-		t.Fatal("UserAgent not shared across chunk boundary")
+	payload := rc.Payload
+	if err := sc.Next(&rc); err != nil {
+		t.Fatal(err)
+	}
+	if &rc.Payload[0] != &payload[0] {
+		t.Fatal("the scanner did not reuse its payload buffer; the test would not bite")
+	}
+	second, err := dec.Decode(&rc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, recs[:2]) || !reflect.DeepEqual(second, recs[2:]) {
+		t.Fatalf("decoded\n%+v\n%+v\nwant\n%+v", first, second, recs)
 	}
 }
 

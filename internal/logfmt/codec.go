@@ -91,9 +91,19 @@ func unescape(s string) string {
 
 // ParseTSV parses one TSV line (without trailing newline) into r.
 func ParseTSV(line string, r *Record) error {
-	fields := strings.SplitN(line, "\t", tsvFields)
-	if len(fields) != tsvFields {
-		return fmt.Errorf("logfmt: TSV line has %d fields, want %d", len(fields), tsvFields)
+	// Cut the fields in place, the last taking the rest of the line.
+	var fields [tsvFields]string
+	n := 0
+	for ; n < tsvFields-1; n++ {
+		i := strings.IndexByte(line, '\t')
+		if i < 0 {
+			break
+		}
+		fields[n], line = line[:i], line[i+1:]
+	}
+	fields[n] = line
+	if n != tsvFields-1 {
+		return fmt.Errorf("logfmt: TSV line has %d fields, want %d", n+1, tsvFields)
 	}
 	t, err := parseTime(fields[0])
 	if err != nil {

@@ -2,10 +2,18 @@ package logfmt
 
 // Interner deduplicates decoded strings. CDN logs repeat the same URLs,
 // user agents, methods, and MIME types millions of times; without
-// interning, every decoded record retains its own copy (and, for the
-// TSV path, pins the whole source line its substrings point into). An
+// interning, every kept record retains its own copy (and, for the TSV
+// path, pins the whole source line its substrings point into). An
 // Interner returns one canonical copy per distinct value, so a
 // materialized dataset holds each hot string once.
+//
+// Interning happens where records are kept, not where they are
+// decoded: the text Reader interns per reader, and the loops that
+// materialize a whole log (experiments.Runner.RunFile's shared slice,
+// jsonreplay's loader) intern the URL and user agent of each record
+// they keep. The chunk decoder interns nothing: a chunk's dictionary
+// already holds each string once, and a stream that keeps no record
+// has no use for a table of them.
 //
 // The table is capped: once max distinct strings have been seen, new
 // values pass through uninterned (they still decode correctly, they
@@ -48,29 +56,6 @@ func (in *Interner) Intern(s string) string {
 	// strings.Clone the value so interning a substring does not pin its
 	// (possibly much larger) backing array.
 	c := cloneString(s)
-	in.m[c] = c
-	return c
-}
-
-// InternBytes returns the canonical string equal to b, remembering it
-// if the table has room. On a hit no allocation happens (the map lookup
-// keys on the byte slice directly), which is what makes the chunk
-// decode path low-alloc: every repeated URL and user agent decodes to
-// the shared copy without ever materializing a throwaway string.
-func (in *Interner) InternBytes(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if in == nil {
-		return string(b)
-	}
-	if c, ok := in.m[string(b)]; ok { // no alloc: compiler-optimized lookup
-		return c
-	}
-	if len(in.m) >= in.max {
-		return string(b)
-	}
-	c := string(b)
 	in.m[c] = c
 	return c
 }

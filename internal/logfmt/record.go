@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // CacheStatus describes how the edge served a response, as recorded by
@@ -85,24 +86,66 @@ type Record struct {
 	Cache CacheStatus
 }
 
-// Host returns the host part of the record URL, or "" if unparseable.
+// Host returns the host part of the record URL, lower-cased, or "" if
+// unparseable. The authority is what follows the URL's first "://"
+// (the whole URL when it has none) up to its first '/', '?' or '#';
+// the host is the part of it after the last '@' and before the next
+// ':'. Host is on every §4 observer's per-record path, so it walks the
+// authority once and returns a substring of the URL, allocating only
+// when the host has an upper-case or non-ASCII byte to fold.
 func (r *Record) Host() string {
 	u := r.URL
 	if i := strings.Index(u, "://"); i >= 0 {
 		u = u[i+3:]
 	}
-	if i := strings.IndexAny(u, "/?#"); i >= 0 {
-		u = u[:i]
+	start, end, fold := 0, -1, false
+scan:
+	for i := 0; i < len(u); i++ {
+		switch hostBytes[u[i]] {
+		case hostEnd:
+			u = u[:i]
+			break scan
+		case hostAt: // userinfo: the host starts after the last one
+			start, end, fold = i+1, -1, false
+		case hostColon:
+			if end < 0 {
+				end = i
+			}
+		case hostFold:
+			if end < 0 {
+				fold = true
+			}
+		}
 	}
-	// Strip port and userinfo.
-	if i := strings.LastIndexByte(u, '@'); i >= 0 {
-		u = u[i+1:]
+	if end < 0 {
+		end = len(u)
 	}
-	if i := strings.IndexByte(u, ':'); i >= 0 {
-		u = u[:i]
+	if fold {
+		return strings.ToLower(u[start:end])
 	}
-	return strings.ToLower(u)
+	return u[start:end]
 }
+
+// Byte classes of Host's scan.
+const (
+	hostPlain = iota
+	hostEnd   // '/', '?', '#': the authority ends
+	hostAt    // '@': userinfo ends
+	hostColon // ':': the port starts
+	hostFold  // upper-case ASCII or a non-ASCII byte
+)
+
+var hostBytes = func() (t [256]uint8) {
+	t['/'], t['?'], t['#'] = hostEnd, hostEnd, hostEnd
+	t['@'], t[':'] = hostAt, hostColon
+	for c := 'A'; c <= 'Z'; c++ {
+		t[c] = hostFold
+	}
+	for c := utf8.RuneSelf; c < 256; c++ {
+		t[c] = hostFold
+	}
+	return t
+}()
 
 // Path returns the path-and-query part of the record URL (at least "/").
 func (r *Record) Path() string {
@@ -121,6 +164,9 @@ func (r *Record) Path() string {
 // isolate JSON traffic.
 func (r *Record) IsJSON() bool {
 	mt := r.MIMEType
+	if mt == "application/json" { // the decoders' canonical literal
+		return true
+	}
 	if i := strings.IndexByte(mt, ';'); i >= 0 {
 		mt = mt[:i]
 	}

@@ -42,6 +42,9 @@ func (r *Rollup) Bucket() time.Duration { return r.bucket }
 // normalizeMIME strips parameters and lowercases ("Application/JSON;
 // charset=utf8" -> "application/json").
 func normalizeMIME(mt string) string {
+	if mt == "application/json" { // the log decoders' canonical literal
+		return mt
+	}
 	if i := strings.IndexByte(mt, ';'); i >= 0 {
 		mt = mt[:i]
 	}

@@ -25,8 +25,10 @@ type Characterization struct {
 	Devices stats.Counter
 	// Methods counts JSON requests by HTTP method.
 	Methods stats.Counter
-	// UAStrings tracks distinct user-agent strings per device type.
-	UAStrings map[string]uastring.DeviceType
+	// UAStrings holds each distinct non-empty user-agent string with
+	// its class. Observe probes it before classifying, so each distinct
+	// agent is classified once.
+	UAStrings map[string]uastring.Class
 
 	// Browser counts.
 	Total           int64
@@ -44,20 +46,21 @@ type Characterization struct {
 
 // NewCharacterization returns an empty aggregate.
 func NewCharacterization() *Characterization {
-	return &Characterization{UAStrings: make(map[string]uastring.DeviceType)}
+	return &Characterization{UAStrings: make(map[string]uastring.Class)}
 }
 
 // Observe folds one JSON record into the aggregate.
 func (c *Characterization) Observe(r *logfmt.Record) {
-	cls := uastring.Classify(r.UserAgent)
+	cls, seen := c.UAStrings[r.UserAgent]
+	if !seen {
+		cls = uastring.Classify(r.UserAgent)
+		if r.UserAgent != "" {
+			c.UAStrings[r.UserAgent] = cls
+		}
+	}
 	c.Total++
 	c.Devices.Add(cls.Device.String())
 	c.Methods.Add(r.Method)
-	if r.UserAgent != "" {
-		if _, seen := c.UAStrings[r.UserAgent]; !seen {
-			c.UAStrings[r.UserAgent] = cls.Device
-		}
-	}
 	if cls.Browser {
 		c.BrowserReqs++
 		switch cls.Device {
@@ -97,9 +100,9 @@ func (c *Characterization) ObserveAny(r *logfmt.Record) {
 func (c *Characterization) Merge(other *Characterization) {
 	c.Devices.Merge(&other.Devices)
 	c.Methods.Merge(&other.Methods)
-	for ua, d := range other.UAStrings {
+	for ua, cls := range other.UAStrings {
 		if _, ok := c.UAStrings[ua]; !ok {
-			c.UAStrings[ua] = d
+			c.UAStrings[ua] = cls
 		}
 	}
 	c.Total += other.Total
@@ -163,8 +166,8 @@ func (c *Characterization) UAStringMix() map[string]float64 {
 		return nil
 	}
 	counts := map[string]int{}
-	for _, d := range c.UAStrings {
-		counts[d.String()]++
+	for _, cls := range c.UAStrings {
+		counts[cls.Device.String()]++
 	}
 	out := make(map[string]float64, len(counts))
 	for k, v := range counts {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/domaincat"
 	"repro/internal/logfmt"
 	"repro/internal/stats"
+	"repro/internal/synth"
 	"repro/internal/uastring"
 )
 
@@ -240,5 +241,69 @@ func TestFigure2Tree(t *testing.T) {
 	}
 	if !strings.Contains(annotated, "[80.0%]") { // GET share
 		t.Errorf("annotated tree missing GET share:\n%s", annotated)
+	}
+}
+
+// TestMemoizedClassMatchesClassify folds a seeded generated capture and
+// checks the per-agent memo against uastring.Classify: every remembered
+// class, the per-record browser and device counts, and UAStringMix as
+// the distinct agents classified one by one give it.
+func TestMemoizedClassMatchesClassify(t *testing.T) {
+	c := NewCharacterization()
+	var total, browser, mobile, embedded int64
+	devices := map[string]int64{}
+	mixCounts := map[string]int{}
+	distinct := map[string]bool{}
+	err := synth.Generate(synth.ShortTermConfig(42, 0.0005), func(r *logfmt.Record) error {
+		c.ObserveAny(r)
+		if !r.IsJSON() {
+			return nil
+		}
+		cls := uastring.Classify(r.UserAgent)
+		total++
+		devices[cls.Device.String()]++
+		if cls.Browser {
+			browser++
+			switch cls.Device {
+			case uastring.DeviceMobile:
+				mobile++
+			case uastring.DeviceEmbedded:
+				embedded++
+			}
+		}
+		if r.UserAgent != "" && !distinct[r.UserAgent] {
+			distinct[r.UserAgent] = true
+			mixCounts[cls.Device.String()]++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(distinct) < 10 || len(c.UAStrings) != len(distinct) {
+		t.Fatalf("memo holds %d agents, the capture has %d distinct", len(c.UAStrings), len(distinct))
+	}
+	for ua, cls := range c.UAStrings {
+		if want := uastring.Classify(ua); cls != want {
+			t.Errorf("memo class of %q = %+v, Classify %+v", ua, cls, want)
+		}
+	}
+	if c.Total != total || c.BrowserReqs != browser || c.MobileBrowser != mobile || c.EmbeddedBrowser != embedded {
+		t.Errorf("counts %d/%d/%d/%d, per-record Classify %d/%d/%d/%d",
+			c.Total, c.BrowserReqs, c.MobileBrowser, c.EmbeddedBrowser, total, browser, mobile, embedded)
+	}
+	for d, n := range devices {
+		if got := c.Devices.Count(d); got != n {
+			t.Errorf("device %s: %d requests, per-record Classify %d", d, got, n)
+		}
+	}
+	mix := c.UAStringMix()
+	if len(mix) != len(mixCounts) {
+		t.Errorf("UAStringMix %v, want shares of %v", mix, mixCounts)
+	}
+	for d, n := range mixCounts {
+		if want := float64(n) / float64(len(distinct)); mix[d] != want {
+			t.Errorf("UAStringMix[%s] = %v, want %v", d, mix[d], want)
+		}
 	}
 }
